@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -32,8 +33,10 @@ class Constants:
     def __post_init__(self):
         for name in ("hbar", "c", "G", "l_planck", "l_strong"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise InvalidInputError(f"constant {name} must be positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                raise InvalidInputError(
+                    f"constant {name} must be a positive finite number, got {value!r}"
+                )
 
 
 #: default constant set

@@ -98,8 +98,8 @@ class CosmologyParams:
     def __post_init__(self):
         for name in ("rho_vac", "L_U0", "H0"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or v <= 0:
-                raise InvalidInputError(f"{name} must be positive, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, Real) or not (math.isfinite(v) and v > 0):
+                raise InvalidInputError(f"{name} must be a positive finite number, got {v!r}")
         if self.kappa not in (-1, 0, 1):
             raise InvalidInputError(f"curvature sign must be -1, 0 or +1, got {self.kappa!r}")
 
@@ -133,8 +133,8 @@ def _linear_guard(h0dt: float, what: str) -> None:
 
 def universe_diameter_at(params: CosmologyParams, dt: float) -> float:
     """Linear Hubble growth of the diameter: L_U0 * (1 + H0*dt)."""
-    if isinstance(dt, bool) or not isinstance(dt, Real) or dt < 0:
-        raise InvalidInputError(f"time offset must be nonnegative, got {dt!r}")
+    if isinstance(dt, bool) or not isinstance(dt, Real) or not (math.isfinite(dt) and dt >= 0):
+        raise InvalidInputError(f"time offset must be a nonnegative finite number, got {dt!r}")
     _linear_guard(params.H0 * dt, "universe_diameter_at")
     return params.L_U0 * (1 + params.H0 * dt)
 
@@ -146,8 +146,8 @@ def point_count_at_linear(params: CosmologyParams, dt: float,
 
     At dt = 0 this reduces exactly to vacuum_point_count.
     """
-    if isinstance(dt, bool) or not isinstance(dt, Real):
-        raise InvalidInputError(f"time offset must be a real number, got {dt!r}")
+    if isinstance(dt, bool) or not isinstance(dt, Real) or not math.isfinite(dt):
+        raise InvalidInputError(f"time offset must be a finite real number, got {dt!r}")
     _linear_guard(params.H0 * dt, "point_count_at_linear")
     lam = lambda_from_density(params, constants)
     prefactor = constants.c**3 * lam / (8 * math.pi**2 * constants.hbar * constants.G)
@@ -185,6 +185,8 @@ def point_count_rate_general(params: CosmologyParams, dt: float,
 
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
+    if not (math.isfinite(H0) and math.isfinite(dt)):
+        raise InvalidInputError(f"H0 and dt must be finite, got {H0!r} and {dt!r}")
     return math.exp(4 * H0 * dt)
 
 
@@ -240,6 +242,8 @@ class FluidState:
 
     def __post_init__(self):
         if not (isinstance(self.a, Real) and self.a > 0):
+            if isinstance(self.a, Real) and math.isnan(self.a):
+                raise InvalidInputError("scale factor must be a number, got nan")
             raise NonPositiveScaleFactorError(f"scale factor must be positive, got {self.a!r}")
 
     @property
@@ -294,6 +298,8 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     sqrt((8*pi*G/3)*rho - kappa*c**2/a**2 + lam*c**2/a**2)."""
     c2 = constants.c**2
     h2 = (8 * math.pi * constants.G / 3) * rho - kappa * c2 / a**2 + lam * c2 / a**2
+    if not math.isfinite(h2):
+        raise InvalidInputError(f"expansion rate inputs must be finite, got H^2 = {h2}")
     if h2 < 0:
         raise InvalidInputError(f"no real expansion rate: H^2 = {h2} < 0")
     return math.sqrt(h2)
@@ -371,10 +377,16 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     """
     if kappa not in (-1, 0, 1):
         raise InvalidInputError(f"curvature sign must be -1, 0 or +1, got {kappa!r}")
-    if not (isinstance(step, Real) and step > 0):
-        raise InvalidInputError(f"step must be positive, got {step!r}")
-    if not (isinstance(t_end, Real) and t_end > initial.t):
-        raise InvalidInputError(f"t_end must exceed the initial time {initial.t}")
+    for name in ("a", "a_dot", "rho", "p", "t"):
+        v = getattr(initial, name)
+        if not (isinstance(v, Real) and math.isfinite(v)):
+            raise InvalidInputError(f"initial {name} must be a finite real number, got {v!r}")
+    if not (isinstance(step, Real) and math.isfinite(step) and step > 0):
+        raise InvalidInputError(f"step must be a positive finite number, got {step!r}")
+    if not (isinstance(t_end, Real) and math.isfinite(t_end) and t_end > initial.t):
+        raise InvalidInputError(f"t_end must be finite and exceed the initial time {initial.t}")
+    if not (isinstance(lam, Real) and math.isfinite(lam)):
+        raise InvalidInputError(f"lambda must be a finite real number, got {lam!r}")
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
     span = t_end - initial.t

@@ -10,14 +10,31 @@ Three constructions are exposed:
 
 Elements are fixed-length coefficient tuples mod p (constant term
 first), always held in reduced canonical form, so equality and hashing
-are structural and every operation is exact.  ``verify_field_axioms``
-checks the full field axiom list by exhaustive truth tables and returns
-explicit witnesses on failure; ``verify_modular_ring_axioms`` runs the
-same battery on Z/n as a diagnostic for composite moduli.
+are structural and every operation is exact.  Each element also has an
+*index*, the base-p digit value of its coefficients (constant term
+least significant), which is its position in enumeration order.
+
+The first time a field is enumerated (``enumerate_elements`` and,
+through it, ``operation_tables``, ``AffineSpace.points`` and
+``enumerate_vectors``), the spec builds log/antilog tables over element
+indices from a primitive element g: ``exp[i]`` is the index of g**i and
+``log`` its inverse.  The tables and the cached element instances take
+O(q) memory, on top of the O(q) element list enumeration already
+returns.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
+arithmetic (``exp[(log a + log b) mod (q-1)]``), ``+`` and ``-`` stay
+digit-wise mod p, and every result is a cached instance.  A field that
+is never enumerated builds nothing and keeps polynomial arithmetic, so
+huge fields cost no table memory.
+
+``verify_field_axioms`` checks the full field axiom list by exhaustive
+truth tables and returns explicit witnesses on failure;
+``verify_modular_ring_axioms`` runs the same battery on Z/n as a
+diagnostic for composite moduli.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -190,6 +207,128 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise NotAFieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def _index_of(coeffs: Sequence[int], p: int) -> int:
+    """Base-p digit value of a coefficient tuple (constant term least significant)."""
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _mulmod(a: list[int], b: list[int], m: Sequence[int], p: int) -> list[int]:
+    """Product of two length-k coefficient lists modulo the monic m of degree k."""
+    k = len(m) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        if c:  # subtract c * x^(d-k) * m, which clears degree d
+            for j in range(k):
+                prod[d - k + j] -= c * m[j]
+    return [c % p for c in prod[:k]]
+
+
+def _powmod(a: list[int], e: int, m: Sequence[int], p: int) -> list[int]:
+    result = [1] + [0] * (len(m) - 2)
+    while e:
+        if e & 1:
+            result = _mulmod(result, a, m, p)
+        a = _mulmod(a, a, m, p)
+        e >>= 1
+    return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class _Tables:
+    """Log/antilog tables of one field over element indices.
+
+    ``elements[n]`` is the cached element of index n, ``exp[i]`` the
+    index of g**i for the primitive element g (0 <= i < q-1) and
+    ``log[n]`` the exponent of the nonzero element n (``log[0]`` is 0
+    and never read as a logarithm).
+    """
+
+    __slots__ = ("elements", "exp", "log", "period")
+
+    def __init__(self, spec: "FieldSpec"):
+        p, k, m = spec.p, spec.k, spec.modulus_poly
+        q = p**k
+        period = q - 1
+        # the primitive element of smallest index: g has order q-1 iff
+        # g**((q-1)/r) != 1 for every prime r dividing q-1
+        one = [1] + [0] * (k - 1)
+        cofactors = [period // r for r in _prime_factors(period)]
+        for g_index in range(1, q):
+            g = _digits(g_index, p, k)
+            if all(_powmod(g, e, m, p) != one for e in cofactors):
+                break
+        else:
+            raise NotAFieldError(f"{spec} has no element of multiplicative order {period}")
+        # walk the powers of g; in a field they cover every nonzero element.
+        # Row i of the multiply-by-g matrix holds coefficient i of g*x^j.
+        rows = list(zip(*(_mulmod(g, [0] * j + [1] + [0] * (k - 1 - j), m, p)
+                          for j in range(k))))
+        elements = [_cached(spec, (0,) * k, 0)] + [None] * period
+        log = [0] * q
+        exp = [0] * period
+        cur = one
+        for i in range(period):
+            n = _index_of(cur, p)
+            if n == 0 or elements[n] is not None:
+                raise NotAFieldError(
+                    f"powers of {tuple(g)} repeat after {i} of {period} steps; "
+                    f"{spec} is not a field",
+                    witness=(tuple(g), i),
+                )
+            elements[n] = _cached(spec, tuple(cur), n)
+            log[n] = i
+            exp[i] = n
+            cur = [sum(map(operator.mul, row, cur)) % p for row in rows]
+        if cur != one:  # g**(q-1) == 1 makes every nonzero g**i invertible
+            raise NotAFieldError(
+                f"powers of {tuple(g)} do not return to 1; {spec} is not a field",
+                witness=(tuple(g), period),
+            )
+        self.elements = elements
+        self.exp = exp
+        self.log = log
+        self.period = period
+
+
+def _cached(spec: "FieldSpec", coeffs: tuple[int, ...], index: int) -> "FieldElement":
+    """An element from trusted reduced coefficients, carrying its index."""
+    e = object.__new__(FieldElement)
+    object.__setattr__(e, "spec", spec)
+    object.__setattr__(e, "coeffs", coeffs)
+    object.__setattr__(e, "_index", index)
+    return e
+
+
+def _tables(spec: "FieldSpec") -> _Tables:
+    """The spec's tables, built on first use."""
+    t = spec._tables
+    if t is None:
+        t = _Tables(spec)
+        object.__setattr__(spec, "_tables", t)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # field specifications and elements
 # ---------------------------------------------------------------------------
@@ -205,12 +344,16 @@ class FieldSpec:
     coefficients mod p, constant term first; for k == 1 it is (0, 1),
     i.e. the polynomial x.  ``construction_tag`` records which factory
     produced the field and only affects presentation, never arithmetic.
+    A spec built directly is validated in full, irreducibility included.
     """
 
     p: int
     k: int
     modulus_poly: tuple[int, ...]
     construction_tag: str = "general"
+
+    #: log/antilog tables, set on first enumeration (not a dataclass field)
+    _tables = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -234,6 +377,13 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
+    def _make(self, coeffs: tuple[int, ...]) -> "FieldElement":
+        """Element from reduced coefficients: the cached instance once tabled."""
+        t = self._tables
+        if t is None:
+            return FieldElement(self, coeffs)
+        return t.elements[_index_of(coeffs, self.p)]
+
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
         element index) or a coefficient sequence into a field element."""
@@ -243,33 +393,35 @@ class FieldSpec:
             return value
         if isinstance(value, int):
             if self.k == 1:
-                return FieldElement(self, (value % self.p,))
+                return self._make((value % self.p,))
             if not 0 <= value < self.order:
                 raise InvalidInputError(
                     f"element index {value} outside 0..{self.order - 1}"
                 )
+            if self._tables is not None:
+                return self._tables.elements[value]
             return FieldElement(self, tuple(_digits(value, self.p, self.k)))
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.k:
             raise DimMismatchError(
                 f"expected {self.k} coefficients, got {len(coeffs)}"
             )
-        return FieldElement(self, coeffs)
+        return self._make(coeffs)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
+        return self._make((0,) * self.k)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return self._make((1,) + (0,) * (self.k - 1))
 
     @property
     def gen(self) -> "FieldElement":
         """The adjoined root (the class of x); only defined for k >= 2."""
         if self.k < 2:
             raise InvalidInputError("prime fields have no adjoined generator")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return self._make((0, 1) + (0,) * (self.k - 2))
 
     def elements(self) -> list["FieldElement"]:
         return enumerate_elements(self)
@@ -280,15 +432,28 @@ class FieldSpec:
         return f"GF({self.p}^{self.k})"
 
 
+def _proven_spec(p: int, k: int, modulus: tuple[int, ...], tag: str) -> FieldSpec:
+    """A FieldSpec for a factory that has itself proven p prime and the
+    modulus irreducible, so that __post_init__ does not repeat the proof."""
+    spec = object.__new__(FieldSpec)
+    object.__setattr__(spec, "p", p)
+    object.__setattr__(spec, "k", k)
+    object.__setattr__(spec, "modulus_poly", modulus)
+    object.__setattr__(spec, "construction_tag", tag)
+    return spec
+
+
 class FieldElement:
     """One element of a finite field, as a reduced coefficient tuple.
 
     Instances are immutable by convention, hashable, and support
     +, -, *, /, unary minus and integer powers.  Mixing elements of two
-    different field specs raises SpecMismatchError.
+    different field specs raises SpecMismatchError.  On a tabled spec
+    (see the module docstring) the operators work on element indices and
+    return the spec's cached instances.
     """
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "coeffs", "_index")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[int]):
         coeffs = tuple(coeffs)
@@ -300,16 +465,27 @@ class FieldElement:
                 raise InvalidInputError(f"coefficient {c!r} not reduced mod {p}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    def _position(self) -> int:
+        """The element index, computed once and kept."""
+        n = self._index
+        if n is None:
+            n = _index_of(self.coeffs, self.spec.p)
+            object.__setattr__(self, "_index", n)
+        return n
 
     # -- structural equality ------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (
+            self.spec is other.spec or self.spec == other.spec
+        )
 
     def __hash__(self):
         return hash((self.spec, self.coeffs))
@@ -317,7 +493,7 @@ class FieldElement:
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
             raise SpecMismatchError(f"cannot combine field element with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatchError("elements belong to different fields")
         return other
 
@@ -333,20 +509,26 @@ class FieldElement:
     def __add__(self, other):
         other = self._check(other)
         p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self.spec._make(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         other = self._check(other)
         p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self.spec._make(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
         p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return self.spec._make(tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._check(other)
         spec = self.spec
+        t = spec._tables
+        if t is not None:
+            a, b = self._position(), other._position()
+            if a == 0 or b == 0:
+                return t.elements[0]
+            return t.elements[t.exp[(t.log[a] + t.log[b]) % t.period]]
         p = spec.p
         if spec.k == 1:
             return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
@@ -356,10 +538,14 @@ class FieldElement:
         return FieldElement(spec, tuple(red))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: exp[-log a] on a tabled spec, otherwise
+        the extended Euclidean algorithm."""
         if self.is_zero:
             raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
         spec = self.spec
+        t = spec._tables
+        if t is not None:
+            return t.elements[t.exp[-t.log[self._position()] % t.period]]
         p = spec.p
         if spec.k == 1:
             return FieldElement(spec, (pow(self.coeffs[0], p - 2, p),))
@@ -372,11 +558,28 @@ class FieldElement:
 
     def __truediv__(self, other):
         other = self._check(other)
-        return self * other.inverse()
+        t = self.spec._tables
+        if t is None:
+            return self * other.inverse()
+        b = other._position()
+        if b == 0:
+            raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
+        a = self._position()
+        if a == 0:
+            return t.elements[0]
+        return t.elements[t.exp[(t.log[a] - t.log[b]) % t.period]]
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise InvalidInputError("exponent must be an integer")
+        t = self.spec._tables
+        if t is not None:
+            a = self._position()
+            if a == 0:
+                if n < 0:
+                    raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
+                return t.elements[0 if n else 1]
+            return t.elements[t.exp[t.log[a] * n % t.period]]
         base = self
         if n < 0:
             base = self.inverse()
@@ -419,7 +622,7 @@ def make_prime_field(p: int) -> FieldSpec:
     """Field of integers mod a prime p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    return FieldSpec(p, 1, (0, 1), "prime")
+    return _proven_spec(p, 1, (0, 1), "prime")
 
 
 def make_gaussian_extension(p: int) -> FieldSpec:
@@ -448,7 +651,8 @@ def make_gaussian_extension(p: int) -> FieldSpec:
             f"witness ({root}+i)*({p - root}+i) = 0",
             witness=((root, 1), (p - root, 1)),
         )
-    return FieldSpec(p, 2, (1, 0, 1), "gaussian")
+    # no root of x^2 + 1 in GF(p), so the quadratic is irreducible
+    return _proven_spec(p, 2, (1, 0, 1), "gaussian")
 
 
 def make_extension_field(p: int, k: int) -> FieldSpec:
@@ -458,8 +662,8 @@ def make_extension_field(p: int, k: int) -> FieldSpec:
     if not (isinstance(k, int) and 1 <= k <= 6):
         raise InvalidInputError(f"extension degree must lie in 1..6, got {k}")
     if k == 1:
-        return make_prime_field(p)
-    return FieldSpec(p, k, _smallest_irreducible(p, k), "general")
+        return _proven_spec(p, 1, (0, 1), "prime")
+    return _proven_spec(p, k, _smallest_irreducible(p, k), "general")
 
 
 # -- thin functional aliases over the operator methods ----------------------
@@ -484,19 +688,20 @@ def inv(a: FieldElement) -> FieldElement:
 
 def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     """All field elements in base-p counting order (constant coefficient
-    least significant), so index 0 is zero and index 1 is one."""
+    least significant), so index 0 is zero and index 1 is one.
+
+    The first call on a spec builds its log/antilog tables; the list
+    holds the spec's cached instances.
+    """
     q = spec.order
     if q > ENUMERATION_CAP:
         raise SizeLimitError(f"field order {q} exceeds enumeration cap {ENUMERATION_CAP}")
-    return [FieldElement(spec, tuple(_digits(n, spec.p, spec.k))) for n in range(q)]
+    return list(_tables(spec).elements)
 
 
 def element_index(a: FieldElement) -> int:
     """Position of an element in enumeration order (base-p digit value)."""
-    n = 0
-    for c in reversed(a.coeffs):
-        n = n * a.spec.p + c
-    return n
+    return a._position()
 
 
 def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, np.ndarray]:
@@ -518,16 +723,18 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
         add_t = (xs + xo) % p + p * ((ys + yo) % p)
         mul_t = (xs * xo - ys * yo) % p + p * ((xs * yo + ys * xo) % p)
     else:
-        add_t = np.empty((q, q), dtype=np.int64)
-        mul_t = np.empty((q, q), dtype=np.int64)
-        index = {e.coeffs: i for i, e in enumerate(elements)}
-        for i, a in enumerate(elements):
-            for j in range(i, q):
-                b = elements[j]
-                s = index[(a + b).coeffs]
-                m = index[(a * b).coeffs]
-                add_t[i, j] = add_t[j, i] = s
-                mul_t[i, j] = mul_t[j, i] = m
+        # digit-wise addition mod p, one base-p place at a time
+        add_t = np.zeros((q, q), dtype=np.int64)
+        for place in (p**j for j in range(spec.k)):
+            d = (idx // place) % p
+            add_t += (d[:, None] + d[None, :]) % p * place
+        # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
+        t = _tables(spec)
+        log = np.array(t.log, dtype=np.int64)
+        exp = np.array(t.exp, dtype=np.int64)
+        mul_t = exp[(log[:, None] + log[None, :]) % t.period]
+        mul_t[0, :] = 0
+        mul_t[:, 0] = 0
     return elements, add_t.astype(np.int64), mul_t.astype(np.int64)
 
 

@@ -570,6 +570,8 @@ def subspace_diameter(step: float, order: int):
     order when adjacent points sit one step apart: step * (order - 1)."""
     if not (isinstance(order, int) and order >= 2):
         raise InvalidInputError(f"order must be an integer >= 2, got {order}")
-    if isinstance(step, bool) or not isinstance(step, numbers.Real) or step <= 0:
-        raise InvalidInputError(f"step must be a positive real, got {step!r}")
+    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (
+        math.isfinite(step) and step > 0
+    ):
+        raise InvalidInputError(f"step must be a positive finite real, got {step!r}")
     return step * (order - 1)

@@ -153,15 +153,18 @@ def mode_energy(m0: float, kx: float, ky: float, kz: float,
     zero mode has frequency zero and a massive mode at rest oscillates
     at m0*c**2/hbar.
     """
-    if m0 < 0:
-        raise InvalidInputError(f"rest mass must be nonnegative, got {m0}")
+    if not (math.isfinite(m0) and m0 >= 0):
+        raise InvalidInputError(f"rest mass must be a nonnegative finite number, got {m0}")
+    for name, k in (("kx", kx), ("ky", ky), ("kz", kz)):
+        if not math.isfinite(k):
+            raise InvalidInputError(f"wavevector component {name} must be finite, got {k}")
     mass_term = m0 * constants.c / constants.hbar
     return constants.c * math.sqrt(mass_term**2 + kx**2 + ky**2 + kz**2)
 
 
 def _check_box(L) -> float:
-    if isinstance(L, bool) or not isinstance(L, Real) or L <= 0:
-        raise InvalidInputError(f"box edge must be positive, got {L!r}")
+    if isinstance(L, bool) or not isinstance(L, Real) or not (math.isfinite(L) and L > 0):
+        raise InvalidInputError(f"box edge must be a positive finite number, got {L!r}")
     return float(L)
 
 
@@ -197,8 +200,8 @@ def oscillator_count_energy(L: float, P: float,
     (hbar/2) * (2*pi*c/L) * P = pi*hbar*c*P/L, in joules.
     """
     L = _check_box(L)
-    if isinstance(P, bool) or not isinstance(P, Real) or P < 0:
-        raise InvalidInputError(f"oscillator count must be nonnegative, got {P!r}")
+    if isinstance(P, bool) or not isinstance(P, Real) or not (math.isfinite(P) and P >= 0):
+        raise InvalidInputError(f"oscillator count must be a nonnegative finite number, got {P!r}")
     return math.pi * constants.hbar * constants.c * P / L
 
 

@@ -239,3 +239,28 @@ def test_planck_density_command():
     assert float(doc["outputs"]["min_diameter_at_planck_density"]["value"]) == pytest.approx(
         1.8294288892041766e-55, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosmo", "point-count", "--rho-vac", "nan"],
+    ["cosmo", "point-count", "--l-u", "inf"],
+    ["cosmo", "growth", "--dt-gyr", "nan"],
+    ["cosmo", "diameter-at", "--dt", "inf"],
+    ["regularize", "vacuum", "--l", "nan"],
+    ["regularize", "vacuum", "--l", "inf"],
+    ["regularize", "mode-energy", "--kx", "nan"],
+    ["regularize", "mode-energy", "--m0", "inf"],
+    ["regularize", "oscillator-energy", "--l", "1e-15", "--count", "nan"],
+    ["geometry", "diameter", "--step", "inf", "--order", "7"],
+    ["geometry", "diameter", "--step", "nan", "--order", "7"],
+    ["cosmo", "evolve", "--rho0", "nan", "--t-end", "1e17", "--step", "1e14"],
+    ["cosmo", "evolve", "--rho0", "nan", "--adot0", "1e-18", "--t-end", "1e17", "--step", "1e14"],
+    ["cosmo", "evolve", "--a0", "nan", "--adot0", "1e-18", "--rho0", "6e-27", "--t-end", "1e17",
+     "--step", "1e14"],
+    ["cosmo", "evolve", "--rho0", "6e-27", "--t-end", "inf", "--step", "1e14"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_input_is_invalid(argv):
+    report = dispatch(argv)
+    assert report.status == "error"
+    assert report.error == "InvalidInput"
+    assert report.exit_code == 1

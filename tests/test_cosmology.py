@@ -402,3 +402,36 @@ def test_load_config_errors(tmp_path):
     bad_kappa.write_text("kappa = 0.5\n", encoding="utf-8")
     with pytest.raises(InvalidInputError):
         load_config(bad_kappa)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad, tmp_path):
+    for name in ("rho_vac", "L_U0", "H0"):
+        with pytest.raises(InvalidInputError):
+            CosmologyParams(**{name: bad})
+    with pytest.raises(InvalidInputError):
+        Constants(hbar=bad)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"rho_vac = {bad}\n")
+    with pytest.raises(InvalidInputError):
+        load_config(cfg)
+    with pytest.raises(InvalidInputError):
+        friedmann_hubble_rate(bad)
+    with pytest.raises(InvalidInputError):
+        universe_diameter_at(OBSERVED, bad)
+    with pytest.raises(InvalidInputError):
+        point_count_at_linear(OBSERVED, bad)
+    with pytest.raises(InvalidInputError):
+        point_count_growth_factor(OBSERVED.H0, bad)
+    _, hub, initial = de_sitter_setup()
+    good = dict(eos=vacuum_pressure_law(), lam=0.0, kappa=0, t_end=1 / hub, step=1 / (500 * hub))
+    for name in ("lam", "t_end", "step"):
+        with pytest.raises(InvalidInputError):
+            evolve_scale_factor(initial, **{**good, name: bad})
+    if math.isnan(bad):  # a NaN scale factor is invalid input, not a non-positive one
+        with pytest.raises(InvalidInputError):
+            FluidState(a=bad, a_dot=0.0, rho=1.0)
+    for name in ("a_dot", "rho", "p", "t") + (("a",) if bad > 0 else ()):
+        state = FluidState(**{"a": 1.0, "a_dot": hub, "rho": initial.rho, name: bad})
+        with pytest.raises(InvalidInputError):
+            evolve_scale_factor(state, **good)

@@ -1,7 +1,12 @@
 """Exhaustive checks of the finite-field layer against independent oracles."""
 
+import field_reference as ref
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_rem
 
+from finiverse import fields as fields_mod
 from finiverse.errors import (
     DimMismatchError,
     DivisionByZeroError,
@@ -305,3 +310,132 @@ def test_modular_ring_diagnostics():
         verify_modular_ring_axioms(1)
     with pytest.raises(SizeLimitError):
         verify_modular_ring_axioms(501)
+
+
+# -- log/antilog table core: differential checks -----------------------------
+
+#: every general field GF(p^k) of order <= 256 with 2 <= k <= 6
+GENERAL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 7) if p**k <= 256]
+
+
+@pytest.mark.parametrize("p,k", GENERAL_FIELDS, ids=[f"GF({p}^{k})" for p, k in GENERAL_FIELDS])
+def test_operation_tables_match_polynomial_reference(p, k):
+    spec = make_extension_field(p, k)
+    elements, add_t, mul_t = operation_tables(spec)
+    add_r, mul_r = ref.tables(p, k, spec.modulus_poly)
+    assert add_t.tolist() == add_r
+    assert mul_t.tolist() == mul_r
+    assert [e.coeffs for e in elements] == [ref.digits(n, p, k) for n in range(p**k)]
+
+
+def _sympy_poly(coeffs):
+    """finiverse coefficients (constant first) -> galoistools (leading first)."""
+    out = [ZZ(c) for c in reversed(coeffs)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (5, 3), (11, 2), (13, 2), (7, 3)])
+def test_products_and_inverses_match_sympy(p, k):
+    spec = make_extension_field(p, k)
+    elements = enumerate_elements(spec)
+    modulus = _sympy_poly(spec.modulus_poly)
+    q = spec.order
+    for i in range(1, q, max(1, q // 40)):
+        a = elements[i]
+        for j in (0, 1, p, q - 1, (7 * i + 3) % q):
+            b = elements[j]
+            expected = gf_rem(gf_mul(_sympy_poly(a.coeffs), _sympy_poly(b.coeffs), p, ZZ),
+                              modulus, p, ZZ)
+            assert _sympy_poly((a * b).coeffs) == expected
+        product = gf_mul(_sympy_poly(a.coeffs), _sympy_poly(a.inverse().coeffs), p, ZZ)
+        assert gf_rem(product, modulus, p, ZZ) == [ZZ(1)]
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_tabled_and_untabled_specs_agree(p, k):
+    tabled = make_extension_field(p, k)
+    enumerate_elements(tabled)
+    plain = make_extension_field(p, k)
+    q = tabled.order
+    for i in range(q):
+        a, pa = tabled.element(i), plain.element(i)
+        for n in (-q - 1, -3, -1, 0, 1, 2, 5, q - 1, q):
+            if i == 0 and n < 0:
+                with pytest.raises(DivisionByZeroError):
+                    a ** n
+                with pytest.raises(DivisionByZeroError):
+                    pa ** n
+            else:
+                assert (a ** n).coeffs == (pa ** n).coeffs
+        if i:
+            assert a.inverse().coeffs == pa.inverse().coeffs
+        for j in range(q):
+            b, pb = tabled.element(j), plain.element(j)
+            assert (a * b).coeffs == (pa * pb).coeffs
+            assert (a + b).coeffs == (pa + pb).coeffs
+            assert (a - b).coeffs == (pa - pb).coeffs
+            if j:
+                assert (a / b).coeffs == (pa / pb).coeffs
+            else:
+                with pytest.raises(DivisionByZeroError):
+                    a / b
+    assert plain._tables is None  # arithmetic alone never builds tables
+
+
+def test_tabled_results_are_cached_indexed_instances():
+    spec = make_extension_field(3, 3)
+    elements = enumerate_elements(spec)
+    a, b = elements[5], elements[17]
+    for result in (a * b, a / b, a.inverse(), a ** 7, a + b, a - b, -a):
+        assert result is elements[element_index(result)]
+    # an element built directly still works against the cached ones
+    fresh = FieldElement(spec, a.coeffs)
+    assert fresh * b is a * b
+    assert spec.element(5) is a and spec.element(list(a.coeffs)) is a
+
+
+def test_table_build_rejects_a_ring():
+    # x^2+1 = (x+1)^2 over GF(2) and x^2+2 = (x+1)(x+2) over GF(3): the
+    # quotients are rings, and the generator's powers repeat early
+    for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1))):
+        ring = fields_mod._proven_spec(p, 2, modulus, "general")
+        with pytest.raises(NotAFieldError) as exc:
+            enumerate_elements(ring)
+        generator, steps = exc.value.witness
+        assert 0 < steps < p * p - 1
+
+
+def test_factory_proves_irreducibility_once(monkeypatch):
+    calls = []
+    real = fields_mod._is_irreducible
+
+    def counting(poly, p):
+        calls.append(tuple(poly))
+        return real(poly, p)
+
+    monkeypatch.setattr(fields_mod, "_is_irreducible", counting)
+    spec = make_extension_field(13, 2)
+    assert calls[-1] == spec.modulus_poly
+    assert calls.count(spec.modulus_poly) == 1  # the search's test, not a repeat
+    calls.clear()
+    FieldSpec(13, 2, spec.modulus_poly)  # a spec built directly is still validated
+    assert calls == [spec.modulus_poly]
+
+
+SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 31, 53) for k in range(1, 7) if p**k <= 3000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pk=st.sampled_from(SMALL_FIELDS), data=st.data())
+def test_tabled_field_laws_over_random_fields(pk, data):
+    spec = make_extension_field(*pk)
+    elements = enumerate_elements(spec)
+    pick = st.integers(0, spec.order - 1)
+    a, b, c = (elements[data.draw(pick)] for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    if not a.is_zero:
+        assert a * a.inverse() == spec.one

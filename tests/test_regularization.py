@@ -237,3 +237,16 @@ def test_mode_spec_validation():
     spec = ModeSpec(m0=0.0, k=(1.0, -2.0, 3.0), L=1e-15, cutoff=4)
     assert spec.k == (1.0, -2.0, 3.0)
     assert spec.cutoff == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    for args in ((0.0, bad, 0.0, 0.0), (0.0, 0.0, bad, 0.0), (0.0, 0.0, 0.0, bad), (bad, 0.0, 0.0, 0.0)):
+        with pytest.raises(InvalidInputError):
+            mode_energy(*args)
+    with pytest.raises(InvalidInputError):
+        vacuum_energy_regularized(bad)
+    with pytest.raises(InvalidInputError):
+        vacuum_energy_partial(bad, 10)
+    with pytest.raises(InvalidInputError):
+        oscillator_count_energy(1e-15, bad)
