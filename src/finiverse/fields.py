@@ -18,7 +18,9 @@ The first time a field is enumerated (``enumerate_elements`` and,
 through it, ``operation_tables``, ``AffineSpace.points`` and
 ``enumerate_vectors``), the spec builds log/antilog tables over element
 indices from a primitive element g: ``exp[i]`` is the index of g**i and
-``log`` its inverse.  The tables and the cached element instances take
+``log`` its inverse.  The build is vectorised over all indices, and the
+tables stay with the spec for its lifetime (copies and pickles do not
+carry them).  The int64 tables and the cached element instances take
 O(q) memory, on top of the O(q) element list enumeration already
 returns.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
 arithmetic (``exp[(log a + log b) mod (q-1)]``), ``+`` and ``-`` stay
@@ -34,8 +36,9 @@ diagnostic for composite moduli.
 
 from __future__ import annotations
 
-import operator
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -215,33 +218,6 @@ def _index_of(coeffs: Sequence[int], p: int) -> int:
     return n
 
 
-def _mulmod(a: list[int], b: list[int], m: Sequence[int], p: int) -> list[int]:
-    """Product of two length-k coefficient lists modulo the monic m of degree k."""
-    k = len(m) - 1
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    for d in range(2 * k - 2, k - 1, -1):
-        c = prod[d] % p
-        if c:  # subtract c * x^(d-k) * m, which clears degree d
-            for j in range(k):
-                prod[d - k + j] -= c * m[j]
-    return [c % p for c in prod[:k]]
-
-
-def _powmod(a: list[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1] + [0] * (len(m) - 2)
-    while e:
-        if e & 1:
-            result = _mulmod(result, a, m, p)
-        a = _mulmod(a, a, m, p)
-        e >>= 1
-    return result
-
-
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -255,69 +231,88 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+#: indices per block when a tabled field creates its element instances
+_BLOCK = 1 << 16
+
+
 class _Tables:
     """Log/antilog tables of one field over element indices.
 
     ``elements[n]`` is the cached element of index n, ``exp[i]`` the
     index of g**i for the primitive element g (0 <= i < q-1) and
     ``log[n]`` the exponent of the nonzero element n (``log[0]`` is 0
-    and never read as a logarithm).
+    and never read as a logarithm).  ``exp`` and ``log`` are int64
+    ``array('q')`` buffers: 16 bytes per element, and indexing them
+    gives plain ints.
     """
 
     __slots__ = ("elements", "exp", "log", "period")
 
     def __init__(self, spec: "FieldSpec"):
-        p, k, m = spec.p, spec.k, spec.modulus_poly
+        p, k = spec.p, spec.k
         q = p**k
         period = q - 1
         # the primitive element of smallest index: g has order q-1 iff
-        # g**((q-1)/r) != 1 for every prime r dividing q-1
-        one = [1] + [0] * (k - 1)
+        # g**((q-1)/r) != 1 for every prime r dividing q-1.  The spec is
+        # not tabled yet, so these are polynomial products.  For k >= 2
+        # the indices below p are the constants, whose order divides p-1.
+        one = spec.one
         cofactors = [period // r for r in _prime_factors(period)]
-        for g_index in range(1, q):
-            g = _digits(g_index, p, k)
-            if all(_powmod(g, e, m, p) != one for e in cofactors):
+        for g_index in range(p if k > 1 else 1, q):
+            g = spec.element(g_index)
+            if all(g**e != one for e in cofactors):
                 break
         else:
             raise NotAFieldError(f"{spec} has no element of multiplicative order {period}")
-        # walk the powers of g; in a field they cover every nonzero element.
-        # Row i of the multiply-by-g matrix holds coefficient i of g*x^j.
-        rows = list(zip(*(_mulmod(g, [0] * j + [1] + [0] * (k - 1 - j), m, p)
-                          for j in range(k))))
-        elements = [_cached(spec, (0,) * k, 0)] + [None] * period
-        log = [0] * q
-        exp = [0] * period
-        cur = one
-        for i in range(period):
-            n = _index_of(cur, p)
-            if n == 0 or elements[n] is not None:
-                raise NotAFieldError(
-                    f"powers of {tuple(g)} repeat after {i} of {period} steps; "
-                    f"{spec} is not a field",
-                    witness=(tuple(g), i),
-                )
-            elements[n] = _cached(spec, tuple(cur), n)
-            log[n] = i
-            exp[i] = n
-            cur = [sum(map(operator.mul, row, cur)) % p for row in rows]
-        if cur != one:  # g**(q-1) == 1 makes every nonzero g**i invertible
+        # times_g[n] is the index of g * (element n), for all n at once:
+        # row j of the multiply-by-g matrix over GF(p) is g * x^j
+        places = p ** np.arange(k, dtype=np.int64)
+        rows = np.array([(g * spec.element(p**j)).coeffs for j in range(k)], dtype=np.int64)
+        times_g = (np.arange(q, dtype=np.int64)[:, None] // places % p) @ rows % p @ places
+        # exp[i] is the index of g**i, filled by doubling: while step maps
+        # each index to that of g**done times it, exp[done:2*done] = step[exp[:done]]
+        exp = np.empty(period, dtype=np.int64)
+        exp[0] = 1
+        step, done = times_g, 1
+        while done < period:
+            take = min(done, period - done)
+            exp[done:done + take] = step[exp[:take]]
+            done += take
+            step = step[step]
+        del step
+        # in a field the powers are distinct, never zero, and cover every
+        # nonzero element: log is then defined everywhere but at 0
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(period)
+        if log[0] != -1 or (log[1:] < 0).any():
+            seen = {0}
+            for i, n in enumerate(exp.tolist()):
+                if n in seen:
+                    break
+                seen.add(n)
             raise NotAFieldError(
-                f"powers of {tuple(g)} do not return to 1; {spec} is not a field",
-                witness=(tuple(g), period),
+                f"powers of {g.coeffs} repeat after {i} of {period} steps; "
+                f"{spec} is not a field",
+                witness=(g.coeffs, i),
             )
-        self.elements = elements
-        self.exp = exp
-        self.log = log
+        if times_g[exp[-1]] != 1:  # g**(q-1) == 1 makes every nonzero g**i invertible
+            raise NotAFieldError(
+                f"powers of {g.coeffs} do not return to 1; {spec} is not a field",
+                witness=(g.coeffs, period),
+            )
+        del times_g
+        log[0] = 0
+        self.exp = array("q", exp.tobytes())
+        self.log = array("q", log.tobytes())
+        del exp, log
+        # the element instances, a block of indices at a time so that the
+        # digit columns stay small next to the elements themselves
+        self.elements = elements = []
+        for start in range(0, q, _BLOCK):
+            block = np.arange(start, min(q, start + _BLOCK), dtype=np.int64)
+            columns = [(block // place % p).tolist() for place in places.tolist()]
+            elements.extend(map(_cached, repeat(spec), zip(*columns)))
         self.period = period
-
-
-def _cached(spec: "FieldSpec", coeffs: tuple[int, ...], index: int) -> "FieldElement":
-    """An element from trusted reduced coefficients, carrying its index."""
-    e = object.__new__(FieldElement)
-    object.__setattr__(e, "spec", spec)
-    object.__setattr__(e, "coeffs", coeffs)
-    object.__setattr__(e, "_index", index)
-    return e
 
 
 def _tables(spec: "FieldSpec") -> _Tables:
@@ -372,6 +367,10 @@ class FieldSpec:
             raise NotAFieldError(
                 f"modulus {m} is reducible over GF({self.p}); quotient is not a field"
             )
+
+    def __reduce__(self):
+        # copies and pickles carry the definition, not the tables
+        return (FieldSpec, (self.p, self.k, self.modulus_poly, self.construction_tag))
 
     @property
     def order(self) -> int:
@@ -470,6 +469,9 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    def __reduce__(self):
+        return (FieldElement, (self.spec, self.coeffs))
+
     def _position(self) -> int:
         """The element index, computed once and kept."""
         n = self._index
@@ -558,16 +560,7 @@ class FieldElement:
 
     def __truediv__(self, other):
         other = self._check(other)
-        t = self.spec._tables
-        if t is None:
-            return self * other.inverse()
-        b = other._position()
-        if b == 0:
-            raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
-        a = self._position()
-        if a == 0:
-            return t.elements[0]
-        return t.elements[t.exp[(t.log[a] - t.log[b]) % t.period]]
+        return self * other.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -611,6 +604,22 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"
+
+
+# the slot setters, bound once: _cached runs once per element of a tabled field
+_set_spec = FieldElement.spec.__set__
+_set_coeffs = FieldElement.coeffs.__set__
+_set_index = FieldElement._index.__set__
+
+
+def _cached(spec: FieldSpec, coeffs: tuple[int, ...]) -> FieldElement:
+    """An element from trusted reduced coefficients, built without the
+    constructor's checks; its index is computed on first use."""
+    e = object.__new__(FieldElement)
+    _set_spec(e, spec)
+    _set_coeffs(e, coeffs)
+    _set_index(e, None)
+    return e
 
 
 # ---------------------------------------------------------------------------
