@@ -36,7 +36,6 @@ diagnostic for composite moduli.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
@@ -241,9 +240,9 @@ class _Tables:
     ``elements[n]`` is the cached element of index n, ``exp[i]`` the
     index of g**i for the primitive element g (0 <= i < q-1) and
     ``log[n]`` the exponent of the nonzero element n (``log[0]`` is 0
-    and never read as a logarithm).  ``exp`` and ``log`` are int64
-    ``array('q')`` buffers: 16 bytes per element, and indexing them
-    gives plain ints.
+    and never read as a logarithm).  ``exp`` and ``log`` are memoryviews
+    of int64 arrays: 16 bytes per element, and indexing them gives plain
+    ints.
     """
 
     __slots__ = ("elements", "exp", "log", "period")
@@ -302,9 +301,8 @@ class _Tables:
             )
         del times_g
         log[0] = 0
-        self.exp = array("q", exp.tobytes())
-        self.log = array("q", log.tobytes())
-        del exp, log
+        self.exp = memoryview(exp)
+        self.log = memoryview(log)
         # the element instances, a block of indices at a time so that the
         # digit columns stay small next to the elements themselves
         self.elements = elements = []
@@ -739,8 +737,7 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
             add_t += (d[:, None] + d[None, :]) % p * place
         # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
         t = _tables(spec)
-        log = np.array(t.log, dtype=np.int64)
-        exp = np.array(t.exp, dtype=np.int64)
+        log, exp = np.asarray(t.log), np.asarray(t.exp)
         mul_t = exp[(log[:, None] + log[None, :]) % t.period]
         mul_t[0, :] = 0
         mul_t[:, 0] = 0
