@@ -63,15 +63,13 @@ from .fields import (
     AxiomReport,
     FieldElement,
     FieldSpec,
-    add,
+    FieldVector,
     element_index,
     enumerate_elements,
-    inv,
     is_prime,
     make_extension_field,
     make_gaussian_extension,
     make_prime_field,
-    mul,
     operation_tables,
     verify_field_axioms,
     verify_modular_ring_axioms,
@@ -79,7 +77,6 @@ from .fields import (
 from .geometry import (
     COLLINEAR,
     ORDINARY,
-    AffinePoint,
     AffineSpace,
     HesseCheck,
     IncidenceStructure,
@@ -92,7 +89,6 @@ from .geometry import (
     enumerate_lines,
     euclidean_distance_table,
     find_degenerate_pair,
-    find_degenerate_pair_naive,
     find_ordinary_line,
     incidence_structure,
     pointset_cardinality,
@@ -102,7 +98,6 @@ from .geometry import (
 )
 from .hilbert import (
     FiniteHilbertSpace,
-    FiniteVector,
     conjugate,
     enumerate_vectors,
     hilbert_cardinality,
@@ -113,7 +108,6 @@ from .hilbert import (
 from .regularization import (
     BERNOULLI_MAX,
     BernoulliTable,
-    ModeSpec,
     bernoulli,
     mode_energy,
     oscillator_count_energy,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import cosmology, fields, geometry, hilbert, regularization
 from .constants import CODATA2018, GIGAYEAR
 from .cosmology import OBSERVED, CosmologyParams, LinearityWarning
-from .errors import FiniverseError, InvalidInputError, SizeLimitError, UsageError
+from .errors import FiniverseError, InvalidInputError, SizeLimitError, UsageError, _integer
 
 __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
 
@@ -147,8 +147,7 @@ def _field_spec_from(args) -> fields.FieldSpec:
 
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
-    if q < 2:
-        raise InvalidInputError(f"field order must be at least 2, got {q}")
+    _integer(q, "field order", 2)
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -172,8 +171,13 @@ def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:
     return spec.element(int(text))
 
 
-def _parse_vector(spec: fields.FieldSpec, text: str) -> list:
-    return [_parse_element(spec, part) for part in text.split(",")]
+def _parse_vector(spec: fields.FieldSpec, text: str) -> fields.FieldVector:
+    return fields.FieldVector(_parse_element(spec, part) for part in text.split(","))
+
+
+def _bracketed(vec: fields.FieldVector) -> str:
+    """The hilbert commands' rendering of a vector: [a, b]."""
+    return "[" + ", ".join(str(c) for c in vec.coords) + "]"
 
 
 def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
@@ -422,11 +426,11 @@ def _handle_hilbert_cardinality(args) -> RunReport:
 
 def _handle_hilbert_norm(args) -> RunReport:
     spec = _field_spec_from(args)
-    vec = hilbert.FiniteVector(_parse_vector(spec, args.vector))
+    vec = _parse_vector(spec, args.vector)
     n2 = hilbert.norm_squared(vec)
     return RunReport(
         command="hilbert norm",
-        inputs={"p": spec.p, "k": spec.k, "vector": str(vec)},
+        inputs={"p": spec.p, "k": spec.k, "vector": _bracketed(vec)},
         outputs={
             "norm_squared": (str(n2), ""),
             "isotropic": (hilbert.is_isotropic(vec), ""),
@@ -437,11 +441,11 @@ def _handle_hilbert_norm(args) -> RunReport:
 
 def _handle_hilbert_inner(args) -> RunReport:
     spec = _field_spec_from(args)
-    u = hilbert.FiniteVector(_parse_vector(spec, args.u))
-    v = hilbert.FiniteVector(_parse_vector(spec, args.v))
+    u = _parse_vector(spec, args.u)
+    v = _parse_vector(spec, args.v)
     return RunReport(
         command="hilbert inner",
-        inputs={"p": spec.p, "k": spec.k, "u": str(u), "v": str(v)},
+        inputs={"p": spec.p, "k": spec.k, "u": _bracketed(u), "v": _bracketed(v)},
         outputs={"inner_product": (str(hilbert.inner_product(u, v)), "")},
         formula="<u,v> = sum(conj(u_n)*v_n)",
     )

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import _real
 
 __all__ = ["Constants", "CODATA2018", "JULIAN_YEAR", "GIGAYEAR"]
 
@@ -32,11 +31,7 @@ class Constants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "G", "l_planck", "l_strong"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise InvalidInputError(
-                    f"constant {name} must be a positive finite number, got {value!r}"
-                )
+            _real(getattr(self, name), f"constant {name}", 0, above=True)
 
 
 #: default constant set

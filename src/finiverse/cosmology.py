@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, Optional
 
 from .constants import CODATA2018, GIGAYEAR, Constants
@@ -46,6 +45,8 @@ from .errors import (
     NonPositiveScaleFactorError,
     SizeLimitError,
     StepTooLargeError,
+    _integer,
+    _real,
 )
 
 __all__ = [
@@ -97,11 +98,8 @@ class CosmologyParams:
 
     def __post_init__(self):
         for name in ("rho_vac", "L_U0", "H0"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not (math.isfinite(v) and v > 0):
-                raise InvalidInputError(f"{name} must be a positive finite number, got {v!r}")
-        if self.kappa not in (-1, 0, 1):
-            raise InvalidInputError(f"curvature sign must be -1, 0 or +1, got {self.kappa!r}")
+            _real(getattr(self, name), name, 0, above=True)
+        _integer(self.kappa, "curvature sign", -1, 1)
 
 
 #: present-day observational defaults
@@ -133,8 +131,7 @@ def _linear_guard(h0dt: float, what: str) -> None:
 
 def universe_diameter_at(params: CosmologyParams, dt: float) -> float:
     """Linear Hubble growth of the diameter: L_U0 * (1 + H0*dt)."""
-    if isinstance(dt, bool) or not isinstance(dt, Real) or not (math.isfinite(dt) and dt >= 0):
-        raise InvalidInputError(f"time offset must be a nonnegative finite number, got {dt!r}")
+    _real(dt, "time offset", 0)
     _linear_guard(params.H0 * dt, "universe_diameter_at")
     return params.L_U0 * (1 + params.H0 * dt)
 
@@ -146,8 +143,7 @@ def point_count_at_linear(params: CosmologyParams, dt: float,
 
     At dt = 0 this reduces exactly to vacuum_point_count.
     """
-    if isinstance(dt, bool) or not isinstance(dt, Real) or not math.isfinite(dt):
-        raise InvalidInputError(f"time offset must be a finite real number, got {dt!r}")
+    _real(dt, "time offset")
     _linear_guard(params.H0 * dt, "point_count_at_linear")
     lam = lambda_from_density(params, constants)
     prefactor = constants.c**3 * lam / (8 * math.pi**2 * constants.hbar * constants.G)
@@ -185,13 +181,14 @@ def point_count_rate_general(params: CosmologyParams, dt: float,
 
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
-    if not (math.isfinite(H0) and math.isfinite(dt)):
-        raise InvalidInputError(f"H0 and dt must be finite, got {H0!r} and {dt!r}")
+    _real(H0, "H0")
+    _real(dt, "dt")
     return math.exp(4 * H0 * dt)
 
 
 def growth_exponent_per_gigayear(H0: float) -> float:
     """The exponent 4*H0*dt accumulated over one gigayear."""
+    _real(H0, "H0")
     return 4 * H0 * GIGAYEAR
 
 
@@ -241,10 +238,12 @@ class FluidState:
     t: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.a, Real) and self.a > 0):
-            if isinstance(self.a, Real) and math.isnan(self.a):
-                raise InvalidInputError("scale factor must be a number, got nan")
-            raise NonPositiveScaleFactorError(f"scale factor must be positive, got {self.a!r}")
+        a = self.a
+        # an infinite a is left to evolve_scale_factor, which rejects it
+        if a != math.inf:
+            _real(a, "scale factor")
+        if a <= 0:
+            raise NonPositiveScaleFactorError(f"scale factor must be positive, got {a!r}")
 
     @property
     def hubble(self) -> float:
@@ -296,10 +295,14 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
                           constants: Constants = CODATA2018) -> float:
     """Expansion rate adot/a satisfying the first integral:
     sqrt((8*pi*G/3)*rho - kappa*c**2/a**2 + lam*c**2/a**2)."""
+    _real(rho, "density")
+    _real(lam, "lambda")
+    _integer(kappa, "curvature sign", -1, 1)
+    _real(a, "scale factor", 0, above=True)
     c2 = constants.c**2
     h2 = (8 * math.pi * constants.G / 3) * rho - kappa * c2 / a**2 + lam * c2 / a**2
-    if not math.isfinite(h2):
-        raise InvalidInputError(f"expansion rate inputs must be finite, got H^2 = {h2}")
+    if not h2 < math.inf:  # finite inputs can still overflow
+        raise InvalidInputError(f"expansion rate overflows: H^2 = {h2}")
     if h2 < 0:
         raise InvalidInputError(f"no real expansion rate: H^2 = {h2} < 0")
     return math.sqrt(h2)
@@ -375,18 +378,12 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     land on every full step plus the exact endpoint, each carrying the
     monitored Friedmann residual and acceleration ratio.
     """
-    if kappa not in (-1, 0, 1):
-        raise InvalidInputError(f"curvature sign must be -1, 0 or +1, got {kappa!r}")
+    _integer(kappa, "curvature sign", -1, 1)
     for name in ("a", "a_dot", "rho", "p", "t"):
-        v = getattr(initial, name)
-        if not (isinstance(v, Real) and math.isfinite(v)):
-            raise InvalidInputError(f"initial {name} must be a finite real number, got {v!r}")
-    if not (isinstance(step, Real) and math.isfinite(step) and step > 0):
-        raise InvalidInputError(f"step must be a positive finite number, got {step!r}")
-    if not (isinstance(t_end, Real) and math.isfinite(t_end) and t_end > initial.t):
-        raise InvalidInputError(f"t_end must be finite and exceed the initial time {initial.t}")
-    if not (isinstance(lam, Real) and math.isfinite(lam)):
-        raise InvalidInputError(f"lambda must be a finite real number, got {lam!r}")
+        _real(getattr(initial, name), f"initial {name}")
+    _real(step, "step", 0, above=True)
+    _real(t_end, "t_end", initial.t, above=True)
+    _real(lam, "lambda")
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
     span = t_end - initial.t

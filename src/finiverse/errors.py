@@ -7,6 +7,9 @@ without parsing messages.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 __all__ = [
     "FiniverseError",
     "NotPrimeError",
@@ -137,3 +140,35 @@ class UsageError(FiniverseError, ValueError):
     """Malformed command line (unknown action, bad flag, missing value)."""
 
     code = "Usage"
+
+
+# -- argument validation ------------------------------------------------------
+# Every library boundary checks numeric arguments through these two, so the
+# rules (no bool, no non-number, no NaN or infinity) and the message agree.
+
+
+def _real(value, what: str, low=None, *, above: bool = False):
+    """``value`` unchanged when it is a finite real number (not a bool)
+    no less than ``low``, or greater than ``low`` when ``above``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not -math.inf < value < math.inf  # false for NaN; exact for huge ints
+        or (low is not None and (value <= low if above else value < low))
+    ):
+        bound = "" if low is None else f" {'>' if above else '>='} {low}"
+        raise InvalidInputError(f"{what} must be a finite real number{bound}, got {value!r}")
+    return value
+
+
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` unchanged when it is an int (not a bool) in low..high."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInputError(f"{what} must be an integer {bound}, got {value!r}")
+    return value

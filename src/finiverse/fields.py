@@ -28,6 +28,10 @@ digit-wise mod p, and every result is a cached instance.  A field that
 is never enumerated builds nothing and keeps polynomial arithmetic, so
 huge fields cost no table memory.
 
+``FieldVector`` is an n-tuple over one field: the point type of
+``geometry.AffineSpace`` and the vector type of
+``hilbert.FiniteHilbertSpace``.
+
 ``verify_field_axioms`` checks the full field axiom list by exhaustive
 truth tables and returns explicit witnesses on failure;
 ``verify_modular_ring_axioms`` runs the same battery on Z/n as a
@@ -50,6 +54,7 @@ from .errors import (
     NotPrimeError,
     SizeLimitError,
     SpecMismatchError,
+    _integer,
 )
 
 __all__ = [
@@ -58,12 +63,10 @@ __all__ = [
     "is_prime",
     "FieldSpec",
     "FieldElement",
+    "FieldVector",
     "make_prime_field",
     "make_gaussian_extension",
     "make_extension_field",
-    "add",
-    "mul",
-    "inv",
     "enumerate_elements",
     "element_index",
     "operation_tables",
@@ -351,16 +354,15 @@ class FieldSpec:
     def __post_init__(self):
         if not is_prime(self.p):
             raise NotPrimeError(f"characteristic must be prime, got {self.p}")
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise InvalidInputError(f"extension degree must be a positive integer, got {self.k}")
+        _integer(self.k, "extension degree", 1)
         if self.construction_tag not in _TAGS:
             raise InvalidInputError(f"unknown construction tag {self.construction_tag!r}")
         m = tuple(self.modulus_poly)
         object.__setattr__(self, "modulus_poly", m)
         if len(m) != self.k + 1 or m[-1] != 1:
             raise InvalidInputError("modulus must be monic of degree k")
-        if any(not (isinstance(c, int) and 0 <= c < self.p) for c in m):
-            raise InvalidInputError("modulus coefficients must be reduced mod p")
+        for c in m:
+            _integer(c, "modulus coefficient", 0, self.p - 1)
         if not _is_irreducible(m, self.p):
             raise NotAFieldError(
                 f"modulus {m} is reducible over GF({self.p}); quotient is not a field"
@@ -620,6 +622,76 @@ def _cached(spec: FieldSpec, coeffs: tuple[int, ...]) -> FieldElement:
     return e
 
 
+class FieldVector:
+    """Coordinate n-tuple over one finite field, supporting +, - and
+    scalar multiples.
+
+    It is both a point (or displacement) of the affine space AG(n, q),
+    measured by ``geometry.squared_distance``, and a state vector of the
+    finite Hilbert space, paired by ``hilbert.inner_product``.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence[FieldElement]):
+        coords = tuple(coords)
+        if not coords:
+            raise InvalidInputError("a vector needs at least one coordinate")
+        spec = coords[0].spec
+        if any(c.spec != spec for c in coords[1:]):
+            raise SpecMismatchError("all coordinates must share one field")
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldVector is immutable")
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.coords[0].spec
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def _check(self, other: "FieldVector") -> "FieldVector":
+        if not isinstance(other, FieldVector):
+            raise SpecMismatchError(f"cannot combine vector with {type(other).__name__}")
+        if other.spec != self.spec:
+            raise SpecMismatchError("vectors live over different fields")
+        if other.dim != self.dim:
+            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return other
+
+    def __add__(self, other):
+        other = self._check(other)
+        return FieldVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        other = self._check(other)
+        return FieldVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def scale(self, t: FieldElement) -> "FieldVector":
+        return FieldVector(tuple(t * c for c in self.coords))
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldVector):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def index_key(self) -> tuple[int, ...]:
+        """Sort key matching coordinate enumeration order."""
+        return tuple(c._position() for c in self.coords)
+
+    def __str__(self):
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+
+    def __repr__(self):
+        return f"FieldVector{self}"
+
+
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
@@ -666,26 +738,10 @@ def make_extension_field(p: int, k: int) -> FieldSpec:
     """GF(p^k) via the smallest monic irreducible of degree k (k <= 6)."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if not (isinstance(k, int) and 1 <= k <= 6):
-        raise InvalidInputError(f"extension degree must lie in 1..6, got {k}")
+    _integer(k, "extension degree", 1, 6)
     if k == 1:
         return _proven_spec(p, 1, (0, 1), "prime")
     return _proven_spec(p, k, _smallest_irreducible(p, k), "general")
-
-
-# -- thin functional aliases over the operator methods ----------------------
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,15 @@ from .errors import (
     MalformedStructureError,
     MalformedTableError,
     SizeLimitError,
-    SpecMismatchError,
     TooFewPointsError,
+    _integer,
+    _real,
 )
-from .fields import AxiomCheck, FieldElement, FieldSpec, element_index
+from .fields import AxiomCheck, FieldElement, FieldSpec, FieldVector, element_index
 
 __all__ = [
     "LINE_CAP",
     "CAPACITY_BITS",
-    "AffinePoint",
     "AffineSpace",
     "Line",
     "IncidenceStructure",
@@ -45,7 +45,6 @@ __all__ = [
     "ORDINARY",
     "squared_distance",
     "find_degenerate_pair",
-    "find_degenerate_pair_naive",
     "enumerate_lines",
     "incidence_structure",
     "check_hesse_property",
@@ -64,70 +63,6 @@ LINE_CAP = 2**16
 CAPACITY_BITS = 4_000_000
 
 
-class AffinePoint:
-    """Point (or displacement) with coordinates in one finite field."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[FieldElement]):
-        coords = tuple(coords)
-        if not coords:
-            raise InvalidInputError("a point needs at least one coordinate")
-        spec = coords[0].spec
-        if any(c.spec != spec for c in coords[1:]):
-            raise SpecMismatchError("all coordinates must share one field")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePoint is immutable")
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def _check(self, other: "AffinePoint") -> "AffinePoint":
-        if not isinstance(other, AffinePoint):
-            raise SpecMismatchError(f"cannot combine point with {type(other).__name__}")
-        if other.spec != self.spec:
-            raise SpecMismatchError("points live over different fields")
-        if other.dim != self.dim:
-            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return AffinePoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return AffinePoint(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, t: FieldElement) -> "AffinePoint":
-        return AffinePoint(tuple(t * c for c in self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, AffinePoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def index_key(self) -> tuple[int, ...]:
-        """Sort key matching the space's enumeration order."""
-        return tuple(element_index(c) for c in self.coords)
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-    def __repr__(self):
-        return f"AffinePoint{self}"
-
-
 @dataclass(frozen=True)
 class AffineSpace:
     """The coordinate space of dim-tuples over a finite field."""
@@ -136,14 +71,13 @@ class AffineSpace:
     dim: int
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise InvalidInputError(f"dimension must be a positive integer, got {self.dim}")
+        _integer(self.dim, "dimension", 1)
 
     @property
     def point_count(self) -> int:
         return self.spec.order**self.dim
 
-    def points(self) -> list[AffinePoint]:
+    def points(self) -> list[FieldVector]:
         """All points; first coordinate varies slowest, so the origin
         comes first and orderings agree with coordinate index keys."""
         if self.point_count > LINE_CAP:
@@ -151,24 +85,24 @@ class AffineSpace:
                 f"{self.point_count} points exceed the enumeration cap {LINE_CAP}"
             )
         elems = self.spec.elements()
-        return [AffinePoint(c) for c in product(elems, repeat=self.dim)]
+        return [FieldVector(c) for c in product(elems, repeat=self.dim)]
 
-    def point(self, values: Sequence) -> AffinePoint:
+    def point(self, values: Sequence) -> FieldVector:
         if len(values) != self.dim:
             raise DimMismatchError(f"expected {self.dim} coordinates, got {len(values)}")
-        return AffinePoint(tuple(self.spec.element(v) for v in values))
+        return FieldVector(tuple(self.spec.element(v) for v in values))
 
     def __str__(self):
         return f"AG({self.dim},{self.spec.order})"
 
 
-def squared_distance(a: AffinePoint, b: AffinePoint) -> FieldElement:
+def squared_distance(a: FieldVector, b: FieldVector) -> FieldElement:
     """Sum of squared coordinate differences, an exact field element.
 
     No square root is taken: over a finite field the squared form is
     the only well-defined separation quantity.
     """
-    if not isinstance(a, AffinePoint) or not isinstance(b, AffinePoint):
+    if not isinstance(a, FieldVector) or not isinstance(b, FieldVector):
         raise InvalidInputError("squared_distance expects two points")
     a._check(b)
     diff = (x - y for x, y in zip(a.coords, b.coords))
@@ -178,7 +112,7 @@ def squared_distance(a: AffinePoint, b: AffinePoint) -> FieldElement:
     return total
 
 
-def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[AffinePoint, AffinePoint]]:
+def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, FieldVector]]:
     """First pair of distinct points at squared distance zero, or None.
 
     Translating a pair (x, y) by -x preserves the squared distance, so a
@@ -195,16 +129,6 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[AffinePoint, Affi
     return None
 
 
-def find_degenerate_pair_naive(space: AffineSpace) -> Optional[tuple[AffinePoint, AffinePoint]]:
-    """Reference double scan over all ordered pairs (small spaces only)."""
-    points = space.points()
-    for i, x in enumerate(points):
-        for y in points[i + 1 :]:
-            if squared_distance(x, y).is_zero:
-                return (x, y)
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class Line:
     """An affine line: base point, canonical direction, and its points.
@@ -214,9 +138,9 @@ class Line:
     compare equal iff they contain the same point set.
     """
 
-    base: AffinePoint
-    direction: AffinePoint
-    points: tuple[AffinePoint, ...]
+    base: FieldVector
+    direction: FieldVector
+    points: tuple[FieldVector, ...]
 
     def __eq__(self, other):
         if not isinstance(other, Line):
@@ -226,7 +150,7 @@ class Line:
     def __hash__(self):
         return hash(frozenset(self.points))
 
-    def __contains__(self, point: AffinePoint) -> bool:
+    def __contains__(self, point: FieldVector) -> bool:
         return point in self.points
 
     def __len__(self):
@@ -236,7 +160,7 @@ class Line:
         return f"line {self.base} + t*{self.direction}"
 
 
-def _canonical_directions(space: AffineSpace) -> list[AffinePoint]:
+def _canonical_directions(space: AffineSpace) -> list[FieldVector]:
     """One representative per parallel class: first nonzero coord is 1."""
     one = space.spec.one
     reps = []
@@ -272,7 +196,7 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
             members = [base + direction.scale(t) for t in elems]
             for m in members:
                 assigned[index[m]] = 1
-            members.sort(key=AffinePoint.index_key)
+            members.sort(key=FieldVector.index_key)
             lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
     return lines
 
@@ -426,16 +350,10 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """M1..M4 outcomes for a distance table."""
+    """M1..M4 outcomes for a distance table: non-negativity, symmetry,
+    zero distance only for identical points, triangle inequality."""
 
     checks: dict
-
-    DESCRIPTIONS = {
-        "M1": "non-negativity",
-        "M2": "symmetry",
-        "M3": "zero distance only for identical points",
-        "M4": "triangle inequality",
-    }
 
     @property
     def all_pass(self) -> bool:
@@ -554,10 +472,8 @@ def euclidean_distance_table(points: Sequence[RationalPoint]) -> tuple[list[int]
 
 def pointset_cardinality(order: int, dim: int) -> int:
     """Number of dim-tuples over a set of the given order: order**dim."""
-    if not (isinstance(order, int) and order >= 2):
-        raise InvalidInputError(f"order must be an integer >= 2, got {order}")
-    if not (isinstance(dim, int) and dim >= 1):
-        raise InvalidInputError(f"dimension must be a positive integer, got {dim}")
+    _integer(order, "order", 2)
+    _integer(dim, "dimension", 1)
     if dim * order.bit_length() > CAPACITY_BITS:
         raise CapacityOverflowError(
             f"{order}**{dim} would exceed {CAPACITY_BITS} bits"
@@ -568,10 +484,6 @@ def pointset_cardinality(order: int, dim: int) -> int:
 def subspace_diameter(step: float, order: int):
     """Largest separation reachable in a discrete segment of the given
     order when adjacent points sit one step apart: step * (order - 1)."""
-    if not (isinstance(order, int) and order >= 2):
-        raise InvalidInputError(f"order must be an integer >= 2, got {order}")
-    if isinstance(step, bool) or not isinstance(step, numbers.Real) or not (
-        math.isfinite(step) and step > 0
-    ):
-        raise InvalidInputError(f"step must be a positive finite real, got {step!r}")
+    _integer(order, "order", 2)
+    _real(step, "step", 0, above=True)
     return step * (order - 1)

@@ -1,9 +1,11 @@
 """Inner-product spaces of tuples over finite fields.
 
 A state space of dimension d over GF(p^k) holds exactly p**(k*d)
-vectors.  Conjugation negates every coefficient of the adjoined root
-(for the two-square extension this sends x + i*y to x - i*y) and the
-sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case the
+vectors, each a ``fields.FieldVector``, the type that is also a point
+of the affine space in ``geometry``.  Conjugation negates every
+coefficient of the adjoined root (for the two-square extension this
+sends x + i*y to x - i*y) and the sesquilinear form is
+sum(conj(u_n) * v_n).  Unlike the complex case the
 form is not definite: nonzero isotropic vectors with <v, v> = 0 can
 exist and are reported rather than forbidden.
 """
@@ -20,13 +22,13 @@ from .errors import (
     InvalidInputError,
     NotPrimeError,
     SizeLimitError,
-    SpecMismatchError,
+    _integer,
 )
-from .fields import ENUMERATION_CAP, FieldElement, FieldSpec, is_prime
+from .fields import ENUMERATION_CAP, FieldElement, FieldSpec, FieldVector, is_prime
+from .geometry import CAPACITY_BITS
 
 __all__ = [
     "FiniteHilbertSpace",
-    "FiniteVector",
     "hilbert_cardinality",
     "conjugate",
     "inner_product",
@@ -35,19 +37,15 @@ __all__ = [
     "enumerate_vectors",
 ]
 
-_CAPACITY_BITS = 4_000_000
-
 
 def hilbert_cardinality(p: int, k: int, dim: int) -> int:
     """Exact number of state vectors: p**(k*dim)."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if not (isinstance(k, int) and k >= 1):
-        raise InvalidInputError(f"extension degree must be positive, got {k}")
-    if not (isinstance(dim, int) and dim >= 1):
-        raise InvalidInputError(f"dimension must be positive, got {dim}")
-    if k * dim * p.bit_length() > _CAPACITY_BITS:
-        raise CapacityOverflowError(f"{p}**{k * dim} would exceed {_CAPACITY_BITS} bits")
+    _integer(k, "extension degree", 1)
+    _integer(dim, "dimension", 1)
+    if k * dim * p.bit_length() > CAPACITY_BITS:
+        raise CapacityOverflowError(f"{p}**{k * dim} would exceed {CAPACITY_BITS} bits")
     return p ** (k * dim)
 
 
@@ -62,66 +60,6 @@ def conjugate(a: FieldElement) -> FieldElement:
     return FieldElement(a.spec, coeffs)
 
 
-class FiniteVector:
-    """Tuple of field elements supporting +, -, and scalar multiply."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[FieldElement]):
-        coords = tuple(coords)
-        if not coords:
-            raise InvalidInputError("a vector needs at least one coordinate")
-        spec = coords[0].spec
-        if any(c.spec != spec for c in coords[1:]):
-            raise SpecMismatchError("all coordinates must share one field")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteVector is immutable")
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def _check(self, other: "FiniteVector") -> "FiniteVector":
-        if not isinstance(other, FiniteVector):
-            raise SpecMismatchError(f"cannot combine vector with {type(other).__name__}")
-        if other.spec != self.spec:
-            raise SpecMismatchError("vectors live over different fields")
-        if other.dim != self.dim:
-            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FiniteVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FiniteVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, t: FieldElement) -> "FiniteVector":
-        return FiniteVector(tuple(t * c for c in self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.coords) + "]"
-
-    def __repr__(self):
-        return f"FiniteVector{self}"
-
-
 @dataclass(frozen=True)
 class FiniteHilbertSpace:
     """Dimension-d coordinate space over GF(p^k) with the conjugate form."""
@@ -130,25 +68,21 @@ class FiniteHilbertSpace:
     dim: int
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise InvalidInputError(f"dimension must be positive, got {self.dim}")
+        _integer(self.dim, "dimension", 1)
 
     @property
     def cardinality(self) -> int:
         return hilbert_cardinality(self.spec.p, self.spec.k, self.dim)
 
-    def vector(self, values: Sequence) -> FiniteVector:
+    def vector(self, values: Sequence) -> FieldVector:
         if len(values) != self.dim:
             raise DimMismatchError(f"expected {self.dim} coordinates, got {len(values)}")
-        return FiniteVector(tuple(self.spec.element(v) for v in values))
-
-    def vectors(self) -> list[FiniteVector]:
-        return enumerate_vectors(self)
+        return FieldVector(tuple(self.spec.element(v) for v in values))
 
 
-def inner_product(u: FiniteVector, v: FiniteVector) -> FieldElement:
+def inner_product(u: FieldVector, v: FieldVector) -> FieldElement:
     """Sesquilinear form sum(conj(u_n) * v_n), conjugate in the first slot."""
-    if not isinstance(u, FiniteVector) or not isinstance(v, FiniteVector):
+    if not isinstance(u, FieldVector) or not isinstance(v, FieldVector):
         raise InvalidInputError("inner_product expects two vectors")
     u._check(v)
     total = u.spec.zero
@@ -157,17 +91,17 @@ def inner_product(u: FiniteVector, v: FiniteVector) -> FieldElement:
     return total
 
 
-def norm_squared(v: FiniteVector) -> FieldElement:
+def norm_squared(v: FieldVector) -> FieldElement:
     """<v, v>; may be zero for nonzero v (isotropic vectors exist)."""
     return inner_product(v, v)
 
 
-def is_isotropic(v: FiniteVector) -> bool:
+def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes."""
     return any(not c.is_zero for c in v.coords) and norm_squared(v).is_zero
 
 
-def enumerate_vectors(space: FiniteHilbertSpace) -> list[FiniteVector]:
+def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:
     """All vectors in coordinate-enumeration order (first coordinate
     varies slowest); capped at ENUMERATION_CAP vectors."""
     if space.cardinality > ENUMERATION_CAP:
@@ -175,4 +109,4 @@ def enumerate_vectors(space: FiniteHilbertSpace) -> list[FiniteVector]:
             f"{space.cardinality} vectors exceed the enumeration cap {ENUMERATION_CAP}"
         )
     elems = space.spec.elements()
-    return [FiniteVector(c) for c in product(elems, repeat=space.dim)]
+    return [FieldVector(c) for c in product(elems, repeat=space.dim)]

@@ -23,15 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from functools import cache
 
 from .constants import CODATA2018, Constants
-from .errors import CapacityOverflowError, InvalidInputError, RangeLimitError
+from .errors import CapacityOverflowError, InvalidInputError, RangeLimitError, _integer, _real
+from .geometry import CAPACITY_BITS
 
 __all__ = [
     "BERNOULLI_MAX",
     "BernoulliTable",
-    "ModeSpec",
     "bernoulli",
     "zeta_negative",
     "partial_sum_linear",
@@ -44,8 +44,6 @@ __all__ = [
 
 #: largest Bernoulli index served by this table
 BERNOULLI_MAX = 64
-
-_CAPACITY_BITS = 4_000_000
 
 
 def _bernoulli_values(n_max: int) -> tuple[Fraction, ...]:
@@ -94,14 +92,17 @@ class BernoulliTable:
         return len(self.values)
 
 
-_TABLE = BernoulliTable.compute(BERNOULLI_MAX)
+@cache
+def _table() -> BernoulliTable:
+    """B_0..B_BERNOULLI_MAX, built on first use rather than at import."""
+    return BernoulliTable.compute(BERNOULLI_MAX)
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact B_n for 0 <= n <= 64 (B1 = +1/2 convention)."""
     if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
         raise RangeLimitError(f"index must lie in 0..{BERNOULLI_MAX}, got {n}")
-    return _TABLE[n]
+    return _table()[n]
 
 
 def zeta_negative(s: int) -> Fraction:
@@ -109,40 +110,16 @@ def zeta_negative(s: int) -> Fraction:
 
     Exactly -B(s+1)/(s+1): s=0 gives -1/2, s=1 gives -1/12.
     """
-    if not (isinstance(s, int) and s >= 0):
-        raise InvalidInputError(f"exponent must be a nonnegative integer, got {s}")
+    _integer(s, "exponent", 0)
     return -bernoulli(s + 1) / (s + 1)
 
 
 def partial_sum_linear(N: int) -> int:
     """Exact cutoff sum 1 + 2 + ... + N = N(N+1)/2."""
-    if not (isinstance(N, int) and N >= 1):
-        raise InvalidInputError(f"cutoff must be a positive integer, got {N}")
-    if N.bit_length() > _CAPACITY_BITS // 2:
-        raise CapacityOverflowError(f"N(N+1)/2 would exceed {_CAPACITY_BITS} bits")
+    _integer(N, "cutoff", 1)
+    if N.bit_length() > CAPACITY_BITS // 2:
+        raise CapacityOverflowError(f"N(N+1)/2 would exceed {CAPACITY_BITS} bits")
     return N * (N + 1) // 2
-
-
-@dataclass(frozen=True)
-class ModeSpec:
-    """One excitation mode of a field in a cubic box of edge L."""
-
-    m0: float  # rest mass, kg
-    k: tuple  # wavevector (kx, ky, kz), 1/m
-    L: float  # box edge, m
-    cutoff: int = 1  # largest mode number retained
-
-    def __post_init__(self):
-        if not (isinstance(self.L, Real) and self.L > 0):
-            raise InvalidInputError(f"box edge must be positive, got {self.L!r}")
-        if not (isinstance(self.m0, Real) and self.m0 >= 0):
-            raise InvalidInputError(f"rest mass must be nonnegative, got {self.m0!r}")
-        if not (isinstance(self.cutoff, int) and self.cutoff >= 1):
-            raise InvalidInputError(f"cutoff must be a positive integer, got {self.cutoff!r}")
-        k = tuple(float(x) for x in self.k)
-        if len(k) != 3:
-            raise InvalidInputError("wavevector needs exactly three components")
-        object.__setattr__(self, "k", k)
 
 
 def mode_energy(m0: float, kx: float, ky: float, kz: float,
@@ -153,19 +130,11 @@ def mode_energy(m0: float, kx: float, ky: float, kz: float,
     zero mode has frequency zero and a massive mode at rest oscillates
     at m0*c**2/hbar.
     """
-    if not (math.isfinite(m0) and m0 >= 0):
-        raise InvalidInputError(f"rest mass must be a nonnegative finite number, got {m0}")
+    _real(m0, "rest mass", 0)
     for name, k in (("kx", kx), ("ky", ky), ("kz", kz)):
-        if not math.isfinite(k):
-            raise InvalidInputError(f"wavevector component {name} must be finite, got {k}")
+        _real(k, f"wavevector component {name}")
     mass_term = m0 * constants.c / constants.hbar
     return constants.c * math.sqrt(mass_term**2 + kx**2 + ky**2 + kz**2)
-
-
-def _check_box(L) -> float:
-    if isinstance(L, bool) or not isinstance(L, Real) or not (math.isfinite(L) and L > 0):
-        raise InvalidInputError(f"box edge must be a positive finite number, got {L!r}")
-    return float(L)
 
 
 def vacuum_energy_partial(L: float, N: int,
@@ -175,9 +144,7 @@ def vacuum_energy_partial(L: float, N: int,
     Equals (sqrt(3)*pi*hbar*c/L) * N(N+1)/2, in joules; diverges
     quadratically as the cutoff N grows.
     """
-    L = _check_box(L)
-    if not (isinstance(N, int) and N >= 1):
-        raise InvalidInputError(f"cutoff must be a positive integer, got {N!r}")
+    L = float(_real(L, "box edge", 0, above=True))
     scale = math.sqrt(3) * math.pi * constants.hbar * constants.c / L
     return scale * partial_sum_linear(N)
 
@@ -188,7 +155,7 @@ def vacuum_energy_regularized(L: float,
 
     Finite and negative; exactly -1/12 of the single-mode partial sum.
     """
-    L = _check_box(L)
+    L = float(_real(L, "box edge", 0, above=True))
     scale = math.sqrt(3) * math.pi * constants.hbar * constants.c / L
     return scale * float(zeta_negative(1))
 
@@ -199,15 +166,13 @@ def oscillator_count_energy(L: float, P: float,
 
     (hbar/2) * (2*pi*c/L) * P = pi*hbar*c*P/L, in joules.
     """
-    L = _check_box(L)
-    if isinstance(P, bool) or not isinstance(P, Real) or not (math.isfinite(P) and P >= 0):
-        raise InvalidInputError(f"oscillator count must be a nonnegative finite number, got {P!r}")
+    L = float(_real(L, "box edge", 0, above=True))
+    _real(P, "oscillator count", 0)
     return math.pi * constants.hbar * constants.c * P / L
 
 
 def point_bound_from_cutoff(K: int) -> float:
     """Upper bound (sqrt(3)/2) * K(K+1) on the oscillator count that a
     mode cutoff K can support."""
-    if not (isinstance(K, int) and K >= 1):
-        raise InvalidInputError(f"cutoff must be a positive integer, got {K!r}")
+    _integer(K, "cutoff", 1)
     return (math.sqrt(3) / 2) * K * (K + 1)

@@ -12,6 +12,8 @@ import math
 import random
 from fractions import Fraction
 
+from geometry_reference import find_degenerate_pair_naive
+
 from finiverse.constants import CODATA2018, GIGAYEAR, Constants
 from finiverse.cosmology import (
     OBSERVED,
@@ -42,7 +44,6 @@ from finiverse.geometry import (
     RationalPoint,
     check_hesse_property,
     find_degenerate_pair,
-    find_degenerate_pair_naive,
     find_ordinary_line,
     incidence_structure,
     pointset_cardinality,

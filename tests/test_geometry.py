@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from geometry_reference import find_degenerate_pair_naive
 
 from finiverse.errors import (
     CapacityOverflowError,
@@ -28,7 +29,6 @@ from finiverse.geometry import (
     enumerate_lines,
     euclidean_distance_table,
     find_degenerate_pair,
-    find_degenerate_pair_naive,
     find_ordinary_line,
     incidence_structure,
     pointset_cardinality,

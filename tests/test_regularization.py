@@ -15,7 +15,6 @@ from finiverse.errors import (
 from finiverse.regularization import (
     BERNOULLI_MAX,
     BernoulliTable,
-    ModeSpec,
     bernoulli,
     mode_energy,
     oscillator_count_energy,
@@ -223,20 +222,6 @@ def test_point_bound_from_cutoff():
         assert k * (k + 1) / 2.0 * math.sqrt(3.0) <= bound * (1.0 + 1e-15)
     with pytest.raises(InvalidInputError):
         point_bound_from_cutoff(0)
-
-
-def test_mode_spec_validation():
-    with pytest.raises(InvalidInputError):
-        ModeSpec(m0=0.0, k=(1.0, 0.0, 0.0), L=0.0)
-    with pytest.raises(InvalidInputError):
-        ModeSpec(m0=-1.0, k=(0.0, 0.0, 0.0), L=1.0)
-    with pytest.raises(InvalidInputError):
-        ModeSpec(m0=0.0, k=(1.0, 2.0), L=1.0)
-    with pytest.raises(InvalidInputError):
-        ModeSpec(m0=0.0, k=(0.0, 0.0, 0.0), L=1.0, cutoff=0)
-    spec = ModeSpec(m0=0.0, k=(1.0, -2.0, 3.0), L=1e-15, cutoff=4)
-    assert spec.k == (1.0, -2.0, 3.0)
-    assert spec.cutoff == 4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,0 +1,80 @@
+"""Every numeric library boundary rejects bools, non-numbers, NaN and
+infinities with InvalidInputError."""
+
+import math
+
+import pytest
+
+from finiverse.constants import Constants
+from finiverse.cosmology import (
+    OBSERVED,
+    CosmologyParams,
+    FluidState,
+    dust_pressure_law,
+    evolve_scale_factor,
+    friedmann_hubble_rate,
+    growth_exponent_per_gigayear,
+    point_count_growth_factor,
+    universe_diameter_at,
+)
+from finiverse.errors import InvalidInputError, NonPositiveScaleFactorError
+from finiverse.fields import make_extension_field, make_prime_field
+from finiverse.geometry import AffineSpace, pointset_cardinality, subspace_diameter
+from finiverse.hilbert import FiniteHilbertSpace, hilbert_cardinality
+from finiverse.regularization import (
+    mode_energy,
+    oscillator_count_energy,
+    partial_sum_linear,
+    point_bound_from_cutoff,
+    vacuum_energy_regularized,
+    zeta_negative,
+)
+
+F3 = make_prime_field(3)
+STATE = FluidState(a=1.0, a_dot=0.0, rho=1.0)
+
+
+def evolve(state=STATE, step=0.1):
+    return evolve_scale_factor(state, dust_pressure_law(), 0.0, 0, 1.0, step)
+
+
+BOUNDARIES = {
+    "mode_energy m0": lambda x: mode_energy(x, 0, 0, 0),
+    "mode_energy kz": lambda x: mode_energy(0, 0, 0, x),
+    "point_count_growth_factor H0": lambda x: point_count_growth_factor(x, 1.0),
+    "growth_exponent_per_gigayear H0": growth_exponent_per_gigayear,
+    "universe_diameter_at dt": lambda x: universe_diameter_at(OBSERVED, x),
+    "friedmann_hubble_rate rho": friedmann_hubble_rate,
+    "friedmann_hubble_rate a": lambda x: friedmann_hubble_rate(1e-26, a=x),
+    "Constants hbar": lambda x: Constants(hbar=x),
+    "CosmologyParams H0": lambda x: CosmologyParams(H0=x),
+    "CosmologyParams kappa": lambda x: CosmologyParams(kappa=x),
+    # an infinite scale factor is accepted by FluidState and refused by the integrator
+    "FluidState a": lambda x: evolve(FluidState(a=x, a_dot=0.0, rho=1.0)),
+    "evolve_scale_factor step": lambda x: evolve(step=x),
+    "AffineSpace dim": lambda x: AffineSpace(F3, x),
+    "FiniteHilbertSpace dim": lambda x: FiniteHilbertSpace(F3, x),
+    "pointset_cardinality order": lambda x: pointset_cardinality(x, 2),
+    "subspace_diameter step": lambda x: subspace_diameter(x, 5),
+    "hilbert_cardinality k": lambda x: hilbert_cardinality(3, x, 2),
+    "make_extension_field k": lambda x: make_extension_field(3, x),
+    "partial_sum_linear N": partial_sum_linear,
+    "zeta_negative s": zeta_negative,
+    "point_bound_from_cutoff K": point_bound_from_cutoff,
+    "vacuum_energy_regularized L": vacuum_energy_regularized,
+    "oscillator_count_energy P": lambda x: oscillator_count_energy(1e-15, x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1", math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_boundary_rejects_non_numbers_and_non_finite(boundary, bad):
+    with pytest.raises(InvalidInputError) as exc:
+        BOUNDARIES[boundary](bad)
+    assert exc.value.code == "InvalidInput"
+
+
+def test_nonpositive_scale_factor_keeps_its_type():
+    with pytest.raises(NonPositiveScaleFactorError) as exc:
+        FluidState(a=0.0, a_dot=1.0, rho=1.0)
+    assert exc.value.code == "NonPositiveScaleFactor"
