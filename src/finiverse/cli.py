@@ -9,6 +9,7 @@ unit string.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import cosmology, fields, geometry, hilbert, regularization
 from .constants import CODATA2018, GIGAYEAR
-from .cosmology import OBSERVED, CosmologyParams, LinearityWarning
+from .cosmology import OBSERVED, LinearityWarning
 from .errors import FiniverseError, InvalidInputError, SizeLimitError, UsageError, _integer
 
 __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
@@ -25,7 +26,7 @@ __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
 
 @dataclass
 class RunReport:
-    command: str
+    command: str = ""  # "<subcommand> <action>", set by dispatch
     status: str = "ok"  # ok | none | error
     inputs: dict = dc_field(default_factory=dict)
     outputs: dict = dc_field(default_factory=dict)  # name -> (value, unit)
@@ -141,34 +142,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_spec_from(args) -> fields.FieldSpec:
-    if getattr(args, "gaussian", False):
+    if args.gaussian:
         return fields.make_gaussian_extension(args.p)
     return fields.make_extension_field(args.p, args.k)
 
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
     _integer(q, "field order", 2)
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    n = q
-    while n % p == 0 and n > 1:
-        n //= p
-        k += 1
-    if n != 1:
+    p, *others = fields._prime_factors(q)
+    if others:
         raise InvalidInputError(f"{q} is not a prime power")
+    k = 1
+    while p**k < q:
+        k += 1
     return fields.make_extension_field(p, k)
 
 
 def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:
-    if ":" in text:
-        return spec.element([int(c) for c in text.split(":")])
-    return spec.element(int(text))
+    try:
+        value = [int(c) for c in text.split(":")] if ":" in text else int(text)
+    except ValueError:
+        raise InvalidInputError(
+            f"element {text!r} is not an integer or colon-separated integer coefficients"
+        ) from None
+    return spec.element(value)
 
 
 def _parse_vector(spec: fields.FieldSpec, text: str) -> fields.FieldVector:
@@ -189,36 +186,26 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise InvalidInputError(f"point {chunk!r} is not x,y")
-        points.append(geometry.RationalPoint(Fraction(parts[0]), Fraction(parts[1])))
+        try:
+            x, y = Fraction(parts[0]), Fraction(parts[1])
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"point {chunk!r} is not two exact rationals") from None
+        points.append(geometry.RationalPoint(x, y))
     return points
 
 
 def _constants_and_params(args):
+    """Constants and params from --config, then the cosmo flags, whose
+    dests are the CosmologyParams field names."""
     constants, params = CODATA2018, OBSERVED
-    if getattr(args, "config", None):
+    if args.config:
         constants, params = cosmology.load_config(args.config)
-    overrides = {}
-    for flag, name in (("rho_vac", "rho_vac"), ("l_u", "L_U0"), ("h0", "H0"), ("kappa", "kappa")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            overrides[name] = v
-    if overrides:
-        params = CosmologyParams(
-            rho_vac=overrides.get("rho_vac", params.rho_vac),
-            L_U0=overrides.get("L_U0", params.L_U0),
-            H0=overrides.get("H0", params.H0),
-            kappa=overrides.get("kappa", params.kappa),
-        )
-    return constants, params
-
-
-def _params_inputs(params: CosmologyParams) -> dict:
-    return {
-        "rho_vac": params.rho_vac,
-        "L_U0": params.L_U0,
-        "H0": params.H0,
-        "kappa": params.kappa,
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(params)
+        if getattr(args, f.name, None) is not None
     }
+    return constants, dataclasses.replace(params, **overrides)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -245,8 +232,7 @@ def _handle_field_table(args) -> RunReport:
         return rows
 
     return RunReport(
-        command="field table",
-        inputs={"p": spec.p, "k": spec.k, "modulus": _poly_str(spec.modulus_poly)},
+        inputs={"p": spec.p, "k": spec.k, "modulus": fields._poly_str(spec.modulus_poly, "x")},
         outputs={
             "add_table": (grid(add_t, "+"), ""),
             "mul_table": (grid(mul_t, "*"), ""),
@@ -255,28 +241,13 @@ def _handle_field_table(args) -> RunReport:
     )
 
 
-def _poly_str(coeffs) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if i == 1 else f"x^{i}"
-            terms.append(var if c == 1 else f"{c}{var}")
-    return "+".join(terms) if terms else "0"
-
-
 def _handle_field_gaussian(args) -> RunReport:
     spec = fields.make_gaussian_extension(args.p)
     return RunReport(
-        command="field gaussian",
         inputs={"p": args.p},
         outputs={
             "order": (spec.order, "elements"),
-            "modulus": (_poly_str(spec.modulus_poly), ""),
+            "modulus": (fields._poly_str(spec.modulus_poly, "x"), ""),
             "is_field": (True, ""),
         },
         formula="pairs x+iy mod p form a field iff p mod 4 == 3",
@@ -287,12 +258,13 @@ def _handle_field_axioms(args) -> RunReport:
     if args.ring is not None:
         report = fields.verify_modular_ring_axioms(args.ring)
         inputs = {"ring": f"Z/{args.ring}"}
+    elif args.p is None:
+        raise UsageError("one of the arguments --p --ring is required")
     else:
         spec = _field_spec_from(args)
         report = fields.verify_field_axioms(spec)
         inputs = {"p": spec.p, "k": spec.k}
     return RunReport(
-        command="field axioms",
         inputs=inputs,
         outputs=_axiom_outputs(report),
         formula="exhaustive truth-table check of all field axioms",
@@ -303,7 +275,6 @@ def _handle_field_inverse(args) -> RunReport:
     spec = _field_spec_from(args)
     element = _parse_element(spec, args.element)
     return RunReport(
-        command="field inverse",
         inputs={"p": spec.p, "k": spec.k, "element": str(element)},
         outputs={"inverse": (str(element.inverse()), "")},
         formula="extended Euclidean algorithm on coefficient polynomials",
@@ -317,14 +288,12 @@ def _handle_geometry_degenerate(args) -> RunReport:
     inputs = {"q": args.q, "dim": args.dim}
     if pair is None:
         return RunReport(
-            command="geometry degenerate",
             status="none",
             inputs=inputs,
             message="no distinct point pair at squared distance zero",
             formula="d2(x,y) = sum((x_i-y_i)^2) over GF(q)",
         )
     return RunReport(
-        command="geometry degenerate",
         inputs=inputs,
         outputs={
             "first": (str(pair[0]), ""),
@@ -337,19 +306,14 @@ def _handle_geometry_degenerate(args) -> RunReport:
 
 def _handle_geometry_lines(args) -> RunReport:
     spec = _field_spec_from_order(args.q)
-    space = geometry.AffineSpace(spec, args.dim)
-    lines = geometry.enumerate_lines(space)
-    per_line = {len(l.points) for l in lines}
-    structure = geometry.incidence_structure(space)
-    degrees = set(structure.point_degrees().values())
+    structure = geometry.incidence_structure(geometry.AffineSpace(spec, args.dim))
     return RunReport(
-        command="geometry lines",
         inputs={"q": args.q, "dim": args.dim},
         outputs={
-            "points": (space.point_count, ""),
-            "lines": (len(lines), ""),
-            "points_per_line": (sorted(per_line), ""),
-            "lines_per_point": (sorted(degrees), ""),
+            "points": (len(structure.points), ""),
+            "lines": (len(structure.lines), ""),
+            "points_per_line": (sorted({len(line) for line in structure.lines}), ""),
+            "lines_per_point": (sorted(set(structure.point_degrees().values())), ""),
         },
         formula="lines = q^(dim-1)*(q^dim-1)/(q-1), each with q points",
     )
@@ -364,7 +328,6 @@ def _handle_geometry_hesse(args) -> RunReport:
         outputs["witness_pair"] = (check.witness, "")
         outputs["detail"] = (check.detail, "")
     return RunReport(
-        command="geometry hesse",
         inputs={"q": args.q, "dim": args.dim},
         outputs=outputs,
         formula="every line through two points carries a third",
@@ -376,14 +339,12 @@ def _handle_geometry_ordinary(args) -> RunReport:
     result = geometry.find_ordinary_line(points)
     if result.status == geometry.COLLINEAR:
         return RunReport(
-            command="geometry ordinary-line",
             status="none",
             inputs={"points": args.points},
             message="all points are collinear; no ordinary line exists",
         )
     i, j = result.pair
     return RunReport(
-        command="geometry ordinary-line",
         inputs={"points": args.points},
         outputs={
             "pair": (result.pair, ""),
@@ -397,7 +358,6 @@ def _handle_geometry_ordinary(args) -> RunReport:
 def _handle_geometry_cardinality(args) -> RunReport:
     count = geometry.pointset_cardinality(args.order, args.dim)
     return RunReport(
-        command="geometry cardinality",
         inputs={"order": args.order, "dim": args.dim},
         outputs={"cardinality": (count, "points")},
         formula="card = order^dim",
@@ -407,7 +367,6 @@ def _handle_geometry_cardinality(args) -> RunReport:
 def _handle_geometry_diameter(args) -> RunReport:
     d = geometry.subspace_diameter(args.step, args.order)
     return RunReport(
-        command="geometry diameter",
         inputs={"step": args.step, "order": args.order},
         outputs={"diameter": (d, "m")},
         formula="diam = step*(order-1)",
@@ -417,7 +376,6 @@ def _handle_geometry_diameter(args) -> RunReport:
 def _handle_hilbert_cardinality(args) -> RunReport:
     count = hilbert.hilbert_cardinality(args.p, args.k, args.dim)
     return RunReport(
-        command="hilbert cardinality",
         inputs={"p": args.p, "k": args.k, "dim": args.dim},
         outputs={"cardinality": (count, "vectors")},
         formula="card = p^(k*dim)",
@@ -429,7 +387,6 @@ def _handle_hilbert_norm(args) -> RunReport:
     vec = _parse_vector(spec, args.vector)
     n2 = hilbert.norm_squared(vec)
     return RunReport(
-        command="hilbert norm",
         inputs={"p": spec.p, "k": spec.k, "vector": _bracketed(vec)},
         outputs={
             "norm_squared": (str(n2), ""),
@@ -444,7 +401,6 @@ def _handle_hilbert_inner(args) -> RunReport:
     u = _parse_vector(spec, args.u)
     v = _parse_vector(spec, args.v)
     return RunReport(
-        command="hilbert inner",
         inputs={"p": spec.p, "k": spec.k, "u": _bracketed(u), "v": _bracketed(v)},
         outputs={"inner_product": (str(hilbert.inner_product(u, v)), "")},
         formula="<u,v> = sum(conj(u_n)*v_n)",
@@ -453,7 +409,6 @@ def _handle_hilbert_inner(args) -> RunReport:
 
 def _handle_reg_bernoulli(args) -> RunReport:
     return RunReport(
-        command="regularize bernoulli",
         inputs={"n": args.n},
         outputs={"value": (regularization.bernoulli(args.n), "dimensionless")},
         formula="sum_{j<=n} C(n+1,j)*B_j = n+1 (B_1 = +1/2 convention)",
@@ -462,7 +417,6 @@ def _handle_reg_bernoulli(args) -> RunReport:
 
 def _handle_reg_zeta(args) -> RunReport:
     return RunReport(
-        command="regularize zeta",
         inputs={"s": args.s},
         outputs={"value": (regularization.zeta_negative(args.s), "dimensionless")},
         formula="zeta(-s) = -B_(s+1)/(s+1)",
@@ -471,7 +425,6 @@ def _handle_reg_zeta(args) -> RunReport:
 
 def _handle_reg_partial_sum(args) -> RunReport:
     return RunReport(
-        command="regularize partial-sum",
         inputs={"n": args.n},
         outputs={"value": (regularization.partial_sum_linear(args.n), "dimensionless")},
         formula="S(N) = N*(N+1)/2",
@@ -482,7 +435,6 @@ def _handle_reg_mode_energy(args) -> RunReport:
     constants, _ = _constants_and_params(args)
     omega = regularization.mode_energy(args.m0, args.kx, args.ky, args.kz, constants)
     return RunReport(
-        command="regularize mode-energy",
         inputs={"m0": args.m0, "kx": args.kx, "ky": args.ky, "kz": args.kz},
         outputs={"omega": (omega, "rad/s")},
         formula="omega = c*sqrt((m0*c/hbar)^2 + kx^2+ky^2+kz^2)",
@@ -494,14 +446,12 @@ def _handle_reg_vacuum(args) -> RunReport:
     if args.n is not None:
         energy = regularization.vacuum_energy_partial(args.l, args.n, constants)
         return RunReport(
-            command="regularize vacuum",
             inputs={"L": args.l, "N": args.n},
             outputs={"energy": (energy, "J")},
             formula="E(L,N) = (sqrt(3)*pi*hbar*c/L)*N*(N+1)/2",
         )
     energy = regularization.vacuum_energy_regularized(args.l, constants)
     return RunReport(
-        command="regularize vacuum",
         inputs={"L": args.l},
         outputs={"energy": (energy, "J")},
         formula="E(L) = (sqrt(3)*pi*hbar*c/L)*(-1/12)",
@@ -512,7 +462,6 @@ def _handle_reg_oscillator(args) -> RunReport:
     constants, _ = _constants_and_params(args)
     energy = regularization.oscillator_count_energy(args.l, args.count, constants)
     return RunReport(
-        command="regularize oscillator-energy",
         inputs={"L": args.l, "P": args.count},
         outputs={"energy": (energy, "J")},
         formula="E = pi*hbar*c*P/L",
@@ -521,40 +470,24 @@ def _handle_reg_oscillator(args) -> RunReport:
 
 def _handle_reg_point_bound(args) -> RunReport:
     return RunReport(
-        command="regularize point-bound",
         inputs={"K": args.k_cutoff},
         outputs={"bound": (regularization.point_bound_from_cutoff(args.k_cutoff), "points")},
         formula="P < (sqrt(3)/2)*K*(K+1)",
     )
 
 
-def _handle_cosmo_point_count(args) -> RunReport:
+def _handle_cosmo_value(args) -> RunReport:
+    """A cosmo action whose one output is a cosmology function of
+    (params, constants).  The function is looked up by name on each run,
+    so a rebound module attribute (a wrapper, a test double) is the one
+    called."""
     constants, params = _constants_and_params(args)
+    name, unit = args.output
+    value = getattr(cosmology, args.function)(params, constants)
     return RunReport(
-        command="cosmo point-count",
-        inputs=_params_inputs(params),
-        outputs={"point_count": (cosmology.vacuum_point_count(params, constants), "points")},
-        formula="P = rho_vac*L_U^4/(pi*hbar*c)",
-    )
-
-
-def _handle_cosmo_lambda(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        command="cosmo lambda",
-        inputs=_params_inputs(params),
-        outputs={"lambda": (cosmology.lambda_from_density(params, constants), "1/m^2")},
-        formula="Lambda = 8*pi*G*rho_vac/c^4",
-    )
-
-
-def _handle_cosmo_rate(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        command="cosmo rate",
-        inputs=_params_inputs(params),
-        outputs={"rate": (cosmology.point_count_rate(params, constants), "1/s")},
-        formula="dP/dt = 4*H0*P",
+        inputs=dataclasses.asdict(params),
+        outputs={name: (value, unit)},
+        formula=args.formula,
     )
 
 
@@ -562,7 +495,6 @@ def _handle_cosmo_growth(args) -> RunReport:
     constants, params = _constants_and_params(args)
     dt = args.dt_gyr * GIGAYEAR
     return RunReport(
-        command="cosmo growth",
         inputs={"H0": params.H0, "dt_gyr": args.dt_gyr},
         outputs={
             "exponent": (4 * params.H0 * dt, "dimensionless"),
@@ -577,8 +509,7 @@ def _handle_cosmo_density(args) -> RunReport:
     constants, params = _constants_and_params(args)
     rho_p = cosmology.pointset_density(params, constants)
     return RunReport(
-        command="cosmo density",
-        inputs=_params_inputs(params),
+        inputs=dataclasses.asdict(params),
         outputs={
             "density": (rho_p, "1/m^3"),
             "volume_per_point": (1 / rho_p, "m^3"),
@@ -587,22 +518,11 @@ def _handle_cosmo_density(args) -> RunReport:
     )
 
 
-def _handle_cosmo_min_diameter(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        command="cosmo min-diameter",
-        inputs=_params_inputs(params),
-        outputs={"min_diameter": (cosmology.min_metric_diameter(params, constants), "m")},
-        formula="d_min = (pi*hbar*c/(rho_vac*L_U))^(1/3)",
-    )
-
-
 def _handle_cosmo_planck_density(args) -> RunReport:
     constants, params = _constants_and_params(args)
     rho = cosmology.planck_vacuum_density(constants)
-    fed = CosmologyParams(rho_vac=rho, L_U0=params.L_U0, H0=params.H0, kappa=params.kappa)
+    fed = dataclasses.replace(params, rho_vac=rho)
     return RunReport(
-        command="cosmo planck-density",
         inputs={"l_planck": constants.l_planck, "L_U0": params.L_U0},
         outputs={
             "planck_density": (rho, "J/m^3"),
@@ -618,8 +538,7 @@ def _handle_cosmo_planck_density(args) -> RunReport:
 def _handle_cosmo_diameter_at(args) -> RunReport:
     constants, params = _constants_and_params(args)
     return RunReport(
-        command="cosmo diameter-at",
-        inputs={**_params_inputs(params), "dt": args.dt},
+        inputs={**dataclasses.asdict(params), "dt": args.dt},
         outputs={"diameter": (cosmology.universe_diameter_at(params, args.dt), "m")},
         formula="L_U(dt) = L_U0*(1+H0*dt)",
     )
@@ -628,24 +547,11 @@ def _handle_cosmo_diameter_at(args) -> RunReport:
 def _handle_cosmo_count_at(args) -> RunReport:
     constants, params = _constants_and_params(args)
     return RunReport(
-        command="cosmo count-at",
-        inputs={**_params_inputs(params), "dt": args.dt},
+        inputs={**dataclasses.asdict(params), "dt": args.dt},
         outputs={
             "point_count": (cosmology.point_count_at_linear(params, args.dt, constants), "points")
         },
         formula="P(dt) = (c^3*Lambda/(8*pi^2*hbar*G))*L_U0^4*(1+4*H0*dt)",
-    )
-
-
-def _handle_cosmo_accel(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        command="cosmo accel",
-        inputs=_params_inputs(params),
-        outputs={
-            "accel_ratio": (cosmology.acceleration_constant_check(params, constants), "1/s^2")
-        },
-        formula="addot/a = (8*pi*G/(3*c^2))*rho_vac",
     )
 
 
@@ -668,7 +574,6 @@ def _handle_cosmo_evolve(args) -> RunReport:
     )
     max_resid = max(abs(r) for r in traj.friedmann_residuals)
     return RunReport(
-        command="cosmo evolve",
         inputs={
             "eos": args.eos,
             "a0": args.a0,
@@ -706,27 +611,26 @@ def _build_parser() -> _Parser:
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def action(sub, name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
+    def action(sub, name, handler, **defaults):
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(handler=handler, **defaults)
+        return p
+
+    def field_action(sub, name, handler, p_required=True):
+        """An action on GF(p^k), or on the Gaussian field with --gaussian."""
+        p = action(sub, name, handler)
+        p.add_argument("--p", type=int, required=p_required)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--gaussian", action="store_true")
         return p
 
     f = subs.add_parser("field").add_subparsers(dest="action", required=True)
-    p = action(f, "table", _handle_field_table)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
+    field_action(f, "table", _handle_field_table)
     p = action(f, "gaussian", _handle_field_gaussian)
     p.add_argument("--p", type=int, required=True)
-    p = action(f, "axioms", _handle_field_axioms)
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
+    p = field_action(f, "axioms", _handle_field_axioms, p_required=False)
     p.add_argument("--ring", type=int, default=None, help="check Z/n instead of a field")
-    p = action(f, "inverse", _handle_field_inverse)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
+    p = field_action(f, "inverse", _handle_field_inverse)
     p.add_argument("--element", required=True)
 
     g = subs.add_parser("geometry").add_subparsers(dest="action", required=True)
@@ -752,15 +656,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--dim", type=int, required=True)
-    p = action(h, "norm", _handle_hilbert_norm)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
+    p = field_action(h, "norm", _handle_hilbert_norm)
     p.add_argument("--vector", required=True, help='coords "c0:c1,c0:c1" or ints')
-    p = action(h, "inner", _handle_hilbert_inner)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
+    p = field_action(h, "inner", _handle_hilbert_inner)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
 
@@ -787,27 +685,33 @@ def _build_parser() -> _Parser:
 
     c = subs.add_parser("cosmo").add_subparsers(dest="action", required=True)
 
-    def cosmo_action(name, handler):
-        p = action(c, name, handler)
+    def cosmo_action(name, handler=_handle_cosmo_value, **defaults):
+        """An action on CosmologyParams; the flag dests are its field names."""
+        p = action(c, name, handler, **defaults)
         p.add_argument("--rho-vac", dest="rho_vac", type=float, default=None)
-        p.add_argument("--l-u", dest="l_u", type=float, default=None)
-        p.add_argument("--h0", dest="h0", type=float, default=None)
+        p.add_argument("--l-u", dest="L_U0", type=float, default=None)
+        p.add_argument("--h0", dest="H0", type=float, default=None)
         p.add_argument("--kappa", type=int, default=None)
         return p
 
-    cosmo_action("point-count", _handle_cosmo_point_count)
-    cosmo_action("lambda", _handle_cosmo_lambda)
-    cosmo_action("rate", _handle_cosmo_rate)
+    cosmo_action("point-count", function="vacuum_point_count", output=("point_count", "points"),
+                 formula="P = rho_vac*L_U^4/(pi*hbar*c)")
+    cosmo_action("lambda", function="lambda_from_density", output=("lambda", "1/m^2"),
+                 formula="Lambda = 8*pi*G*rho_vac/c^4")
+    cosmo_action("rate", function="point_count_rate", output=("rate", "1/s"),
+                 formula="dP/dt = 4*H0*P")
     p = cosmo_action("growth", _handle_cosmo_growth)
     p.add_argument("--dt-gyr", dest="dt_gyr", type=float, default=1.0)
     cosmo_action("density", _handle_cosmo_density)
-    cosmo_action("min-diameter", _handle_cosmo_min_diameter)
+    cosmo_action("min-diameter", function="min_metric_diameter", output=("min_diameter", "m"),
+                 formula="d_min = (pi*hbar*c/(rho_vac*L_U))^(1/3)")
     cosmo_action("planck-density", _handle_cosmo_planck_density)
     p = cosmo_action("diameter-at", _handle_cosmo_diameter_at)
     p.add_argument("--dt", type=float, required=True, help="seconds")
     p = cosmo_action("count-at", _handle_cosmo_count_at)
     p.add_argument("--dt", type=float, required=True, help="seconds")
-    cosmo_action("accel", _handle_cosmo_accel)
+    cosmo_action("accel", function="acceleration_constant_check", output=("accel_ratio", "1/s^2"),
+                 formula="addot/a = (8*pi*G/(3*c^2))*rho_vac")
     p = action(c, "evolve", _handle_cosmo_evolve)
     p.add_argument("--eos", choices=("vacuum", "dust"), default="vacuum")
     p.add_argument("--a0", type=float, default=1.0)
@@ -827,15 +731,10 @@ _PARSER = _build_parser()
 def dispatch(argv: list[str]) -> RunReport:
     """Parse argv, run exactly one operation, and return its report."""
     command = " ".join(argv[:2]) if argv else ""
+    fmt = "text"
     try:
         args = _PARSER.parse_args(argv)
-    except UsageError as exc:
-        return RunReport(
-            command=command, status="error", error="Usage",
-            message=str(exc), exit_code=2,
-        )
-    fmt = getattr(args, "format", "text")
-    try:
+        command, fmt = f"{args.subcommand} {args.action}", args.format
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", LinearityWarning)
             report = args.handler(args)
@@ -844,13 +743,13 @@ def dispatch(argv: list[str]) -> RunReport:
             )
     except FiniverseError as exc:
         report = RunReport(
-            command=command,
             status="error",
             error=exc.code,
             message=str(exc),
             witness=getattr(exc, "witness", None),
-            exit_code=1,
+            exit_code=2 if isinstance(exc, UsageError) else 1,
         )
+    report.command = command
     report.fmt = fmt
     return report
 

@@ -34,6 +34,7 @@ LinearityWarning beyond it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -179,11 +180,18 @@ def point_count_rate_general(params: CosmologyParams, dt: float,
     return prefactor * params.L_U0**4 * bracket
 
 
+#: the largest x whose exp(x) is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
     _real(H0, "H0")
     _real(dt, "dt")
-    return math.exp(4 * H0 * dt)
+    exponent = 4 * H0 * dt
+    if exponent > _LOG_FLOAT_MAX:
+        raise InvalidInputError(f"growth factor exp({exponent!r}) overflows a float")
+    return math.exp(exponent)
 
 
 def growth_exponent_per_gigayear(H0: float) -> float:
@@ -298,7 +306,7 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     _real(rho, "density")
     _real(lam, "lambda")
     _integer(kappa, "curvature sign", -1, 1)
-    _real(a, "scale factor", 0, above=True)
+    _scale_factor(a)
     c2 = constants.c**2
     h2 = (8 * math.pi * constants.G / 3) * rho - kappa * c2 / a**2 + lam * c2 / a**2
     if not h2 < math.inf:  # finite inputs can still overflow
@@ -306,6 +314,15 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     if h2 < 0:
         raise InvalidInputError(f"no real expansion rate: H^2 = {h2} < 0")
     return math.sqrt(h2)
+
+
+def _scale_factor(a):
+    """``a`` unchanged when it is a finite real > 0 whose square is not
+    0.0: the Friedmann terms divide by a**2, which underflows below ~1e-162."""
+    _real(a, "scale factor", 0, above=True)
+    if a**2 == 0:
+        raise InvalidInputError(f"scale factor {a!r} is too small: a**2 underflows to 0")
+    return a
 
 
 def _derivatives(a, a_dot, rho, eos, lam, constants):
@@ -381,6 +398,7 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     _integer(kappa, "curvature sign", -1, 1)
     for name in ("a", "a_dot", "rho", "p", "t"):
         _real(getattr(initial, name), f"initial {name}")
+    _scale_factor(initial.a)
     _real(step, "step", 0, above=True)
     _real(t_end, "t_end", initial.t, above=True)
     _real(lam, "lambda")

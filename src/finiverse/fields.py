@@ -193,6 +193,22 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
+def _poly_str(coeffs: Sequence[int], var: str) -> str:
+    """Coefficients in ``var``, highest power first: (1, 0, 2) in x is
+    "2x^2+1"; a constant prints as its value and the zero polynomial as "0"."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            terms.append(power if c == 1 else f"{c}{power}")
+    return "+".join(terms) if terms else "0"
+
+
 def _digits(n: int, p: int, width: int) -> list[int]:
     out = []
     for _ in range(width):
@@ -588,19 +604,7 @@ class FieldElement:
     # -- presentation -------------------------------------------------------
 
     def __str__(self):
-        if self.spec.k == 1:
-            return str(self.coeffs[0])
-        terms = []
-        for i in range(self.spec.k - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _poly_str(self.coeffs, "a")
 
     def __repr__(self):
         return f"<{self} in {self.spec}>"
@@ -774,30 +778,19 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
         raise SizeLimitError(f"field order {q} exceeds table cap {AXIOM_CHECK_CAP}")
     elements = enumerate_elements(spec)
     p = spec.p
-    idx = np.arange(q)
-    if spec.k == 1:
-        add_t = (idx[:, None] + idx[None, :]) % p
-        mul_t = (idx[:, None] * idx[None, :]) % p
-    elif spec.construction_tag == "gaussian":
-        # index n = x + p*y encodes x + i*y; multiply componentwise
-        x, y = idx % p, idx // p
-        xs, ys = x[:, None], y[:, None]
-        xo, yo = x[None, :], y[None, :]
-        add_t = (xs + xo) % p + p * ((ys + yo) % p)
-        mul_t = (xs * xo - ys * yo) % p + p * ((xs * yo + ys * xo) % p)
-    else:
-        # digit-wise addition mod p, one base-p place at a time
-        add_t = np.zeros((q, q), dtype=np.int64)
-        for place in (p**j for j in range(spec.k)):
-            d = (idx // place) % p
-            add_t += (d[:, None] + d[None, :]) % p * place
-        # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
-        t = _tables(spec)
-        log, exp = np.asarray(t.log), np.asarray(t.exp)
-        mul_t = exp[(log[:, None] + log[None, :]) % t.period]
-        mul_t[0, :] = 0
-        mul_t[:, 0] = 0
-    return elements, add_t.astype(np.int64), mul_t.astype(np.int64)
+    idx = np.arange(q, dtype=np.int64)
+    # digit-wise addition mod p, one base-p place at a time
+    add_t = np.zeros((q, q), dtype=np.int64)
+    for place in (p**j for j in range(spec.k)):
+        d = (idx // place) % p
+        add_t += (d[:, None] + d[None, :]) % p * place
+    # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
+    t = _tables(spec)
+    log, exp = np.asarray(t.log), np.asarray(t.exp)
+    mul_t = exp[(log[:, None] + log[None, :]) % t.period]
+    mul_t[0, :] = 0
+    mul_t[:, 0] = 0
+    return elements, add_t, mul_t
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,8 @@ def test_usage_errors_exit_two():
         ["field", "table"],  # missing --p
         ["cosmo", "point-count", "--bogus"],
         [],
+        ["field", "axioms"],  # neither --p nor --ring
+        ["field", "axioms", "--gaussian"],
     ):
         report = dispatch(argv)
         assert report.status == "error"
@@ -258,6 +260,19 @@ def test_planck_density_command():
     ["cosmo", "evolve", "--a0", "nan", "--adot0", "1e-18", "--rho0", "6e-27", "--t-end", "1e17",
      "--step", "1e14"],
     ["cosmo", "evolve", "--rho0", "6e-27", "--t-end", "inf", "--step", "1e14"],
+    # malformed element, vector and point text
+    ["field", "inverse", "--p", "5", "--element", "x"],
+    ["field", "inverse", "--p", "3", "--k", "2", "--element", "1:x"],
+    ["hilbert", "norm", "--p", "3", "--vector", "x"],
+    ["hilbert", "norm", "--p", "3", "--vector", "1,"],
+    ["hilbert", "inner", "--p", "3", "--u", "1,2", "--v", "1,y"],
+    ["geometry", "ordinary-line", "--points", "0,0;1,x;2,2"],
+    ["geometry", "ordinary-line", "--points", "0,0;1,1/0;2,2"],
+    # finite input whose result a float cannot hold
+    ["cosmo", "growth", "--dt-gyr", "1e10"],
+    ["cosmo", "evolve", "--a0", "1e-200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e14"],
+    ["cosmo", "evolve", "--a0", "1e-170", "--adot0", "0", "--rho0", "6e-27", "--t-end", "1e17",
+     "--step", "1e16"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_input_is_invalid(argv):
     report = dispatch(argv)

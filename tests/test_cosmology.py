@@ -344,6 +344,26 @@ def test_friedmann_hubble_rate():
     )
 
 
+def test_growth_factor_overflow_is_invalid_input():
+    # exp(4*H0*dt) overflows a float long before dt itself does
+    with pytest.raises(InvalidInputError):
+        point_count_growth_factor(OBSERVED.H0, 1e10 * GIGAYEAR)
+    with pytest.raises(InvalidInputError):  # 4*H0*dt is inf although both are finite
+        point_count_growth_factor(1e300, 1e300)
+    assert point_count_growth_factor(-1e300, 1e300) == 0.0
+
+
+def test_scale_factor_whose_square_underflows_is_invalid_input():
+    rho = OBSERVED.rho_vac / C2
+    with pytest.raises(InvalidInputError):
+        friedmann_hubble_rate(rho, a=1e-200)
+    state = FluidState(a=1e-170, a_dot=0.0, rho=rho)
+    with pytest.raises(InvalidInputError):
+        evolve_scale_factor(state, dust_pressure_law(), 0.0, 0, 1e17, 1e16)
+    # a**2 is still a positive float here
+    assert friedmann_hubble_rate(rho, a=1e-160) == pytest.approx(friedmann_hubble_rate(rho))
+
+
 # -- configuration files -------------------------------------------------------------
 
 

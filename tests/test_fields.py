@@ -263,7 +263,7 @@ def test_operation_tables_e3():
 
 
 def test_gaussian_tables_match_general_construction():
-    # same field, two table-construction routes: vectorized vs element loop
+    # the same field under the gaussian and the general construction tag
     general = FieldSpec(7, 2, (1, 0, 1), "general")
     _, add_g, mul_g = operation_tables(R7)
     _, add_n, mul_n = operation_tables(general)
@@ -315,9 +315,21 @@ def test_modular_ring_diagnostics():
 GENERAL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 7) if p**k <= 256]
 
 
-@pytest.mark.parametrize("p,k", GENERAL_FIELDS, ids=[f"GF({p}^{k})" for p, k in GENERAL_FIELDS])
-def test_operation_tables_match_polynomial_reference(p, k):
-    spec = make_extension_field(p, k)
+#: prime fields and Gaussian fields GF(p^2) = GF(p)[i], beside the general ones
+PRIME_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 13, 31, 101, 211, 499)]
+GAUSSIAN_FIELDS = [(p, 2) for p in (3, 7, 11, 19)]
+
+
+@pytest.mark.parametrize(
+    "p,k,gaussian",
+    [(p, k, False) for p, k in GENERAL_FIELDS + PRIME_FIELDS]
+    + [(p, k, True) for p, k in GAUSSIAN_FIELDS],
+    ids=[f"GF({p}^{k})" for p, k in GENERAL_FIELDS]
+    + [f"GF({p})" for p, _ in PRIME_FIELDS]
+    + [f"GF({p}^2)-gaussian" for p, _ in GAUSSIAN_FIELDS],
+)
+def test_operation_tables_match_polynomial_reference(p, k, gaussian):
+    spec = make_gaussian_extension(p) if gaussian else make_extension_field(p, k)
     elements, add_t, mul_t = operation_tables(spec)
     add_r, mul_r = ref.tables(p, k, spec.modulus_poly)
     assert add_t.tolist() == add_r
