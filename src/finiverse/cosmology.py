@@ -34,7 +34,6 @@ LinearityWarning beyond it.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,6 +45,7 @@ from .errors import (
     NonPositiveScaleFactorError,
     SizeLimitError,
     StepTooLargeError,
+    _finite,
     _integer,
     _real,
 )
@@ -107,6 +107,7 @@ class CosmologyParams:
 OBSERVED = CosmologyParams()
 
 
+@_finite("vacuum point count")
 def vacuum_point_count(params: CosmologyParams,
                        constants: Constants = CODATA2018) -> float:
     """Number of vacuum points in the observable universe:
@@ -126,10 +127,11 @@ def _linear_guard(h0dt: float, what: str) -> None:
             f"{what} evaluated at H0*dt = {h0dt:.3g}, outside the linear "
             f"validity guard |H0*dt| <= {LINEAR_GUARD}",
             LinearityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
+@_finite("universe diameter")
 def universe_diameter_at(params: CosmologyParams, dt: float) -> float:
     """Linear Hubble growth of the diameter: L_U0 * (1 + H0*dt)."""
     _real(dt, "time offset", 0)
@@ -137,6 +139,7 @@ def universe_diameter_at(params: CosmologyParams, dt: float) -> float:
     return params.L_U0 * (1 + params.H0 * dt)
 
 
+@_finite("point count")
 def point_count_at_linear(params: CosmologyParams, dt: float,
                           constants: Constants = CODATA2018) -> float:
     """Linearized point count at time offset dt:
@@ -151,6 +154,7 @@ def point_count_at_linear(params: CosmologyParams, dt: float,
     return prefactor * params.L_U0**4 * (1 + 4 * params.H0 * dt)
 
 
+@_finite("point-count rate")
 def point_count_rate(params: CosmologyParams,
                      constants: Constants = CODATA2018) -> float:
     """Flat-space point-count rate dP/dt = 4 * H0 * P0, in 1/s."""
@@ -180,18 +184,12 @@ def point_count_rate_general(params: CosmologyParams, dt: float,
     return prefactor * params.L_U0**4 * bracket
 
 
-#: the largest x whose exp(x) is a finite float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
+@_finite("growth factor")
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
     _real(H0, "H0")
     _real(dt, "dt")
-    exponent = 4 * H0 * dt
-    if exponent > _LOG_FLOAT_MAX:
-        raise InvalidInputError(f"growth factor exp({exponent!r}) overflows a float")
-    return math.exp(exponent)
+    return math.exp(4 * H0 * dt)
 
 
 def growth_exponent_per_gigayear(H0: float) -> float:
@@ -200,12 +198,14 @@ def growth_exponent_per_gigayear(H0: float) -> float:
     return 4 * H0 * GIGAYEAR
 
 
+@_finite("pointset density", 0, above=True)
 def pointset_density(params: CosmologyParams,
                      constants: Constants = CODATA2018) -> float:
     """Vacuum points per cubic meter: vacuum_point_count / L_U0**3."""
     return vacuum_point_count(params, constants) / params.L_U0**3
 
 
+@_finite("minimum metric diameter")
 def min_metric_diameter(params: CosmologyParams,
                         constants: Constants = CODATA2018) -> float:
     """Edge of the smallest vacuum box expected to hold about one point:
@@ -298,6 +298,7 @@ def dust_pressure_law() -> Callable[[float], float]:
     return lambda rho: 0.0
 
 
+@_finite("expansion rate")
 def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
                           a: float = 1.0,
                           constants: Constants = CODATA2018) -> float:
@@ -309,19 +310,17 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     _scale_factor(a)
     c2 = constants.c**2
     h2 = (8 * math.pi * constants.G / 3) * rho - kappa * c2 / a**2 + lam * c2 / a**2
-    if not h2 < math.inf:  # finite inputs can still overflow
-        raise InvalidInputError(f"expansion rate overflows: H^2 = {h2}")
     if h2 < 0:
         raise InvalidInputError(f"no real expansion rate: H^2 = {h2} < 0")
     return math.sqrt(h2)
 
 
 def _scale_factor(a):
-    """``a`` unchanged when it is a finite real > 0 whose square is not
-    0.0: the Friedmann terms divide by a**2, which underflows below ~1e-162."""
+    """``a`` unchanged when it is a finite real > 0 whose square is a positive
+    float: the Friedmann terms divide by a**2 (0.0 below ~1e-162, inf above ~1e154)."""
     _real(a, "scale factor", 0, above=True)
-    if a**2 == 0:
-        raise InvalidInputError(f"scale factor {a!r} is too small: a**2 underflows to 0")
+    if not 0 < a * a < math.inf:
+        raise InvalidInputError(f"scale factor {a!r} is out of range: a**2 is {a * a!r}")
     return a
 
 
@@ -410,12 +409,15 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
             f"{math.ceil(span / step)} steps exceed the limit {MAX_STEPS}"
         )
 
-    samples, residuals, accels = _integrate(
-        initial, eos, lam, kappa, t_end, step, constants, record=True
-    )
-    a_half, _, _ = _integrate(
-        initial, eos, lam, kappa, t_end, step / 2, constants, record=False
-    )
+    try:
+        samples, residuals, accels = _integrate(
+            initial, eos, lam, kappa, t_end, step, constants, record=True
+        )
+        a_half, _, _ = _integrate(
+            initial, eos, lam, kappa, t_end, step / 2, constants, record=False
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInputError("the integration leaves the float range") from None
     a_end = samples[-1].a
     rel = abs(a_end - a_half) / max(abs(a_half), abs(a_end))
     if rel > 1e-6:

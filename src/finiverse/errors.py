@@ -7,6 +7,7 @@ without parsing messages.
 
 from __future__ import annotations
 
+import functools
 import math
 from numbers import Real
 
@@ -145,6 +146,7 @@ class UsageError(FiniverseError, ValueError):
 # -- argument validation ------------------------------------------------------
 # Every library boundary checks numeric arguments through these two, so the
 # rules (no bool, no non-number, no NaN or infinity) and the message agree.
+# ``_finite`` holds the result of a closed-form float formula to ``_real``.
 
 
 def _real(value, what: str, low=None, *, above: bool = False):
@@ -172,3 +174,22 @@ def _integer(value, what: str, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise InvalidInputError(f"{what} must be an integer {bound}, got {value!r}")
     return value
+
+
+def _finite(what: str, low=None, *, above: bool = False):
+    """Decorate a float formula: a result ``_real`` rejects is InvalidInput,
+    and so is a float overflow (``**`` and ``math.exp`` raise, ``*`` gives
+    inf) or a division by a quantity that underflowed to zero."""
+
+    def decorate(formula):
+        @functools.wraps(formula)
+        def checked(*args, **kwargs):
+            try:
+                value = formula(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError):
+                raise InvalidInputError(f"{what} is outside the float range") from None
+            return _real(value, what, low, above=above)
+
+        return checked
+
+    return decorate

@@ -8,11 +8,13 @@ Three constructions are exposed:
 * ``make_extension_field(p, k)`` -- quotient by the smallest monic
   irreducible polynomial of degree k over GF(p).
 
-Elements are fixed-length coefficient tuples mod p (constant term
-first), always held in reduced canonical form, so equality and hashing
-are structural and every operation is exact.  Each element also has an
-*index*, the base-p digit value of its coefficients (constant term
-least significant), which is its position in enumeration order.
+An element is its *index*: the base-p digit value of its reduced
+coefficients mod p (constant term least significant), which is also its
+position in enumeration order.  The index and the spec are all an
+element stores; its coefficients are derived from the index when asked
+for.  Equality and hashing compare indices, ``+`` and ``-`` add and
+subtract indices digit by digit mod p (for k = 1 just ``(a +- b) % p``),
+and every operation is exact.
 
 The first time a field is enumerated (``enumerate_elements`` and,
 through it, ``operation_tables``, ``AffineSpace.points`` and
@@ -20,13 +22,13 @@ through it, ``operation_tables``, ``AffineSpace.points`` and
 indices from a primitive element g: ``exp[i]`` is the index of g**i and
 ``log`` its inverse.  The build is vectorised over all indices, and the
 tables stay with the spec for its lifetime (copies and pickles do not
-carry them).  The int64 tables and the cached element instances take
-O(q) memory, on top of the O(q) element list enumeration already
-returns.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
-arithmetic (``exp[(log a + log b) mod (q-1)]``), ``+`` and ``-`` stay
-digit-wise mod p, and every result is a cached instance.  A field that
-is never enumerated builds nothing and keeps polynomial arithmetic, so
-huge fields cost no table memory.
+carry them), together with one cached instance per index: O(q) memory.
+From then on ``*``, ``/``, ``inverse`` and ``**`` are index arithmetic
+(``exp[(log a + log b) mod (q-1)]``) and every result is a cached
+instance.  A field that is never enumerated builds nothing: ``*`` and
+``**`` multiply the derived coefficients as polynomials and ``inverse``
+runs the extended Euclidean algorithm on them, so huge fields cost no
+table memory.
 
 ``FieldVector`` is an n-tuple over one field: the point type of
 ``geometry.AffineSpace`` and the vector type of
@@ -41,7 +43,7 @@ diagnostic for composite moduli.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -112,10 +114,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_is_zero(a: Sequence[int]) -> bool:
-    return all(c == 0 for c in a)
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -126,20 +124,10 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return out
 
 
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return out
-
-
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b over GF(p); b must be nonzero."""
     b = _poly_trim(list(b))
-    if _poly_is_zero(b):
+    if not any(b):
         raise DivisionByZeroError("polynomial division by zero")
     a = _poly_trim(list(a))
     db, da = len(b) - 1, len(a) - 1
@@ -160,21 +148,19 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_ext_gcd(a: Sequence[int], b: Sequence[int], p: int):
-    """Return (g, u, v) with u*a + v*b = g over GF(p), g monic when nonzero."""
+    """Return (g, u) with u*a = g mod b over GF(p), g monic when nonzero."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
     u0, u1 = [1], [0]
-    v0, v1 = [0], [1]
-    while not _poly_is_zero(r1):
+    while any(r1):
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        u0, u1 = u1, _poly_trim(_poly_sub(u0, _poly_mul(q, u1, p), p))
-        v0, v1 = v1, _poly_trim(_poly_sub(v0, _poly_mul(q, v1, p), p))
-    if not _poly_is_zero(r0):
+        qu = _poly_mul(q, u1, p)
+        u0, u1 = u1, _poly_trim([(x - y) % p for x, y in zip_longest(u0, qu, fillvalue=0)])
+    if any(r0):
         scale = pow(r0[-1], p - 2, p)
         r0 = [(c * scale) % p for c in r0]
         u0 = [(c * scale) % p for c in u0]
-        v0 = [(c * scale) % p for c in v0]
-    return r0, u0, v0
+    return r0, u0
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -188,7 +174,7 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
             divisor = _digits(idx, p, d) + [1]
-            if _poly_is_zero(_poly_mod(poly, divisor, p)):
+            if not any(_poly_mod(poly, divisor, p)):
                 return False
     return True
 
@@ -215,6 +201,21 @@ def _digits(n: int, p: int, width: int) -> list[int]:
         out.append(n % p)
         n //= p
     return out
+
+
+def _digitwise(a, b, sign: int, p: int, k: int):
+    """Index of the element whose digits are those of a plus ``sign``
+    times those of b, each mod p: index arithmetic for + and -.  Also
+    elementwise on numpy index arrays."""
+    if k == 1:
+        return (a + sign * b) % p
+    n, place = 0, 1
+    for _ in range(k):
+        n = n + (a % p + sign * (b % p)) % p * place
+        a = a // p
+        b = b // p
+        place *= p
+    return n
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -247,10 +248,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-#: indices per block when a tabled field creates its element instances
-_BLOCK = 1 << 16
 
 
 class _Tables:
@@ -322,23 +319,8 @@ class _Tables:
         log[0] = 0
         self.exp = memoryview(exp)
         self.log = memoryview(log)
-        # the element instances, a block of indices at a time so that the
-        # digit columns stay small next to the elements themselves
-        self.elements = elements = []
-        for start in range(0, q, _BLOCK):
-            block = np.arange(start, min(q, start + _BLOCK), dtype=np.int64)
-            columns = [(block // place % p).tolist() for place in places.tolist()]
-            elements.extend(map(_cached, repeat(spec), zip(*columns)))
+        self.elements = list(map(_new, repeat(spec), range(q)))
         self.period = period
-
-
-def _tables(spec: "FieldSpec") -> _Tables:
-    """The spec's tables, built on first use."""
-    t = spec._tables
-    if t is None:
-        t = _Tables(spec)
-        object.__setattr__(spec, "_tables", t)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +374,12 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
-    def _make(self, coeffs: tuple[int, ...]) -> "FieldElement":
-        """Element from reduced coefficients: the cached instance once tabled."""
+    def _at(self, n: int) -> "FieldElement":
+        """The element of index n: the cached instance once tabled."""
         t = self._tables
         if t is None:
-            return FieldElement(self, coeffs)
-        return t.elements[_index_of(coeffs, self.p)]
+            return _new(self, n)
+        return t.elements[n]
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
@@ -406,37 +388,32 @@ class FieldSpec:
             if value.spec != self:
                 raise SpecMismatchError("element belongs to a different field")
             return value
+        p = self.p
         if isinstance(value, int):
             if self.k == 1:
-                return self._make((value % self.p,))
+                return self._at(value % p)
             if not 0 <= value < self.order:
-                raise InvalidInputError(
-                    f"element index {value} outside 0..{self.order - 1}"
-                )
-            if self._tables is not None:
-                return self._tables.elements[value]
-            return FieldElement(self, tuple(_digits(value, self.p, self.k)))
-        coeffs = tuple(int(c) % self.p for c in value)
+                raise InvalidInputError(f"element index {value} outside 0..{self.order - 1}")
+            return self._at(value)
+        coeffs = [int(c) % p for c in value]
         if len(coeffs) != self.k:
-            raise DimMismatchError(
-                f"expected {self.k} coefficients, got {len(coeffs)}"
-            )
-        return self._make(coeffs)
+            raise DimMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
+        return self._at(_index_of(coeffs, p))
 
     @property
     def zero(self) -> "FieldElement":
-        return self._make((0,) * self.k)
+        return self._at(0)
 
     @property
     def one(self) -> "FieldElement":
-        return self._make((1,) + (0,) * (self.k - 1))
+        return self._at(1)
 
     @property
     def gen(self) -> "FieldElement":
         """The adjoined root (the class of x); only defined for k >= 2."""
         if self.k < 2:
             raise InvalidInputError("prime fields have no adjoined generator")
-        return self._make((0, 1) + (0,) * (self.k - 2))
+        return self._at(self.p)
 
     def elements(self) -> list["FieldElement"]:
         return enumerate_elements(self)
@@ -459,16 +436,16 @@ def _proven_spec(p: int, k: int, modulus: tuple[int, ...], tag: str) -> FieldSpe
 
 
 class FieldElement:
-    """One element of a finite field, as a reduced coefficient tuple.
+    """One element of a finite field: its spec and its index, nothing else.
 
-    Instances are immutable by convention, hashable, and support
-    +, -, *, /, unary minus and integer powers.  Mixing elements of two
-    different field specs raises SpecMismatchError.  On a tabled spec
-    (see the module docstring) the operators work on element indices and
-    return the spec's cached instances.
+    The constructor takes and validates reduced coefficients; ``coeffs``
+    derives them back from the index.  Instances are immutable, hashable
+    and support +, -, *, /, unary minus and integer powers.  Equality,
+    hashing and ``is_zero`` compare indices.  Mixing elements of two
+    different field specs raises SpecMismatchError.
     """
 
-    __slots__ = ("spec", "coeffs", "_index")
+    __slots__ = ("spec", "_index")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[int]):
         coeffs = tuple(coeffs)
@@ -478,9 +455,8 @@ class FieldElement:
         for c in coeffs:
             if not (isinstance(c, int) and 0 <= c < p):
                 raise InvalidInputError(f"coefficient {c!r} not reduced mod {p}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_index", None)
+        _set_spec(self, spec)
+        _set_index(self, _index_of(coeffs, p))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -488,25 +464,22 @@ class FieldElement:
     def __reduce__(self):
         return (FieldElement, (self.spec, self.coeffs))
 
-    def _position(self) -> int:
-        """The element index, computed once and kept."""
-        n = self._index
-        if n is None:
-            n = _index_of(self.coeffs, self.spec.p)
-            object.__setattr__(self, "_index", n)
-        return n
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Reduced coefficients mod p, constant term first."""
+        return tuple(_digits(self._index, self.spec.p, self.spec.k))
 
-    # -- structural equality ------------------------------------------------
+    # -- equality by index --------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.coeffs == other.coeffs and (
+        return self._index == other._index and (
             self.spec is other.spec or self.spec == other.spec
         )
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash(self._index)
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
@@ -517,7 +490,7 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self._index == 0
 
     def __bool__(self):
         return not self.is_zero
@@ -526,53 +499,50 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._check(other)
-        p = self.spec.p
-        return self.spec._make(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return spec._at(_digitwise(self._index, other._index, 1, spec.p, spec.k))
 
     def __sub__(self, other):
         other = self._check(other)
-        p = self.spec.p
-        return self.spec._make(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return spec._at(_digitwise(self._index, other._index, -1, spec.p, spec.k))
 
     def __neg__(self):
-        p = self.spec.p
-        return self.spec._make(tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        return spec._at(_digitwise(0, self._index, -1, spec.p, spec.k))
 
     def __mul__(self, other):
         other = self._check(other)
         spec = self.spec
+        a, b = self._index, other._index
         t = spec._tables
         if t is not None:
-            a, b = self._position(), other._position()
             if a == 0 or b == 0:
                 return t.elements[0]
             return t.elements[t.exp[(t.log[a] + t.log[b]) % t.period]]
         p = spec.p
         if spec.k == 1:
-            return FieldElement(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
+            return _new(spec, a * b % p)
         prod = _poly_mul(self.coeffs, other.coeffs, p)
-        red = _poly_mod(prod, spec.modulus_poly, p)
-        red += [0] * (spec.k - len(red))
-        return FieldElement(spec, tuple(red))
+        return _new(spec, _index_of(_poly_mod(prod, spec.modulus_poly, p), p))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: exp[-log a] on a tabled spec, otherwise
         the extended Euclidean algorithm."""
-        if self.is_zero:
+        a = self._index
+        if a == 0:
             raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
         spec = self.spec
         t = spec._tables
         if t is not None:
-            return t.elements[t.exp[-t.log[self._position()] % t.period]]
+            return t.elements[t.exp[-t.log[a] % t.period]]
         p = spec.p
         if spec.k == 1:
-            return FieldElement(spec, (pow(self.coeffs[0], p - 2, p),))
-        g, u, _ = _poly_ext_gcd(self.coeffs, spec.modulus_poly, p)
+            return _new(spec, pow(a, p - 2, p))
+        g, u = _poly_ext_gcd(self.coeffs, spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
-        u = _poly_mod(u, spec.modulus_poly, p)
-        u += [0] * (spec.k - len(u))
-        return FieldElement(spec, tuple(u))
+        return _new(spec, _index_of(_poly_mod(u, spec.modulus_poly, p), p))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -583,7 +553,7 @@ class FieldElement:
             raise InvalidInputError("exponent must be an integer")
         t = self.spec._tables
         if t is not None:
-            a = self._position()
+            a = self._index
             if a == 0:
                 if n < 0:
                     raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
@@ -610,19 +580,16 @@ class FieldElement:
         return f"<{self} in {self.spec}>"
 
 
-# the slot setters, bound once: _cached runs once per element of a tabled field
+# the slot setters, bound once: _new runs once per element of a tabled field
 _set_spec = FieldElement.spec.__set__
-_set_coeffs = FieldElement.coeffs.__set__
 _set_index = FieldElement._index.__set__
 
 
-def _cached(spec: FieldSpec, coeffs: tuple[int, ...]) -> FieldElement:
-    """An element from trusted reduced coefficients, built without the
-    constructor's checks; its index is computed on first use."""
+def _new(spec: FieldSpec, n: int) -> FieldElement:
+    """The element of a trusted index n, built without the constructor's checks."""
     e = object.__new__(FieldElement)
     _set_spec(e, spec)
-    _set_coeffs(e, coeffs)
-    _set_index(e, None)
+    _set_index(e, n)
     return e
 
 
@@ -687,7 +654,7 @@ class FieldVector:
 
     def index_key(self) -> tuple[int, ...]:
         """Sort key matching coordinate enumeration order."""
-        return tuple(c._position() for c in self.coords)
+        return tuple(c._index for c in self.coords)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -763,12 +730,16 @@ def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     q = spec.order
     if q > ENUMERATION_CAP:
         raise SizeLimitError(f"field order {q} exceeds enumeration cap {ENUMERATION_CAP}")
-    return list(_tables(spec).elements)
+    t = spec._tables
+    if t is None:
+        t = _Tables(spec)
+        object.__setattr__(spec, "_tables", t)
+    return list(t.elements)
 
 
 def element_index(a: FieldElement) -> int:
     """Position of an element in enumeration order (base-p digit value)."""
-    return a._position()
+    return a._index
 
 
 def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, np.ndarray]:
@@ -777,15 +748,10 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
     if q > AXIOM_CHECK_CAP:
         raise SizeLimitError(f"field order {q} exceeds table cap {AXIOM_CHECK_CAP}")
     elements = enumerate_elements(spec)
-    p = spec.p
     idx = np.arange(q, dtype=np.int64)
-    # digit-wise addition mod p, one base-p place at a time
-    add_t = np.zeros((q, q), dtype=np.int64)
-    for place in (p**j for j in range(spec.k)):
-        d = (idx // place) % p
-        add_t += (d[:, None] + d[None, :]) % p * place
+    add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)
     # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
-    t = _tables(spec)
+    t = spec._tables
     log, exp = np.asarray(t.log), np.asarray(t.exp)
     mul_t = exp[(log[:, None] + log[None, :]) % t.period]
     mul_t[0, :] = 0

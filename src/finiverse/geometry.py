@@ -26,6 +26,7 @@ from .errors import (
     MalformedTableError,
     SizeLimitError,
     TooFewPointsError,
+    _finite,
     _integer,
     _real,
 )
@@ -160,17 +161,18 @@ class Line:
         return f"line {self.base} + t*{self.direction}"
 
 
-def _canonical_directions(space: AffineSpace) -> list[FieldVector]:
+def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
     """One representative per parallel class: first nonzero coord is 1."""
-    one = space.spec.one
-    reps = []
-    for pt in space.points():
-        for c in pt.coords:
-            if not c.is_zero:
-                if c == one:
-                    reps.append(pt)
-                break
-    return reps
+    return [pt for pt in points if next((n for n in pt.index_key() if n), 0) == 1]
+
+
+def _point_id(pt: FieldVector, q: int) -> int:
+    """Position of a point in ``AffineSpace.points`` order: its coordinate
+    indices as base-q digits, first coordinate most significant."""
+    n = 0
+    for c in pt.coords:
+        n = n * q + c._index
+    return n
 
 
 def enumerate_lines(space: AffineSpace) -> list[Line]:
@@ -185,17 +187,17 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
             f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}"
         )
     points = space.points()
-    index = {pt: i for i, pt in enumerate(points)}
     elems = space.spec.elements()
+    q = len(elems)
     lines: list[Line] = []
-    for direction in _canonical_directions(space):
+    for direction in _canonical_directions(points):
         assigned = bytearray(len(points))
         for i, base in enumerate(points):
             if assigned[i]:
                 continue
             members = [base + direction.scale(t) for t in elems]
             for m in members:
-                assigned[index[m]] = 1
+                assigned[_point_id(m, q)] = 1
             members.sort(key=FieldVector.index_key)
             lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
     return lines
@@ -234,10 +236,9 @@ class IncidenceStructure:
 def incidence_structure(space: AffineSpace) -> IncidenceStructure:
     """Abstract incidence data of a space: integer point ids in
     enumeration order, each line a frozenset of ids."""
-    points = space.points()
-    index = {pt: i for i, pt in enumerate(points)}
-    lines = tuple(frozenset(index[pt] for pt in ln.points) for ln in enumerate_lines(space))
-    return IncidenceStructure(points=tuple(range(len(points))), lines=lines)
+    q = space.spec.order
+    lines = tuple(frozenset(_point_id(pt, q) for pt in ln.points) for ln in enumerate_lines(space))
+    return IncidenceStructure(points=tuple(range(space.point_count)), lines=lines)
 
 
 @dataclass(frozen=True)
@@ -481,6 +482,7 @@ def pointset_cardinality(order: int, dim: int) -> int:
     return order**dim
 
 
+@_finite("diameter")
 def subspace_diameter(step: float, order: int):
     """Largest separation reachable in a discrete segment of the given
     order when adjacent points sit one step apart: step * (order - 1)."""

@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
     _integer,
 )
-from .fields import ENUMERATION_CAP, FieldElement, FieldSpec, FieldVector, is_prime
+from .fields import ENUMERATION_CAP, FieldElement, FieldSpec, FieldVector, _digitwise, is_prime
 from .geometry import CAPACITY_BITS
 
 __all__ = [
@@ -55,9 +55,9 @@ def conjugate(a: FieldElement) -> FieldElement:
     Constants are fixed; in the two-square extension conj(x + i*y) is
     x - i*y.  Applying it twice is the identity.
     """
-    p = a.spec.p
-    coeffs = (a.coeffs[0],) + tuple((-c) % p for c in a.coeffs[1:])
-    return FieldElement(a.spec, coeffs)
+    spec, n = a.spec, a._index
+    constant = n % spec.p
+    return spec.element(constant + _digitwise(0, n - constant, -1, spec.p, spec.k))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import cache
 
 from .constants import CODATA2018, Constants
-from .errors import CapacityOverflowError, InvalidInputError, RangeLimitError, _integer, _real
+from .errors import CapacityOverflowError, InvalidInputError, RangeLimitError
+from .errors import _finite, _integer, _real
 from .geometry import CAPACITY_BITS
 
 __all__ = [
@@ -122,6 +123,7 @@ def partial_sum_linear(N: int) -> int:
     return N * (N + 1) // 2
 
 
+@_finite("mode frequency")
 def mode_energy(m0: float, kx: float, ky: float, kz: float,
                 constants: Constants = CODATA2018) -> float:
     """Angular frequency magnitude of one mode, rad/s.
@@ -137,6 +139,7 @@ def mode_energy(m0: float, kx: float, ky: float, kz: float,
     return constants.c * math.sqrt(mass_term**2 + kx**2 + ky**2 + kz**2)
 
 
+@_finite("vacuum energy")
 def vacuum_energy_partial(L: float, N: int,
                           constants: Constants = CODATA2018) -> float:
     """Zero-point energy of the first N diagonal modes in a box of edge L.
@@ -149,6 +152,7 @@ def vacuum_energy_partial(L: float, N: int,
     return scale * partial_sum_linear(N)
 
 
+@_finite("regularized vacuum energy")
 def vacuum_energy_regularized(L: float,
                               constants: Constants = CODATA2018) -> float:
     """Regularized zero-point energy: (sqrt(3)*pi*hbar*c/L) * (-1/12).
@@ -160,6 +164,7 @@ def vacuum_energy_regularized(L: float,
     return scale * float(zeta_negative(1))
 
 
+@_finite("oscillator energy")
 def oscillator_count_energy(L: float, P: float,
                             constants: Constants = CODATA2018) -> float:
     """Energy of P ground-state oscillators at frequency 2*pi*c/L.
@@ -171,6 +176,7 @@ def oscillator_count_energy(L: float, P: float,
     return math.pi * constants.hbar * constants.c * P / L
 
 
+@_finite("point bound")
 def point_bound_from_cutoff(K: int) -> float:
     """Upper bound (sqrt(3)/2) * K(K+1) on the oscillator count that a
     mode cutoff K can support."""

@@ -19,6 +19,10 @@ def add(a, b, p):
     return tuple((x + y) % p for x, y in zip(a, b))
 
 
+def neg(a, p):
+    return tuple((-x) % p for x in a)
+
+
 def mul(a, b, modulus, p):
     """a*b reduced modulo the monic ``modulus`` of degree k = len(a)."""
     k = len(modulus) - 1
@@ -32,6 +36,17 @@ def mul(a, b, modulus, p):
             for j, m in enumerate(modulus):
                 prod[top - k + j] = (prod[top - k + j] - c * m) % p
     return tuple(prod[:k])
+
+
+def power(a, n, modulus, p):
+    """a**n for n >= 0 by square-and-multiply over ``mul``."""
+    result = (1,) + (0,) * (len(a) - 1)
+    while n:
+        if n & 1:
+            result = mul(result, a, modulus, p)
+        a = mul(a, a, modulus, p)
+        n >>= 1
+    return result
 
 
 def tables(p, k, modulus):

@@ -273,6 +273,19 @@ def test_planck_density_command():
     ["cosmo", "evolve", "--a0", "1e-200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e14"],
     ["cosmo", "evolve", "--a0", "1e-170", "--adot0", "0", "--rho0", "6e-27", "--t-end", "1e17",
      "--step", "1e16"],
+    ["cosmo", "point-count", "--l-u", "1e300"],
+    ["regularize", "mode-energy", "--kx", "1e300"],
+    ["cosmo", "density", "--l-u", "1e-300"],
+    ["cosmo", "min-diameter", "--rho-vac", "1e-320", "--l-u", "1e-10"],
+    ["cosmo", "count-at", "--dt", "1e300"],
+    ["cosmo", "diameter-at", "--dt", "1e300"],
+    ["cosmo", "evolve", "--a0", "1", "--adot0", "1e200", "--rho0", "6e-27", "--t-end", "1e17",
+     "--step", "1e14"],
+    ["cosmo", "density", "--l-u", "1e-100"],
+    ["cosmo", "rate", "--h0", "1e200"],
+    ["cosmo", "evolve", "--a0", "1e200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e15"],
+    ["regularize", "oscillator-energy", "--l", "1e-300", "--count", "1e300"],
+    ["geometry", "diameter", "--step", "1e300", "--order", "10000000000"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_input_is_invalid(argv):
     report = dispatch(argv)

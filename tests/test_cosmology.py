@@ -353,6 +353,39 @@ def test_growth_factor_overflow_is_invalid_input():
     assert point_count_growth_factor(-1e300, 1e300) == 0.0
 
 
+def test_closed_forms_outside_the_float_range_are_invalid_input():
+    # valid arguments whose result a float cannot hold: ** raises, * gives
+    # inf, or a divisor underflows to 0.0
+    cases = [
+        lambda: vacuum_point_count(CosmologyParams(L_U0=1e300)),
+        lambda: pointset_density(CosmologyParams(L_U0=1e-300)),
+        lambda: pointset_density(CosmologyParams(L_U0=1e-100)),  # the density is 0.0
+        lambda: min_metric_diameter(CosmologyParams(rho_vac=1e-320, L_U0=1e-10)),
+        lambda: point_count_rate(CosmologyParams(H0=1e200)),
+        lambda: friedmann_hubble_rate(OBSERVED.rho_vac / C2, a=1e200),
+        lambda: universe_diameter_at(OBSERVED, 1e300),
+        lambda: point_count_at_linear(OBSERVED, 1e300),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinearityWarning)
+        for case in cases:
+            with pytest.raises(InvalidInputError):
+                case()
+
+
+def test_linearity_warning_points_at_the_caller():
+    with pytest.warns(LinearityWarning) as caught:
+        universe_diameter_at(OBSERVED, 1e20)
+    assert caught[0].filename == __file__
+
+
+def test_integration_overflow_is_invalid_input():
+    rho = OBSERVED.rho_vac / C2
+    for state in (FluidState(a=1.0, a_dot=1e200, rho=rho), FluidState(a=1e200, a_dot=1e-18, rho=rho)):
+        with pytest.raises(InvalidInputError):
+            evolve_scale_factor(state, vacuum_pressure_law(), 0.0, 0, 1e17, 1e14)
+
+
 def test_scale_factor_whose_square_underflows_is_invalid_input():
     rho = OBSERVED.rho_vac / C2
     with pytest.raises(InvalidInputError):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 
 import field_reference as ref
 import pytest
@@ -355,6 +356,7 @@ def test_tabled_and_untabled_specs_agree(p, k):
                 assert (a ** n).coeffs == (pa ** n).coeffs
         if i:
             assert a.inverse().coeffs == pa.inverse().coeffs
+        assert (-a).coeffs == (-pa).coeffs
         for j in range(q):
             b, pb = tabled.element(j), plain.element(j)
             assert (a * b).coeffs == (pa * pb).coeffs
@@ -366,6 +368,31 @@ def test_tabled_and_untabled_specs_agree(p, k):
                 with pytest.raises(DivisionByZeroError):
                     a / b
     assert plain._tables is None  # arithmetic alone never builds tables
+
+
+#: fields of the benchmark's field_sweep kind, too large to tabulate
+UNTABLED_FIELDS = [(999_999_999_989, 1), (2003, 2), (47, 4)]
+
+
+@pytest.mark.parametrize("p,k", UNTABLED_FIELDS, ids=[f"GF({p}^{k})" for p, k in UNTABLED_FIELDS])
+def test_untabled_arithmetic_matches_reference(p, k):
+    spec = make_extension_field(p, k)
+    q, modulus = p**k, spec.modulus_poly
+    rng = random.Random(q)
+    indices = [0, 1, p - 1, q - 1] + [rng.randrange(q) for _ in range(40)]
+    for i, j in zip(indices, reversed(indices)):
+        a, b = spec.element(i), spec.element(j)
+        ra, rb = ref.digits(i, p, k), ref.digits(j, p, k)
+        assert a.coeffs == ra
+        assert (a + b).coeffs == ref.add(ra, rb, p)
+        assert (a - b).coeffs == ref.add(ra, ref.neg(rb, p), p)
+        assert (-a).coeffs == ref.neg(ra, p)
+        assert (a * b).coeffs == ref.mul(ra, rb, modulus, p)
+        if j:
+            inverse = ref.power(rb, q - 2, modulus, p)
+            assert b.inverse().coeffs == inverse
+            assert (a / b).coeffs == ref.mul(ra, inverse, modulus, p)
+    assert spec._tables is None
 
 
 def test_tabled_results_are_cached_indexed_instances():

@@ -390,3 +390,8 @@ def test_subspace_diameter():
         subspace_diameter(0.0, 5)
     with pytest.raises(InvalidInputError):
         subspace_diameter(1.0, 1)
+
+
+def test_subspace_diameter_beyond_a_float_is_invalid_input():
+    with pytest.raises(InvalidInputError):
+        subspace_diameter(1e300, 10**10)

@@ -224,6 +224,17 @@ def test_point_bound_from_cutoff():
         point_bound_from_cutoff(0)
 
 
+def test_results_outside_the_float_range_are_invalid_input():
+    with pytest.raises(InvalidInputError):
+        mode_energy(0.0, 1e300, 0.0, 0.0)  # kx**2 raises OverflowError
+    with pytest.raises(InvalidInputError):
+        oscillator_count_energy(1e-300, 1e300)  # the product is inf
+    with pytest.raises(InvalidInputError):
+        point_bound_from_cutoff(10**400)  # K does not fit a float
+    with pytest.raises(InvalidInputError):
+        vacuum_energy_partial(1e-15, 10**400)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_rejected(bad):
     for args in ((0.0, bad, 0.0, 0.0), (0.0, 0.0, bad, 0.0), (0.0, 0.0, 0.0, bad), (bad, 0.0, 0.0, 0.0)):
