@@ -107,7 +107,7 @@ class CosmologyParams:
 OBSERVED = CosmologyParams()
 
 
-@_finite("vacuum point count")
+@_finite("vacuum point count", 0, above=True)
 def vacuum_point_count(params: CosmologyParams,
                        constants: Constants = CODATA2018) -> float:
     """Number of vacuum points in the observable universe:
@@ -205,7 +205,7 @@ def pointset_density(params: CosmologyParams,
     return vacuum_point_count(params, constants) / params.L_U0**3
 
 
-@_finite("minimum metric diameter")
+@_finite("minimum metric diameter", 0, above=True)
 def min_metric_diameter(params: CosmologyParams,
                         constants: Constants = CODATA2018) -> float:
     """Edge of the smallest vacuum box expected to hold about one point:
@@ -307,21 +307,12 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     _real(rho, "density")
     _real(lam, "lambda")
     _integer(kappa, "curvature sign", -1, 1)
-    _scale_factor(a)
+    _real(a, "scale factor", 0, above=True)
     c2 = constants.c**2
     h2 = (8 * math.pi * constants.G / 3) * rho - kappa * c2 / a**2 + lam * c2 / a**2
     if h2 < 0:
         raise InvalidInputError(f"no real expansion rate: H^2 = {h2} < 0")
     return math.sqrt(h2)
-
-
-def _scale_factor(a):
-    """``a`` unchanged when it is a finite real > 0 whose square is a positive
-    float: the Friedmann terms divide by a**2 (0.0 below ~1e-162, inf above ~1e154)."""
-    _real(a, "scale factor", 0, above=True)
-    if not 0 < a * a < math.inf:
-        raise InvalidInputError(f"scale factor {a!r} is out of range: a**2 is {a * a!r}")
-    return a
 
 
 def _derivatives(a, a_dot, rho, eos, lam, constants):
@@ -397,7 +388,6 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     _integer(kappa, "curvature sign", -1, 1)
     for name in ("a", "a_dot", "rho", "p", "t"):
         _real(getattr(initial, name), f"initial {name}")
-    _scale_factor(initial.a)
     _real(step, "step", 0, above=True)
     _real(t_end, "t_end", initial.t, above=True)
     _real(lam, "lambda")

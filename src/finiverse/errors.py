@@ -146,7 +146,6 @@ class UsageError(FiniverseError, ValueError):
 # -- argument validation ------------------------------------------------------
 # Every library boundary checks numeric arguments through these two, so the
 # rules (no bool, no non-number, no NaN or infinity) and the message agree.
-# ``_finite`` holds the result of a closed-form float formula to ``_real``.
 
 
 def _real(value, what: str, low=None, *, above: bool = False):
@@ -177,15 +176,17 @@ def _integer(value, what: str, low: int, high: int | None = None) -> int:
 
 
 def _finite(what: str, low=None, *, above: bool = False):
-    """Decorate a float formula: a result ``_real`` rejects is InvalidInput,
-    and so is a float overflow (``**`` and ``math.exp`` raise, ``*`` gives
-    inf) or a division by a quantity that underflowed to zero."""
+    """Decorate a float formula so that a float overflow (``**`` and ``exp``
+    raise, ``*`` gives inf), a division by an underflowed zero, or a result
+    ``_real`` rejects is InvalidInput; typed errors pass through unchanged."""
 
     def decorate(formula):
         @functools.wraps(formula)
         def checked(*args, **kwargs):
             try:
                 value = formula(*args, **kwargs)
+            except FiniverseError:
+                raise
             except (OverflowError, ZeroDivisionError):
                 raise InvalidInputError(f"{what} is outside the float range") from None
             return _real(value, what, low, above=above)

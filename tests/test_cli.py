@@ -282,6 +282,8 @@ def test_planck_density_command():
     ["cosmo", "evolve", "--a0", "1", "--adot0", "1e200", "--rho0", "6e-27", "--t-end", "1e17",
      "--step", "1e14"],
     ["cosmo", "density", "--l-u", "1e-100"],
+    ["cosmo", "point-count", "--l-u", "1e-100"],
+    ["cosmo", "min-diameter", "--rho-vac", "1e300", "--l-u", "1e300"],
     ["cosmo", "rate", "--h0", "1e200"],
     ["cosmo", "evolve", "--a0", "1e200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e15"],
     ["regularize", "oscillator-energy", "--l", "1e-300", "--count", "1e300"],

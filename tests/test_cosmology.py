@@ -359,7 +359,9 @@ def test_closed_forms_outside_the_float_range_are_invalid_input():
     cases = [
         lambda: vacuum_point_count(CosmologyParams(L_U0=1e300)),
         lambda: pointset_density(CosmologyParams(L_U0=1e-300)),
-        lambda: pointset_density(CosmologyParams(L_U0=1e-100)),  # the density is 0.0
+        lambda: vacuum_point_count(CosmologyParams(L_U0=1e-100)),  # positive, yet 0.0
+        lambda: pointset_density(CosmologyParams(L_U0=1e-100)),
+        lambda: min_metric_diameter(CosmologyParams(rho_vac=1e300, L_U0=1e300)),
         lambda: min_metric_diameter(CosmologyParams(rho_vac=1e-320, L_U0=1e-10)),
         lambda: point_count_rate(CosmologyParams(H0=1e200)),
         lambda: friedmann_hubble_rate(OBSERVED.rho_vac / C2, a=1e200),

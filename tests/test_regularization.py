@@ -233,6 +233,8 @@ def test_results_outside_the_float_range_are_invalid_input():
         point_bound_from_cutoff(10**400)  # K does not fit a float
     with pytest.raises(InvalidInputError):
         vacuum_energy_partial(1e-15, 10**400)
+    with pytest.raises(CapacityOverflowError):  # a typed error inside keeps its type
+        vacuum_energy_partial(1e-15, 2**4_000_001)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
