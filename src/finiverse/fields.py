@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat, zip_longest
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -85,21 +86,43 @@ ENUMERATION_CAP = 2**20
 AXIOM_CHECK_CAP = 500
 
 
+#: the first thirteen primes, the Miller-Rabin bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the smallest strong pseudoprime to all of _MR_BASES (Sorenson &
+#: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for the small moduli used here."""
-    if not isinstance(n, int):
+    """Exact primality of an int (False for anything else).
+
+    Below psi_13 = 3,317,044,064,679,887,385,961,981 this is Miller-Rabin
+    with the prime bases 2..41, which is deterministic there (Sorenson &
+    Webster, Math. Comp. 86, 2017).  From psi_13 on it falls back to trial
+    division, which is exact but takes up to sqrt(n)/2 steps.
+    """
+    if not isinstance(n, int) or n < 2:
         return False
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:  # trial division by the odd numbers past the bases
+        return all(n % d for d in range(_MR_BASES[-1] + 2, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -144,7 +167,18 @@ def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int],
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    return _poly_divmod(a, m, p)[1]
+    """Remainder of a by the monic m of degree k >= 1 over GF(p), reduced
+    from the top down with no quotient and no inverse."""
+    k = len(m) - 1
+    rem = list(a)
+    low = m[:-1]
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top] % p
+        if c:
+            base = top - k
+            for j, mj in enumerate(low):
+                rem[base + j] -= c * mj
+    return _poly_trim([c % p for c in rem[:k]])
 
 
 def _poly_ext_gcd(a: Sequence[int], b: Sequence[int], p: int):
@@ -163,20 +197,43 @@ def _poly_ext_gcd(a: Sequence[int], b: Sequence[int], p: int):
     return r0, u0
 
 
+def _poly_powmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
+    """a^n mod the monic m over GF(p), by square-and-multiply."""
+    result = [1]
+    while n:
+        if n & 1:
+            result = _poly_mod(_poly_mul(result, a, p), m, p)
+        n >>= 1
+        if n:
+            a = _poly_mod(_poly_mul(a, a, p), m, p)
+    return result
+
+
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Exhaustive trial division by monic polynomials of degree 1..deg//2."""
-    poly = _poly_trim(list(poly))
-    deg = len(poly) - 1
-    if deg < 1:
+    """Rabin's test for a monic poly f of degree k over GF(p) (Rabin,
+    "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980):
+    f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1
+    for every prime r dividing k.  Each Frobenius power x^(p^i) mod f is
+    the previous one raised to the p-th power, and each gcd is taken as
+    soon as its power is known: a candidate with a factor of degree
+    dividing k/r is rejected before the higher powers are computed.
+    """
+    f = _poly_trim(list(poly))
+    k = len(f) - 1
+    if k < 1:
         return False
-    if deg == 1:
+    if k == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            divisor = _digits(idx, p, d) + [1]
-            if not any(_poly_mod(poly, divisor, p)):
+    gcd_at = {k // r for r in _prime_factors(k)}
+    h = [0, 1]  # x^(p^i) mod f, for i = 0 .. k
+    for i in range(1, k + 1):
+        h = _poly_powmod(h, p, f, p)
+        if i in gcd_at:
+            h_minus_x = h + [0] * (2 - len(h))
+            h_minus_x[1] = (h_minus_x[1] - 1) % p
+            if _poly_ext_gcd(h_minus_x, f, p)[0] != [1]:
                 return False
-    return True
+    return h == [0, 1]
 
 
 def _poly_str(coeffs: Sequence[int], var: str) -> str:

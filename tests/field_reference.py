@@ -1,9 +1,11 @@
 """Reference GF(p^k) arithmetic on plain coefficient tuples.
 
-Schoolbook polynomial products reduced by long division, written apart
-from ``finiverse.fields`` so the library's log/antilog tables can be
-checked against an implementation that shares none of their code.
-Coefficients are constant term first; indices are base-p digit values.
+Schoolbook polynomial products reduced by long division, and
+irreducibility by exhaustive trial division, written apart from
+``finiverse.fields`` so the library's log/antilog tables and its Rabin
+irreducibility test can be checked against an implementation that
+shares none of their code.  Coefficients are constant term first;
+indices are base-p digit values.
 """
 
 
@@ -59,3 +61,35 @@ def tables(p, k, modulus):
         for j in range(i, q):
             mul_t[i][j] = mul_t[j][i] = index(mul(a, elems[j], modulus, p), p)
     return add_t, mul_t
+
+
+def divides(d, f, p):
+    """True when the monic d divides f over GF(p), by long division."""
+    rem = list(f)
+    for top in range(len(rem) - 1, len(d) - 2, -1):
+        c = rem[top] % p
+        if c:
+            for j, m in enumerate(d):
+                rem[top - len(d) + 1 + j] -= c * m
+    return all(c % p == 0 for c in rem[:len(d) - 1])
+
+
+def is_irreducible(poly, p):
+    """Exhaustive trial division of a monic poly by every monic
+    polynomial of degree 1 .. deg//2: about p^(deg//2) divisions."""
+    deg = len(poly) - 1
+    if deg < 1:
+        return False
+    return not any(
+        divides(digits(n, p, d) + (1,), poly, p)
+        for d in range(1, deg // 2 + 1)
+        for n in range(p**d)
+    )
+
+
+def smallest_irreducible(p, k):
+    """The first irreducible among the monic polynomials of degree k,
+    taken in base-p order of their lower coefficients."""
+    return next(
+        f for f in (digits(n, p, k) + (1,) for n in range(p**k)) if is_irreducible(f, p)
+    )

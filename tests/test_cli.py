@@ -222,6 +222,15 @@ def test_main_exit_codes_and_streams(capsys):
     assert "usage error:" in captured.err
 
 
+def test_cardinality_over_a_large_prime(capsys):
+    # primality of a 61-bit p is a Miller-Rabin test, not trial division
+    p = 2**61 - 1
+    argv = ["hilbert", "cardinality", "--p", str(p), "--k", "1", "--dim", "1"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outputs"]["cardinality"]["value"] == p
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "finiverse", "regularize", "zeta", "--s", "1", "--format", "json"],

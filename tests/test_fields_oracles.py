@@ -1,19 +1,25 @@
-"""Field arithmetic against sympy's galoistools and Hypothesis field laws.
+"""Field arithmetic, irreducibility and primality against sympy, the
+exhaustive reference in ``field_reference`` and Hypothesis field laws.
 
 These oracles need the test extras (``pip install -e .[test]``); without
 sympy or Hypothesis the module is skipped, not the rest of the suite.
 """
 
+import random
+
+import field_reference as ref
 import pytest
 
 pytest.importorskip("hypothesis")
 pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy import isprime  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import gf_mul, gf_rem  # noqa: E402
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem  # noqa: E402
 
-from finiverse.fields import enumerate_elements, make_extension_field  # noqa: E402
+from finiverse import fields as fields_mod  # noqa: E402
+from finiverse.fields import enumerate_elements, is_prime, make_extension_field  # noqa: E402
 
 
 def _sympy_poly(coeffs):
@@ -56,3 +62,37 @@ def test_tabled_field_laws_over_random_fields(pk, data):
     assert a * (b + c) == a * b + a * c
     if not a.is_zero:
         assert a * a.inverse() == spec.one
+
+
+#: most monic candidates of one degree tested against both oracles
+CANDIDATE_CAP = 500
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_rabin_matches_trial_division_and_sympy(p, k):
+    # every candidate while there are at most CANDIDATE_CAP, else a seeded sample
+    n = p**k
+    picks = range(n) if n <= CANDIDATE_CAP else random.Random(n).sample(range(n), CANDIDATE_CAP)
+    found = 0
+    for i in picks:
+        poly = ref.digits(i, p, k) + (1,)
+        expected = ref.is_irreducible(poly, p)
+        assert fields_mod._is_irreducible(poly, p) == expected, poly
+        assert gf_irreducible_p(_sympy_poly(poly), p, ZZ) == expected, poly
+        found += expected
+    assert 0 < found < len(picks) or k == 1
+
+
+@pytest.mark.parametrize(
+    "p,k", [(2, 6), (3, 5), (5, 4), (7, 3), (13, 4), (31, 6), (47, 4), (101, 4), (251, 2)]
+)
+def test_extension_modulus_is_the_reference_smallest_irreducible(p, k):
+    assert make_extension_field(p, k).modulus_poly == ref.smallest_irreducible(p, k)
+
+
+def test_is_prime_matches_sympy():
+    windows = (range(20000), range(10**12 - 1000, 10**12 + 2000),
+               range(10**18 - 1000, 10**18 + 2000))
+    for window in windows:
+        assert [n for n in window if is_prime(n)] == [n for n in window if isprime(n)]
