@@ -148,14 +148,24 @@ def _field_spec_from(args) -> fields.FieldSpec:
 
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
+    """GF(q) for a prime power q = p^k: the k-th root of q for k up to
+    log2 q is tested for primality, so q is never factored."""
     _integer(q, "field order", 2)
-    p, *others = fields._prime_factors(q)
-    if others:
-        raise InvalidInputError(f"{q} is not a prime power")
-    k = 1
-    while p**k < q:
-        k += 1
-    return fields.make_extension_field(p, k)
+    for k in range(1, q.bit_length()):
+        p = _integer_root(q, k)
+        if p**k == q and fields.is_prime(p):
+            return fields.make_extension_field(p, k)
+    raise InvalidInputError(f"{q} is not a prime power")
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:

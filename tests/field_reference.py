@@ -1,11 +1,12 @@
 """Reference GF(p^k) arithmetic on plain coefficient tuples.
 
-Schoolbook polynomial products reduced by long division, and
-irreducibility by exhaustive trial division, written apart from
-``finiverse.fields`` so the library's log/antilog tables and its Rabin
-irreducibility test can be checked against an implementation that
-shares none of their code.  Coefficients are constant term first;
-indices are base-p digit values.
+Schoolbook polynomial products reduced by long division, irreducibility
+by exhaustive trial division and an O(q^3) scan of the axiom battery,
+written apart from ``finiverse.fields`` so the library's log/antilog
+tables, its Rabin irreducibility test and its generating-set axiom proofs
+can be checked against an implementation that shares none of their
+code.  Coefficients are constant term first; indices are base-p digit
+values.
 """
 
 
@@ -93,3 +94,79 @@ def smallest_irreducible(p, k):
     return next(
         f for f in (digits(n, p, k) + (1,) for n in range(p**k)) if is_irreducible(f, p)
     )
+
+
+def _first_difference(xs, ys):
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+def check_tables(labels, add_t, mul_t, zero, one):
+    """Every axiom over every pair or triple of the nested-list tables.
+
+    Returns {axiom name: (passed, witness)}; each witness is the first
+    failure in the order the library's full scan uses (tables + then *,
+    rows a, then b, then c; left law before right law for each a).
+    """
+    q = len(labels)
+    out = {}
+
+    witness = None
+    for t in (add_t, mul_t):
+        bad = [(i, j) for i in range(q) for j in range(q) if t[i][j] != t[j][i]]
+        if bad:
+            witness = (labels[bad[0][0]], labels[bad[0][1]])
+            break
+    out["commutativity"] = (witness is None, witness)
+
+    witness = None
+    for t in (add_t, mul_t):
+        for a in range(q):
+            for b in range(q):
+                lhs = t[t[a][b]]  # (a o b) o c over c
+                rhs = [t[a][x] for x in t[b]]  # a o (b o c) over c
+                if lhs != rhs:
+                    witness = (labels[a], labels[b], labels[_first_difference(lhs, rhs)])
+                    break
+            if witness:
+                break
+        if witness:
+            break
+    out["associativity"] = (witness is None, witness)
+
+    witness = None
+    if add_t[zero] != list(range(q)):
+        witness = (labels[_first_difference(add_t[zero], range(q))], "additive")
+    elif mul_t[one] != list(range(q)):
+        witness = (labels[_first_difference(mul_t[one], range(q))], "multiplicative")
+    out["identities"] = (witness is None, witness)
+
+    witness = None
+    no_neg = [a for a in range(q) if zero not in add_t[a]]
+    no_inv = [a for a in range(q) if a != zero and one not in mul_t[a]]
+    if no_neg:
+        witness = (labels[no_neg[0]], "additive")
+    elif no_inv:
+        witness = (labels[no_inv[0]], "multiplicative")
+    out["inverses"] = (witness is None, witness)
+
+    witness = None
+    for a in range(q):
+        row, col = mul_t[a], [mul_t[c][a] for c in range(q)]  # a*c and c*a over c
+        for b in range(q):
+            left = [row[x] for x in add_t[b]]  # a*(b+c) over c
+            right = [add_t[row[b]][y] for y in row]  # a*b + a*c
+            if left != right:
+                witness = (labels[a], labels[b], labels[_first_difference(left, right)], "left")
+                break
+        if witness:
+            break
+        for b in range(q):
+            left = [col[x] for x in add_t[b]]  # (b+c)*a over c
+            right = [add_t[col[b]][y] for y in col]  # b*a + c*a
+            if left != right:
+                witness = (labels[b], labels[_first_difference(left, right)], labels[a], "right")
+                break
+        if witness:
+            break
+    out["distributivity"] = (witness is None, witness)
+    return out

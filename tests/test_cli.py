@@ -231,6 +231,15 @@ def test_cardinality_over_a_large_prime(capsys):
     assert doc["outputs"]["cardinality"]["value"] == p
 
 
+def test_large_prime_order_is_not_factored(capsys):
+    # --q = 2^61 - 1 is recognised as prime by k-th roots and is_prime, not
+    # by trial division up to sqrt(q), and then hits the enumeration cap
+    argv = ["geometry", "degenerate", "--q", str(2**61 - 1), "--dim", "2", "--format", "json"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "SizeLimit"
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "finiverse", "regularize", "zeta", "--s", "1", "--format", "json"],

@@ -7,6 +7,8 @@ sympy or Hypothesis the module is skipped, not the rest of the suite.
 
 import random
 
+import numpy as np
+
 import field_reference as ref
 import pytest
 
@@ -96,3 +98,105 @@ def test_is_prime_matches_sympy():
                range(10**18 - 1000, 10**18 + 2000))
     for window in windows:
         assert [n for n in window if is_prime(n)] == [n for n in window if isprime(n)]
+
+
+# -- the axiom battery against the O(q^3) reference ---------------------------
+
+#: every field (p, k) and ring Z/n of order <= 50 the field tests build; the
+#: Gaussian GF(3)[i] and GF(7)[i] share the tables of GF(3^2) and GF(7^2),
+#: whose smallest irreducible is x^2 + 1
+BATTERY_FIELDS = [(p, 1) for p in (2, 3, 5, 7, 11, 13, 31)] + [
+    (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+BATTERY_NAMES = [f"GF({p}^{k})" for p, k in BATTERY_FIELDS] + [f"Z/{n}" for n in (2, 4, 6, 7)]
+
+
+def _structure(name):
+    """(labels, add_t, mul_t, zero, one) as nested lists, built without the library."""
+    if name.startswith("Z/"):
+        n = int(name[2:])
+        return ([str(i) for i in range(n)],
+                [[(i + j) % n for j in range(n)] for i in range(n)],
+                [[(i * j) % n for j in range(n)] for i in range(n)], 0, 1)
+    p, k = (int(x) for x in name[3:-1].split("^"))
+    add_t, mul_t = ref.tables(p, k, ref.smallest_irreducible(p, k))
+    return [str(i) for i in range(p**k)], add_t, mul_t, 0, 1
+
+
+def _relabeled(structure, rng):
+    """The same structure with its elements renumbered by a random permutation."""
+    labels, add_t, mul_t, zero, one = structure
+    q = len(labels)
+    perm = list(range(q))
+    rng.shuffle(perm)
+    new_labels = [None] * q
+    for i in range(q):
+        new_labels[perm[i]] = labels[i]
+
+    def move(t):
+        out = [[0] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(q):
+                out[perm[i]][perm[j]] = perm[t[i][j]]
+        return out
+
+    return new_labels, move(add_t), move(mul_t), perm[zero], perm[one]
+
+
+def _corrupted(structure, rng, diagonal):
+    """One entry of one table changed; a diagonal entry keeps commutativity."""
+    labels, add_t, mul_t, zero, one = structure
+    q = len(labels)
+    tables = [[row[:] for row in add_t], [row[:] for row in mul_t]]
+    t = tables[rng.randrange(2)]
+    i = rng.randrange(q)
+    j = i if diagonal else rng.randrange(q)
+    t[i][j] = rng.choice([v for v in range(q) if v != t[i][j]])
+    return labels, tables[0], tables[1], zero, one
+
+
+def _variants(name):
+    """The structure, two relabelings of it and seeded corruptions of each."""
+    rng = random.Random(name)
+    base = _structure(name)
+    out = [base, _relabeled(base, rng), _relabeled(base, rng)]
+    for s in list(out):
+        out += [_corrupted(s, rng, diagonal=d % 2 == 0) for d in range(6 if s is base else 2)]
+    return out
+
+
+def _library_report(labels, add_t, mul_t, zero, one):
+    checks = fields_mod._check_tables(labels, np.array(add_t), np.array(mul_t), zero=zero, one=one)
+    return {name: (c.passed, c.witness) for name, c in checks.items()}
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES)
+def test_axiom_battery_matches_reference(name):
+    for i, structure in enumerate(_variants(name)):
+        expected = ref.check_tables(*structure)
+        assert _library_report(*structure) == expected
+        if i < 3:  # the structure and its relabelings: only Z/4 and Z/6 are not fields
+            assert all(passed for passed, _ in expected.values()) == (name not in ("Z/4", "Z/6"))
+
+
+def _closure(table, seeds):
+    """The submagma generated by ``seeds``, by a worklist over plain lists."""
+    members, todo = set(seeds), list(seeds)
+    while todo:
+        x = todo.pop()
+        for y in list(members):
+            for z in (table[x][y], table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    todo.append(z)
+    return members
+
+
+@pytest.mark.parametrize("name", BATTERY_NAMES)
+def test_generators_are_greedy_and_generate(name):
+    for _, add_t, mul_t, _, _ in _variants(name):
+        for table in (add_t, mul_t):
+            gens = fields_mod._generators(np.array(table))
+            q = len(table)
+            assert _closure(table, gens) == set(range(q))
+            for i, g in enumerate(gens):
+                assert g == min(set(range(q)) - _closure(table, gens[:i]))
