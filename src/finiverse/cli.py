@@ -149,8 +149,14 @@ def _field_spec_from(args) -> fields.FieldSpec:
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
     """GF(q) for a prime power q = p^k: the k-th root of q for k up to
-    log2 q is tested for primality, so q is never factored."""
+    log2 q is tested for primality, so q is never factored.  Every
+    caller enumerates at least q points, so q above the point cap is
+    refused first, before any primality test."""
     _integer(q, "field order", 2)
+    if q > geometry.LINE_CAP:
+        raise SizeLimitError(
+            f"field order {q} exceeds the point enumeration cap {geometry.LINE_CAP}"
+        )
     for k in range(1, q.bit_length()):
         p = _integer_root(q, k)
         if p**k == q and fields.is_prime(p):

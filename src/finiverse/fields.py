@@ -44,7 +44,7 @@ diagnostic for composite moduli.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat, zip_longest
+from itertools import product, repeat, zip_longest
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -719,6 +719,22 @@ class FieldVector:
 
     def __repr__(self):
         return f"FieldVector{self}"
+
+
+_set_coords = FieldVector.coords.__set__
+
+
+def _vector(coords: tuple) -> FieldVector:
+    v = object.__new__(FieldVector)
+    _set_coords(v, coords)
+    return v
+
+
+def _vectors(spec: FieldSpec, dim: int) -> list[FieldVector]:
+    """Every dim-tuple over ``spec.elements()``, first coordinate varying
+    slowest.  The coordinates share one field by construction, so the
+    vectors are built without the constructor's check."""
+    return list(map(_vector, product(spec.elements(), repeat=dim)))
 
 
 # ---------------------------------------------------------------------------

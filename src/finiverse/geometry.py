@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,7 +31,15 @@ from .errors import (
     _integer,
     _real,
 )
-from .fields import AxiomCheck, FieldElement, FieldSpec, FieldVector, element_index
+from .fields import (
+    AxiomCheck,
+    FieldElement,
+    FieldSpec,
+    FieldVector,
+    _digitwise,
+    _vectors,
+    element_index,
+)
 
 __all__ = [
     "LINE_CAP",
@@ -78,15 +87,17 @@ class AffineSpace:
     def point_count(self) -> int:
         return self.spec.order**self.dim
 
-    def points(self) -> list[FieldVector]:
-        """All points; first coordinate varies slowest, so the origin
-        comes first and orderings agree with coordinate index keys."""
+    def _check_cap(self):
         if self.point_count > LINE_CAP:
             raise SizeLimitError(
                 f"{self.point_count} points exceed the enumeration cap {LINE_CAP}"
             )
-        elems = self.spec.elements()
-        return [FieldVector(c) for c in product(elems, repeat=self.dim)]
+
+    def points(self) -> list[FieldVector]:
+        """All points; first coordinate varies slowest, so the origin
+        comes first and orderings agree with coordinate index keys."""
+        self._check_cap()
+        return _vectors(self.spec, self.dim)
 
     def point(self, values: Sequence) -> FieldVector:
         if len(values) != self.dim:
@@ -121,12 +132,25 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     the origin is also the first point the naive double scan would try.
     Scanning only (origin, y) therefore returns exactly the naive scan's
     first hit in O(N) evaluations instead of O(N^2).
+
+    The scan runs on element indices: ``sq[i]`` is the index of e_i * e_i,
+    and the squared distance of y from the origin is the digit-wise sum
+    of ``sq`` over y's coordinate indices.  Only the hit becomes points.
     """
-    points = space.points()
-    origin = points[0]
-    for y in points[1:]:
-        if squared_distance(origin, y).is_zero:
-            return (origin, y)
+    space._check_cap()
+    spec = space.spec
+    elems = spec.elements()
+    sq = [(e * e)._index for e in elems]
+    p, k = spec.p, spec.k
+    coords = product(range(len(elems)), repeat=space.dim)
+    next(coords)  # the origin itself
+    for y in coords:
+        total = 0
+        for c in y:
+            total = _digitwise(total, sq[c], 1, p, k)
+        if total == 0:
+            origin = FieldVector((elems[0],) * space.dim)
+            return (origin, FieldVector(tuple(elems[c] for c in y)))
     return None
 
 
@@ -166,11 +190,12 @@ def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
     return [pt for pt in points if next((n for n in pt.index_key() if n), 0) == 1]
 
 
-def _point_id(pt: FieldVector, q: int) -> int:
+def _point_id(coords: Sequence[FieldElement], q: int) -> int:
     """Position of a point in ``AffineSpace.points`` order: its coordinate
-    indices as base-q digits, first coordinate most significant."""
+    indices as base-q digits, first coordinate most significant.  Read
+    as k*dim base-p digits instead, the id adds digit-wise like the point."""
     n = 0
-    for c in pt.coords:
+    for c in coords:
         n = n * q + c._index
     return n
 
@@ -181,25 +206,33 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     For each canonical direction the space is partitioned into cosets
     of that direction's span, giving q^(dim-1) parallel lines per class
     and q^(dim-1) * (q^dim - 1)/(q - 1) lines in total.
+
+    The cosets are built on point ids (``_point_id``): the q offsets t*d
+    of a direction d are computed once as ids, each member of a line is
+    one digit-wise id sum, and sorted ids are enumeration order.  The
+    lines hold the points of ``space.points()``.
     """
     if space.point_count > LINE_CAP:
         raise SizeLimitError(
             f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}"
         )
     points = space.points()
-    elems = space.spec.elements()
+    spec = space.spec
+    elems = spec.elements()
     q = len(elems)
+    digits = spec.k * space.dim
     lines: list[Line] = []
     for direction in _canonical_directions(points):
+        offsets = [_point_id([t * c for c in direction.coords], q) for t in elems]
         assigned = bytearray(len(points))
-        for i, base in enumerate(points):
-            if assigned[i]:
+        for base in range(len(points)):
+            if assigned[base]:
                 continue
-            members = [base + direction.scale(t) for t in elems]
+            members = sorted(_digitwise(base, n, 1, spec.p, digits) for n in offsets)
             for m in members:
-                assigned[_point_id(m, q)] = 1
-            members.sort(key=FieldVector.index_key)
-            lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
+                assigned[m] = 1
+            lines.append(Line(base=points[base], direction=direction,
+                              points=tuple(points[m] for m in members)))
     return lines
 
 
@@ -230,14 +263,19 @@ class IncidenceStructure:
         return [ln for ln in self.lines if point in ln]
 
     def point_degrees(self) -> dict:
-        return {p: len(self.lines_through(p)) for p in self.points}
+        degrees = dict.fromkeys(self.points, 0)
+        for ln in self.lines:
+            for p in ln:
+                degrees[p] += 1
+        return degrees
 
 
 def incidence_structure(space: AffineSpace) -> IncidenceStructure:
     """Abstract incidence data of a space: integer point ids in
     enumeration order, each line a frozenset of ids."""
     q = space.spec.order
-    lines = tuple(frozenset(_point_id(pt, q) for pt in ln.points) for ln in enumerate_lines(space))
+    lines = tuple(frozenset(_point_id(pt.coords, q) for pt in ln.points)
+                  for ln in enumerate_lines(space))
     return IncidenceStructure(points=tuple(range(space.point_count)), lines=lines)
 
 
@@ -256,19 +294,36 @@ class HesseCheck:
 
 
 def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
-    """Does every point pair lie on a line with at least three points?"""
-    membership = {p: set() for p in structure.points}
-    for li, ln in enumerate(structure.lines):
-        for p in ln:
-            membership[p].add(li)
+    """Does every point pair lie on a line with at least three points?
+
+    Pairs are taken in ``points`` order, and the witness is the first
+    failing pair.  For each point x, the positions that share a line of
+    three or more points with x are collected; only when some later
+    point is missing are the pairs (x, y), y after x, scanned for it.
+    That is O(sum of |L|^2) time over the lines L and O(n + sum |L|)
+    memory, with no table of all pairs.
+    """
     pts = structure.points
+    n = len(pts)
+    position = {p: i for i, p in enumerate(pts)}
+    through: list[list[list[int]]] = [[] for _ in pts]
+    for ln in structure.lines:
+        members = [position[p] for p in ln]
+        for i in members:
+            through[i].append(members)
     for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            common = membership[x] & membership[y]
-            if not common:
-                return HesseCheck(False, (x, y), "no line through the pair")
-            if all(len(structure.lines[li]) < 3 for li in common):
-                return HesseCheck(False, (x, y), "every common line has only two points")
+        rich: set[int] = set()
+        for members in through[i]:
+            if len(members) >= 3:
+                rich.update(members)
+        if rich.issuperset(range(i + 1, n)):
+            continue
+        shared = {j for members in through[i] for j in members}
+        for j in range(i + 1, n):
+            if j not in shared:
+                return HesseCheck(False, (x, pts[j]), "no line through the pair")
+            if j not in rich:
+                return HesseCheck(False, (x, pts[j]), "every common line has only two points")
     return HesseCheck(True)
 
 
@@ -320,10 +375,12 @@ def _cross(o: RationalPoint, a: RationalPoint, b: RationalPoint) -> Fraction:
 def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     """Find a line through exactly two of the given points.
 
-    Exact arithmetic throughout; every pair is scanned and membership
-    of all n points tested against it (O(n^3) worst case).  For a
-    non-collinear set an ordinary line always exists, so the scan
-    cannot come back empty.
+    Exact arithmetic throughout.  From each point i in turn, the other
+    points are bucketed by their exact direction from i (a rational
+    slope, or vertical); the line through i and j carries no third point
+    iff j is alone in its bucket.  The first such pair (i, j), j > i, is
+    returned: O(n^2) in the worst case.  For a non-collinear set an
+    ordinary line always exists, so the scan cannot come back empty.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -333,10 +390,12 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     if all(_cross(pts[0], pts[1], r).numerator == 0 for r in pts[2:]):
         return OrdinaryLineResult(status=COLLINEAR)
     n = len(pts)
-    for i in range(n):
+    for i, o in enumerate(pts):
+        slopes = [(r.y - o.y) / (r.x - o.x) if r.x != o.x else None for r in pts]
+        bucket = Counter(slopes)
+        bucket[None] -= 1  # point i itself, filed as vertical
         for j in range(i + 1, n):
-            on_line = sum(1 for k in range(n) if _cross(pts[i], pts[j], pts[k]) == 0)
-            if on_line == 2:
+            if bucket[slopes[j]] == 1:
                 a = pts[j].y - pts[i].y
                 b = pts[i].x - pts[j].x
                 c = -(a * pts[i].x + b * pts[i].y)

@@ -4,16 +4,16 @@ A state space of dimension d over GF(p^k) holds exactly p**(k*d)
 vectors, each a ``fields.FieldVector``, the type that is also a point
 of the affine space in ``geometry``.  Conjugation negates every
 coefficient of the adjoined root (for the two-square extension this
-sends x + i*y to x - i*y) and the sesquilinear form is
-sum(conj(u_n) * v_n).  Unlike the complex case the
-form is not definite: nonzero isotropic vectors with <v, v> = 0 can
+sends x + i*y to x - i*y); it is defined once, on element indices, by
+``_conjugate_index``, which both ``conjugate`` and ``is_isotropic`` use.
+The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
+the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
 exist and are reported rather than forbidden.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -24,7 +24,15 @@ from .errors import (
     SizeLimitError,
     _integer,
 )
-from .fields import ENUMERATION_CAP, FieldElement, FieldSpec, FieldVector, _digitwise, is_prime
+from .fields import (
+    ENUMERATION_CAP,
+    FieldElement,
+    FieldSpec,
+    FieldVector,
+    _digitwise,
+    _vectors,
+    is_prime,
+)
 from .geometry import CAPACITY_BITS
 
 __all__ = [
@@ -49,15 +57,20 @@ def hilbert_cardinality(p: int, k: int, dim: int) -> int:
     return p ** (k * dim)
 
 
+def _conjugate_index(spec: FieldSpec, n: int) -> int:
+    """Index of the conjugate of element n: its constant digit kept, every
+    other digit negated mod p."""
+    constant = n % spec.p
+    return constant + _digitwise(0, n - constant, -1, spec.p, spec.k)
+
+
 def conjugate(a: FieldElement) -> FieldElement:
     """Field conjugation: negate every coefficient of the adjoined root.
 
     Constants are fixed; in the two-square extension conj(x + i*y) is
     x - i*y.  Applying it twice is the identity.
     """
-    spec, n = a.spec, a._index
-    constant = n % spec.p
-    return spec.element(constant + _digitwise(0, n - constant, -1, spec.p, spec.k))
+    return a.spec._at(_conjugate_index(a.spec, a._index))
 
 
 @dataclass(frozen=True)
@@ -97,8 +110,19 @@ def norm_squared(v: FieldVector) -> FieldElement:
 
 
 def is_isotropic(v: FieldVector) -> bool:
-    """True for a nonzero vector whose norm-square vanishes."""
-    return any(not c.is_zero for c in v.coords) and norm_squared(v).is_zero
+    """True for a nonzero vector whose norm-square vanishes.
+
+    The norm-square sum(conj(c) * c) is summed on indices: each term is
+    one multiplication, and the terms are added digit-wise mod p."""
+    spec = v.spec
+    p, k = spec.p, spec.k
+    nonzero, total = False, 0
+    for c in v.coords:
+        n = c._index
+        if n:
+            nonzero = True
+            total = _digitwise(total, (spec._at(_conjugate_index(spec, n)) * c)._index, 1, p, k)
+    return nonzero and total == 0
 
 
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:
@@ -108,5 +132,4 @@ def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:
         raise SizeLimitError(
             f"{space.cardinality} vectors exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    elems = space.spec.elements()
-    return [FieldVector(c) for c in product(elems, repeat=space.dim)]
+    return _vectors(space.spec, space.dim)

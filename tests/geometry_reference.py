@@ -1,14 +1,39 @@
-"""Reference double scan for degenerate point pairs.
+"""Element-level reference scans for the geometry and Hilbert kernels.
 
-The library's ``find_degenerate_pair`` scans only pairs that start at
-the origin; this exhaustive scan over all ordered pairs is the oracle
-it must agree with (small spaces only).
+The library computes degenerate pairs, lines, the third-point property,
+ordinary lines and isotropy on element and point indices.  These are the
+direct element-level versions those kernels replaced, kept as the oracles
+the library must agree with exactly (small inputs only):
+
+* ``find_degenerate_pair_naive`` scans all ordered point pairs, where the
+  library scans only pairs that start at the origin;
+* ``enumerate_lines_naive`` adds ``base + t*direction`` as field vectors;
+* ``check_hesse_property_naive`` intersects the line sets of every pair;
+* ``find_ordinary_line_naive`` tests all n points against every pair,
+  O(n^3);
+* ``is_isotropic_naive`` sums ``conjugate(c) * c`` with element ``+``.
 """
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from finiverse.fields import FieldVector
-from finiverse.geometry import AffineSpace, squared_distance
+from finiverse.geometry import (
+    COLLINEAR,
+    ORDINARY,
+    LINE_CAP,
+    AffineSpace,
+    HesseCheck,
+    IncidenceStructure,
+    Line,
+    OrdinaryLineResult,
+    RationalPoint,
+    _canonical_directions,
+    _cross,
+    _point_id,
+    squared_distance,
+)
+from finiverse.errors import InvalidInputError, SizeLimitError, TooFewPointsError
+from finiverse.hilbert import norm_squared
 
 
 def find_degenerate_pair_naive(space: AffineSpace) -> Optional[tuple[FieldVector, FieldVector]]:
@@ -19,3 +44,80 @@ def find_degenerate_pair_naive(space: AffineSpace) -> Optional[tuple[FieldVector
             if squared_distance(x, y).is_zero:
                 return (x, y)
     return None
+
+
+def enumerate_lines_naive(space: AffineSpace) -> list[Line]:
+    """Every affine line, grouped by parallel class.
+
+    For each canonical direction the space is partitioned into cosets
+    of that direction's span, giving q^(dim-1) parallel lines per class
+    and q^(dim-1) * (q^dim - 1)/(q - 1) lines in total.
+    """
+    if space.point_count > LINE_CAP:
+        raise SizeLimitError(
+            f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}"
+        )
+    points = space.points()
+    elems = space.spec.elements()
+    q = len(elems)
+    lines: list[Line] = []
+    for direction in _canonical_directions(points):
+        assigned = bytearray(len(points))
+        for i, base in enumerate(points):
+            if assigned[i]:
+                continue
+            members = [base + direction.scale(t) for t in elems]
+            for m in members:
+                assigned[_point_id(m.coords, q)] = 1
+            members.sort(key=FieldVector.index_key)
+            lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
+    return lines
+
+
+def check_hesse_property_naive(structure: IncidenceStructure) -> HesseCheck:
+    """Does every point pair lie on a line with at least three points?"""
+    membership = {p: set() for p in structure.points}
+    for li, ln in enumerate(structure.lines):
+        for p in ln:
+            membership[p].add(li)
+    pts = structure.points
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            common = membership[x] & membership[y]
+            if not common:
+                return HesseCheck(False, (x, y), "no line through the pair")
+            if all(len(structure.lines[li]) < 3 for li in common):
+                return HesseCheck(False, (x, y), "every common line has only two points")
+    return HesseCheck(True)
+
+
+def find_ordinary_line_naive(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
+    """Find a line through exactly two of the given points.
+
+    Exact arithmetic throughout; every pair is scanned and membership
+    of all n points tested against it (O(n^3) worst case).  For a
+    non-collinear set an ordinary line always exists, so the scan
+    cannot come back empty.
+    """
+    pts = list(points)
+    if len(pts) < 3:
+        raise TooFewPointsError(f"need at least 3 points, got {len(pts)}")
+    if len(set(pts)) != len(pts):
+        raise InvalidInputError("points must be pairwise distinct")
+    if all(_cross(pts[0], pts[1], r).numerator == 0 for r in pts[2:]):
+        return OrdinaryLineResult(status=COLLINEAR)
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            on_line = sum(1 for k in range(n) if _cross(pts[i], pts[j], pts[k]) == 0)
+            if on_line == 2:
+                a = pts[j].y - pts[i].y
+                b = pts[i].x - pts[j].x
+                c = -(a * pts[i].x + b * pts[i].y)
+                return OrdinaryLineResult(status=ORDINARY, pair=(i, j), line=(a, b, c))
+    raise AssertionError("non-collinear rational set without an ordinary line")
+
+
+def is_isotropic_naive(v: FieldVector) -> bool:
+    """True for a nonzero vector whose norm-square vanishes."""
+    return any(not c.is_zero for c in v.coords) and norm_squared(v).is_zero

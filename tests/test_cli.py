@@ -240,6 +240,16 @@ def test_large_prime_order_is_not_factored(capsys):
     assert doc["error"] == "SizeLimit"
 
 
+@pytest.mark.parametrize("q", ["1000000000000000000000000000057", "1000000000000"])
+def test_order_above_the_point_cap_is_refused_before_primality(q, capsys):
+    # a prime above psi_13 would fall back to trial division in is_prime,
+    # and 10^12 is no prime power: both are refused by size first
+    argv = ["geometry", "degenerate", "--q", q, "--dim", "2", "--format", "json"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "SizeLimit"
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "finiverse", "regularize", "zeta", "--s", "1", "--format", "json"],

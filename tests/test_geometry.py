@@ -211,6 +211,11 @@ def test_incidence_structure_shape():
     assert len(s.lines) == 12
     assert all(isinstance(l, frozenset) and len(l) == 3 for l in s.lines)
     assert set(s.point_degrees().values()) == {4}
+    uneven = IncidenceStructure(points=("b", "d", "a", "c"),
+                                lines=({"a", "b"}, {"a", "b", "c"}, {"a", "c"}))
+    degrees = uneven.point_degrees()
+    assert list(degrees.items()) == [("b", 2), ("d", 0), ("a", 3), ("c", 2)]
+    assert degrees == {p: len(uneven.lines_through(p)) for p in uneven.points}
 
 
 def test_incidence_structure_validation():

@@ -6,7 +6,8 @@ operators and ``AffineSpace.points`` in their class dicts.  A call the
 CLI makes through a reference it captured earlier (say, when it built
 its parser) bypasses the rebinding and drops out of the trace.  This
 test loads the tracer from its file, unchanged, and checks the spans of
-three commands.
+four commands.  ``hilbert inner`` is among them because it still adds
+field elements, so the operator counters are seen through the CLI.
 """
 
 import importlib.util
@@ -31,13 +32,18 @@ def test_tracer_records_library_spans_of_cli_commands():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        for argv in (["cosmo", "lambda"], ["cosmo", "density"], ["geometry", "lines", "--q", "3"]):
+        for argv in (
+            ["cosmo", "lambda"],
+            ["cosmo", "density"],
+            ["geometry", "lines", "--q", "3"],
+            ["hilbert", "inner", "--p", "3", "--k", "2", "--u", "1:1,0:1", "--v", "2:0,1:1"],
+        ):
             assert finiverse.cli.dispatch(argv).exit_code == 0
     finally:
         tracer.uninstall()
     assert cosmology.lambda_from_density is original
     names = [rec[spans.NAME] for rec in tracer.spans]
-    assert names.count("cli.dispatch") == 3
+    assert names.count("cli.dispatch") == 4
     for name in (
         "cosmology.lambda_from_density",
         "cosmology.pointset_density",
