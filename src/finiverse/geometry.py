@@ -87,16 +87,13 @@ class AffineSpace:
     def point_count(self) -> int:
         return self.spec.order**self.dim
 
-    def _check_cap(self):
+    def points(self) -> list[FieldVector]:
+        """All points; first coordinate varies slowest, so the origin
+        comes first and orderings agree with coordinate index keys."""
         if self.point_count > LINE_CAP:
             raise SizeLimitError(
                 f"{self.point_count} points exceed the enumeration cap {LINE_CAP}"
             )
-
-    def points(self) -> list[FieldVector]:
-        """All points; first coordinate varies slowest, so the origin
-        comes first and orderings agree with coordinate index keys."""
-        self._check_cap()
         return _vectors(self.spec, self.dim)
 
     def point(self, values: Sequence) -> FieldVector:
@@ -133,24 +130,28 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     Scanning only (origin, y) therefore returns exactly the naive scan's
     first hit in O(N) evaluations instead of O(N^2).
 
-    The scan runs on element indices: ``sq[i]`` is the index of e_i * e_i,
-    and the squared distance of y from the origin is the digit-wise sum
-    of ``sq`` over y's coordinate indices.  Only the hit becomes points.
+    The form is diagonal, so the squared distance of y from the origin
+    is the sum, over y's coordinates, of the squared distance of the
+    axis point (y_c, 0, ..., 0) from the origin.  Those q values are
+    taken from ``squared_distance`` once, as element indices, and each y
+    is scanned as a digit-wise sum of them over its coordinate indices.
+    The pair returned is two members of ``space.points()``.
     """
-    space._check_cap()
+    points = space.points()
     spec = space.spec
-    elems = spec.elements()
-    sq = [(e * e)._index for e in elems]
+    q, dim = spec.order, space.dim
+    origin = points[0]
+    axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
+    sq = [squared_distance(origin, points[i * axis])._index for i in range(q)]
     p, k = spec.p, spec.k
-    coords = product(range(len(elems)), repeat=space.dim)
+    coords = product(range(q), repeat=dim)
     next(coords)  # the origin itself
-    for y in coords:
+    for n, y in enumerate(coords, 1):
         total = 0
         for c in y:
             total = _digitwise(total, sq[c], 1, p, k)
         if total == 0:
-            origin = FieldVector((elems[0],) * space.dim)
-            return (origin, FieldVector(tuple(elems[c] for c in y)))
+            return (origin, points[n])
     return None
 
 
@@ -300,7 +301,7 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
     failing pair.  For each point x, the positions that share a line of
     three or more points with x are collected; only when some later
     point is missing are the pairs (x, y), y after x, scanned for it.
-    That is O(sum of |L|^2) time over the lines L and O(n + sum |L|)
+    That is O(n + sum of |L|^2) time over the lines L and O(n + sum |L|)
     memory, with no table of all pairs.
     """
     pts = structure.points
@@ -316,7 +317,7 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
         for members in through[i]:
             if len(members) >= 3:
                 rich.update(members)
-        if rich.issuperset(range(i + 1, n)):
+        if len(rich) == n or sum(j > i for j in rich) == n - 1 - i:
             continue
         shared = {j for members in through[i] for j in members}
         for j in range(i + 1, n):
