@@ -155,7 +155,8 @@ def _field_spec_from_order(q: int) -> fields.FieldSpec:
     _integer(q, "field order", 2)
     if q > geometry.LINE_CAP:
         raise SizeLimitError(
-            f"field order {q} exceeds the point enumeration cap {geometry.LINE_CAP}"
+            f"field order {q} exceeds the point enumeration cap {geometry.LINE_CAP}",
+            witness={"requested": q, "cap": geometry.LINE_CAP},
         )
     for k in range(1, q.bit_length()):
         p = _integer_root(q, k)
@@ -234,10 +235,17 @@ def _axiom_outputs(report) -> dict:
     return out
 
 
+#: largest field order whose operation tables are rendered
+_TABLE_RENDER_CAP = 64
+
+
 def _handle_field_table(args) -> RunReport:
     spec = _field_spec_from(args)
-    if spec.order > 64:
-        raise SizeLimitError(f"table rendering capped at order 64, got {spec.order}")
+    if spec.order > _TABLE_RENDER_CAP:
+        raise SizeLimitError(
+            f"table rendering capped at order {_TABLE_RENDER_CAP}, got {spec.order}",
+            witness={"requested": spec.order, "cap": _TABLE_RENDER_CAP},
+        )
     elements, add_t, mul_t = fields.operation_tables(spec)
     labels = [str(e) for e in elements]
 

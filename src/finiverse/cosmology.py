@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from .constants import CODATA2018, GIGAYEAR, Constants
@@ -394,9 +395,14 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
     span = t_end - initial.t
-    if span / step > MAX_STEPS:
+    steps = span / step
+    if steps > MAX_STEPS:
+        if steps == math.inf:  # the float quotient overflowed: count exactly
+            steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)
+        steps = math.ceil(steps)
         raise SizeLimitError(
-            f"{math.ceil(span / step)} steps exceed the limit {MAX_STEPS}"
+            f"{steps} steps exceed the limit {MAX_STEPS}",
+            witness={"requested": steps, "cap": MAX_STEPS},
         )
 
     try:

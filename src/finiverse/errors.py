@@ -78,9 +78,17 @@ class DivisionByZeroError(FiniverseError, ZeroDivisionError):
 
 
 class SizeLimitError(FiniverseError, ValueError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed the configured cap.
+
+    ``witness`` is ``{"requested": n, "cap": cap}``: the size asked for
+    and the largest size allowed.
+    """
 
     code = "SizeLimit"
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class RangeLimitError(FiniverseError, ValueError):

@@ -20,10 +20,12 @@ The first time a field is enumerated (``enumerate_elements`` and,
 through it, ``operation_tables``, ``AffineSpace.points`` and
 ``enumerate_vectors``), the spec builds log/antilog tables over element
 indices from a primitive element g: ``exp[i]`` is the index of g**i and
-``log`` its inverse.  The build is vectorised over all indices, and the
-tables stay with the spec for its lifetime (copies and pickles do not
-carry them), together with one cached instance per index: O(q) memory.
-From then on ``*``, ``/``, ``inverse`` and ``**`` are index arithmetic
+``log`` its inverse.  The build is vectorised over all indices with
+numpy, imported by the first table build (or the Z/n axiom battery), so
+a process that never enumerates a field does not load numpy at all.
+The tables stay with the spec for its lifetime (copies and pickles do
+not carry them), together with one cached instance per index: O(q)
+memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index arithmetic
 (``exp[(log a + log b) mod (q-1)]``) and every result is a cached
 instance.  A field that is never enumerated builds nothing: ``*`` and
 ``**`` multiply the derived coefficients as polynomials and ``inverse``
@@ -46,9 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product, repeat, zip_longest
 from math import isqrt
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     DimMismatchError,
@@ -60,6 +60,9 @@ from .errors import (
     SpecMismatchError,
     _integer,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -308,6 +311,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+#: indices per block of the multiply-by-g map in the table build
+_TABLE_BLOCK = 2**16
+
+
 class _Tables:
     """Log/antilog tables of one field over element indices.
 
@@ -322,6 +329,8 @@ class _Tables:
     __slots__ = ("elements", "exp", "log", "period")
 
     def __init__(self, spec: "FieldSpec"):
+        import numpy as np
+
         p, k = spec.p, spec.k
         q = p**k
         period = q - 1
@@ -337,22 +346,35 @@ class _Tables:
                 break
         else:
             raise NotAFieldError(f"{spec} has no element of multiplicative order {period}")
-        # times_g[n] is the index of g * (element n), for all n at once:
-        # row j of the multiply-by-g matrix over GF(p) is g * x^j
+        # times_g[n] is the index of g * (element n): row j of the
+        # multiply-by-g matrix over GF(p) is g * x^j.  It is applied to
+        # the digits of one block of indices at a time, so no q x k digit
+        # array is ever held.
         places = p ** np.arange(k, dtype=np.int64)
         rows = np.array([(g * spec.element(p**j)).coeffs for j in range(k)], dtype=np.int64)
-        times_g = (np.arange(q, dtype=np.int64)[:, None] // places % p) @ rows % p @ places
+        times_g = np.empty(q, dtype=np.int64)
+        for start in range(0, q, _TABLE_BLOCK):
+            block = np.arange(start, min(start + _TABLE_BLOCK, q), dtype=np.int64)
+            times_g[start:start + len(block)] = (block[:, None] // places % p) @ rows % p @ places
         # exp[i] is the index of g**i, filled by doubling: while step maps
-        # each index to that of g**done times it, exp[done:2*done] = step[exp[:done]]
+        # each index to that of g**done times it, exp[done:2*done] =
+        # step[exp[:done]], and step[step] maps by g**(2*done).  Squaring
+        # alternates between times_g and one spare buffer.  Every index
+        # lies in 0..q-1, so the lookups skip the bounds check.
         exp = np.empty(period, dtype=np.int64)
         exp[0] = 1
-        step, done = times_g, 1
-        while done < period:
+        step, spare, done = times_g, None, 1
+        while True:
             take = min(done, period - done)
-            exp[done:done + take] = step[exp[:take]]
+            np.take(step, exp[:take], out=exp[done:done + take], mode="clip")
             done += take
-            step = step[step]
-        del step
+            if done >= period:
+                break
+            if spare is None:
+                spare = np.empty(q, dtype=np.int64)
+            np.take(step, step, out=spare, mode="clip")
+            step, spare = spare, step
+        del step, spare, times_g
         # in a field the powers are distinct, never zero, and cover every
         # nonzero element: log is then defined everywhere but at 0
         log = np.full(q, -1, dtype=np.int64)
@@ -368,12 +390,12 @@ class _Tables:
                 f"{spec} is not a field",
                 witness=(g.coeffs, i),
             )
-        if times_g[exp[-1]] != 1:  # g**(q-1) == 1 makes every nonzero g**i invertible
+        # g**(q-1) == 1 makes every nonzero g**i invertible
+        if (g * spec.element(int(exp[-1])))._index != 1:
             raise NotAFieldError(
                 f"powers of {g.coeffs} do not return to 1; {spec} is not a field",
                 witness=(g.coeffs, period),
             )
-        del times_g
         log[0] = 0
         self.exp = memoryview(exp)
         self.log = memoryview(log)
@@ -803,7 +825,10 @@ def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     """
     q = spec.order
     if q > ENUMERATION_CAP:
-        raise SizeLimitError(f"field order {q} exceeds enumeration cap {ENUMERATION_CAP}")
+        raise SizeLimitError(
+            f"field order {q} exceeds enumeration cap {ENUMERATION_CAP}",
+            witness={"requested": q, "cap": ENUMERATION_CAP},
+        )
     t = spec._tables
     if t is None:
         t = _Tables(spec)
@@ -818,9 +843,14 @@ def element_index(a: FieldElement) -> int:
 
 def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, np.ndarray]:
     """Elements plus full q x q addition and multiplication index tables."""
+    import numpy as np
+
     q = spec.order
     if q > AXIOM_CHECK_CAP:
-        raise SizeLimitError(f"field order {q} exceeds table cap {AXIOM_CHECK_CAP}")
+        raise SizeLimitError(
+            f"field order {q} exceeds table cap {AXIOM_CHECK_CAP}",
+            witness={"requested": q, "cap": AXIOM_CHECK_CAP},
+        )
     elements = enumerate_elements(spec)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)
@@ -868,6 +898,8 @@ def _generators(table: np.ndarray) -> list[int]:
     last are multiplied against all members, both ways, so the whole
     pass makes O(q^2) table lookups.
     """
+    import numpy as np
+
     inside = np.zeros(len(table), dtype=bool)
     gens = []
     for g in range(len(table)):
@@ -902,6 +934,8 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
     sample.  When a reduced check fails, the full row scan runs and
     supplies the first witness.
     """
+    import numpy as np
+
     q = len(labels)
     checks: dict[str, AxiomCheck] = {}
 
@@ -1007,8 +1041,13 @@ def verify_modular_ring_axioms(n: int) -> AxiomReport:
     For composite n the multiplicative-inverse check fails and the
     witness names the smallest residue with no inverse.
     """
+    import numpy as np
+
     if not (isinstance(n, int) and 2 <= n <= AXIOM_CHECK_CAP):
-        raise SizeLimitError(f"modulus must lie in 2..{AXIOM_CHECK_CAP}, got {n}")
+        raise SizeLimitError(
+            f"modulus must lie in 2..{AXIOM_CHECK_CAP}, got {n}",
+            witness={"requested": n, "cap": AXIOM_CHECK_CAP},
+        )
     idx = np.arange(n)
     add_t = (idx[:, None] + idx[None, :]) % n
     mul_t = (idx[:, None] * idx[None, :]) % n

@@ -92,7 +92,8 @@ class AffineSpace:
         comes first and orderings agree with coordinate index keys."""
         if self.point_count > LINE_CAP:
             raise SizeLimitError(
-                f"{self.point_count} points exceed the enumeration cap {LINE_CAP}"
+                f"{self.point_count} points exceed the enumeration cap {LINE_CAP}",
+                witness={"requested": self.point_count, "cap": LINE_CAP},
             )
         return _vectors(self.spec, self.dim)
 
@@ -215,7 +216,8 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     """
     if space.point_count > LINE_CAP:
         raise SizeLimitError(
-            f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}"
+            f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}",
+            witness={"requested": space.point_count, "cap": LINE_CAP},
         )
     points = space.points()
     spec = space.spec

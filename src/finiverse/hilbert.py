@@ -130,6 +130,7 @@ def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:
     varies slowest); capped at ENUMERATION_CAP vectors."""
     if space.cardinality > ENUMERATION_CAP:
         raise SizeLimitError(
-            f"{space.cardinality} vectors exceed the enumeration cap {ENUMERATION_CAP}"
+            f"{space.cardinality} vectors exceed the enumeration cap {ENUMERATION_CAP}",
+            witness={"requested": space.cardinality, "cap": ENUMERATION_CAP},
         )
     return _vectors(space.spec, space.dim)

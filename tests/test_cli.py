@@ -1,8 +1,11 @@
 """Command-line dispatch: report shapes, formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -248,6 +251,60 @@ def test_order_above_the_point_cap_is_refused_before_primality(q, capsys):
     assert main(argv) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "SizeLimit"
+
+
+def test_size_limit_witness_in_json():
+    report, doc = run_json(["field", "axioms", "--ring", "501"])
+    assert report.exit_code == 1
+    assert doc["error"] == "SizeLimit"
+    assert doc["witness"] == {"requested": 501, "cap": 500}
+    _, doc = run_json(["field", "table", "--p", "101"])
+    assert doc["witness"] == {"requested": 101, "cap": 64}
+    _, doc = run_json(["geometry", "degenerate", "--q", "1000000000000", "--dim", "2"])
+    assert doc["witness"] == {"requested": 10**12, "cap": 2**16}
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+# numpy stays unloaded until a field's tables are built: importing the
+# package and running commands that never enumerate a field must not
+# load it, and geometry lines (which builds tables) still answers its golden
+NUMPY_PROBE = textwrap.dedent("""
+    import io
+    import sys
+
+    def check(step):
+        assert "numpy" not in sys.modules, "numpy loaded by " + step
+
+    import finiverse
+    check("import finiverse")
+    import finiverse.cli as cli
+    check("import finiverse.cli")
+    for argv in (["cosmo", "rate"], ["regularize", "zeta", "--s", "1"],
+                 ["field", "inverse", "--p", "3", "--k", "2", "--element", "1:1"],
+                 ["hilbert", "norm", "--p", "2", "--k", "2", "--vector", "1:0,1:0"]):
+        out, sys.stdout = sys.stdout, io.StringIO()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            sys.stdout = out
+        check(" ".join(argv))
+    code = cli.main(["geometry", "lines", "--q", "4", "--format", "json"])
+    assert code == 0 and "numpy" in sys.modules
+""")
+
+
+def test_cold_commands_do_not_import_numpy():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    goldens = json.loads((REPO / "perfbench" / "cli_goldens.json").read_text(encoding="utf-8"))
+    golden = next(
+        c for c in goldens if c["argv"] == ["geometry", "lines", "--q", "4", "--format", "json"]
+    )
+    assert proc.stdout == golden["stdout"].encode("utf-8")
 
 
 def test_module_entry_point_subprocess():

@@ -1,5 +1,6 @@
 """Every numeric library boundary rejects bools, non-numbers, NaN and
-infinities with InvalidInputError."""
+infinities with InvalidInputError, and every size cap refuses with a
+SizeLimitError that names the requested size and the cap."""
 
 import math
 
@@ -17,10 +18,21 @@ from finiverse.cosmology import (
     point_count_growth_factor,
     universe_diameter_at,
 )
-from finiverse.errors import InvalidInputError, NonPositiveScaleFactorError
-from finiverse.fields import make_extension_field, make_prime_field
-from finiverse.geometry import AffineSpace, pointset_cardinality, subspace_diameter
-from finiverse.hilbert import FiniteHilbertSpace, hilbert_cardinality
+from finiverse.errors import InvalidInputError, NonPositiveScaleFactorError, SizeLimitError
+from finiverse.fields import (
+    enumerate_elements,
+    make_extension_field,
+    make_prime_field,
+    verify_field_axioms,
+    verify_modular_ring_axioms,
+)
+from finiverse.geometry import (
+    AffineSpace,
+    enumerate_lines,
+    pointset_cardinality,
+    subspace_diameter,
+)
+from finiverse.hilbert import FiniteHilbertSpace, enumerate_vectors, hilbert_cardinality
 from finiverse.regularization import (
     mode_energy,
     oscillator_count_energy,
@@ -78,3 +90,28 @@ def test_nonpositive_scale_factor_keeps_its_type():
     with pytest.raises(NonPositiveScaleFactorError) as exc:
         FluidState(a=0.0, a_dot=1.0, rho=1.0)
     assert exc.value.code == "NonPositiveScaleFactor"
+
+
+F257_PLANE = AffineSpace(make_prime_field(257), 2)  # 66049 points > 2**16
+
+SIZE_CAPS = {
+    "enumerate_elements": (lambda: enumerate_elements(make_extension_field(103, 3)),
+                           103**3, 2**20),
+    "verify_field_axioms": (lambda: verify_field_axioms(make_extension_field(23, 2)), 529, 500),
+    "verify_modular_ring_axioms": (lambda: verify_modular_ring_axioms(501), 501, 500),
+    "AffineSpace.points": (F257_PLANE.points, 257**2, 2**16),
+    "enumerate_lines": (lambda: enumerate_lines(F257_PLANE), 257**2, 2**16),
+    "enumerate_vectors": (lambda: enumerate_vectors(FiniteHilbertSpace(F3, 13)), 3**13, 2**20),
+    "evolve_scale_factor": (lambda: evolve(step=2.0**-30), 2**30, 10**6),
+    # 1.0 / 5e-324 overflows a float; the step count is still exact
+    "evolve_scale_factor tiny step": (lambda: evolve(step=5e-324), 2**1074, 10**6),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SIZE_CAPS))
+def test_size_limit_carries_requested_and_cap(site):
+    call, requested, cap = SIZE_CAPS[site]
+    with pytest.raises(SizeLimitError) as exc:
+        call()
+    assert exc.value.code == "SizeLimit"
+    assert exc.value.witness == {"requested": requested, "cap": cap}
