@@ -25,9 +25,9 @@ numpy, imported by the first table build (or the Z/n axiom battery), so
 a process that never enumerates a field does not load numpy at all.
 The tables stay with the spec for its lifetime (copies and pickles do
 not carry them), together with one cached instance per index: O(q)
-memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index arithmetic
-(``exp[(log a + log b) mod (q-1)]``) and every result is a cached
-instance.  A field that is never enumerated builds nothing: ``*`` and
+memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
+arithmetic (``exp[(log a + log b) mod (q-1)]``) and every result is a
+cached instance.  A field that is never enumerated builds nothing: ``*`` and
 ``**`` multiply the derived coefficients as polynomials and ``inverse``
 runs the extended Euclidean algorithm on them, so huge fields cost no
 table memory.
@@ -363,15 +363,11 @@ class _Tables:
         # lies in 0..q-1, so the lookups skip the bounds check.
         exp = np.empty(period, dtype=np.int64)
         exp[0] = 1
-        step, spare, done = times_g, None, 1
-        while True:
+        step, spare, done = times_g, np.empty_like(times_g), 1
+        while done < period:
             take = min(done, period - done)
             np.take(step, exp[:take], out=exp[done:done + take], mode="clip")
             done += take
-            if done >= period:
-                break
-            if spare is None:
-                spare = np.empty(q, dtype=np.int64)
             np.take(step, step, out=spare, mode="clip")
             step, spare = spare, step
         del step, spare, times_g
