@@ -11,6 +11,8 @@ import pytest
 
 from finiverse.cli import dispatch, main, render_json, render_text
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
 
 def run_json(argv):
     report = dispatch(argv + ["--format", "json"])
@@ -263,8 +265,6 @@ def test_size_limit_witness_in_json():
     _, doc = run_json(["geometry", "degenerate", "--q", "1000000000000", "--dim", "2"])
     assert doc["witness"] == {"requested": 10**12, "cap": 2**16}
 
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # numpy stays unloaded until a field's tables are built: importing the
 # package and running commands that never enumerate a field must not
