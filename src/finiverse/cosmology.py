@@ -394,11 +394,13 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     _real(lam, "lambda")
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
-    span = t_end - initial.t
-    steps = span / step
+    try:
+        steps = (t_end - initial.t) / step
+    except OverflowError:  # an int bound or step beyond the float range
+        steps = math.inf
+    if steps == math.inf:  # the float span or quotient overflowed: count exactly
+        steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)
     if steps > MAX_STEPS:
-        if steps == math.inf:  # the float quotient overflowed: count exactly
-            steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)
         steps = math.ceil(steps)
         raise SizeLimitError(
             f"{steps} steps exceed the limit {MAX_STEPS}",

@@ -27,10 +27,11 @@ The tables stay with the spec for its lifetime (copies and pickles do
 not carry them), together with one cached instance per index: O(q)
 memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
 arithmetic (``exp[(log a + log b) mod (q-1)]``) and every result is a
-cached instance.  A field that is never enumerated builds nothing: ``*`` and
-``**`` multiply the derived coefficients as polynomials and ``inverse``
-runs the extended Euclidean algorithm on them, so huge fields cost no
-table memory.
+cached instance.  A field that is never enumerated builds nothing: ``*``
+multiplies the derived coefficients as polynomials and ``inverse`` of an
+extension element runs the extended Euclidean algorithm on them, so huge
+fields cost no table memory.  On both paths ``a ** n`` takes n mod q-1,
+which the order of every nonzero element divides.
 
 ``FieldVector`` is an n-tuple over one field: the point type of
 ``geometry.AffineSpace`` and the vector type of
@@ -335,9 +336,9 @@ class _Tables:
         q = p**k
         period = q - 1
         # the primitive element of smallest index: g has order q-1 iff
-        # g**((q-1)/r) != 1 for every prime r dividing q-1.  The spec is
-        # not tabled yet, so these are polynomial products.  For k >= 2
-        # the indices below p are the constants, whose order divides p-1.
+        # g**((q-1)/r) != 1 for every prime r dividing q-1; untabled, **
+        # is _poly_powmod.  For k >= 2 the indices below p are the
+        # constants, whose order divides p-1.
         one = spec.one
         cofactors = [period // r for r in _prime_factors(period)]
         for g_index in range(p if k > 1 else 1, q):
@@ -603,18 +604,14 @@ class FieldElement:
         return _new(spec, _index_of(_poly_mod(prod, spec.modulus_poly, p), p))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse: exp[-log a] on a tabled spec, otherwise
-        the extended Euclidean algorithm."""
-        a = self._index
-        if a == 0:
-            raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
+        """Multiplicative inverse: ``self ** -1`` on a tabled spec or a
+        prime field, otherwise the extended Euclidean algorithm."""
         spec = self.spec
-        t = spec._tables
-        if t is not None:
-            return t.elements[t.exp[-t.log[a] % t.period]]
+        if spec.k == 1 or spec._tables is not None:
+            return self ** -1
+        if self._index == 0:
+            raise DivisionByZeroError(f"zero has no inverse in {spec}")
         p = spec.p
-        if spec.k == 1:
-            return _new(spec, pow(a, p - 2, p))
         g, u = _poly_ext_gcd(self.coeffs, spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
@@ -625,27 +622,24 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        """a**n, n mod q-1: exp[log a * n] on a tabled spec, otherwise a
+        modular power of the index (k = 1) or of the coefficients."""
         if not isinstance(n, int):
             raise InvalidInputError("exponent must be an integer")
-        t = self.spec._tables
+        spec = self.spec
+        a = self._index
+        if a == 0:
+            if n < 0:
+                raise DivisionByZeroError(f"zero has no inverse in {spec}")
+            return spec._at(0 if n else 1)
+        n %= spec.order - 1
+        t = spec._tables
         if t is not None:
-            a = self._index
-            if a == 0:
-                if n < 0:
-                    raise DivisionByZeroError(f"zero has no inverse in {self.spec}")
-                return t.elements[0 if n else 1]
             return t.elements[t.exp[t.log[a] * n % t.period]]
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.spec.one
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        p = spec.p
+        if spec.k == 1:
+            return _new(spec, pow(a, n, p))
+        return _new(spec, _index_of(_poly_powmod(self.coeffs, n, spec.modulus_poly, p), p))
 
     # -- presentation -------------------------------------------------------
 

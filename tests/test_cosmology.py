@@ -8,6 +8,7 @@ import pytest
 from finiverse.constants import CODATA2018, GIGAYEAR, Constants
 from finiverse.cosmology import (
     LINEAR_GUARD,
+    MAX_STEPS,
     OBSERVED,
     CosmologyParams,
     FluidState,
@@ -386,6 +387,25 @@ def test_integration_overflow_is_invalid_input():
     for state in (FluidState(a=1.0, a_dot=1e200, rho=rho), FluidState(a=1e200, a_dot=1e-18, rho=rho)):
         with pytest.raises(InvalidInputError):
             evolve_scale_factor(state, vacuum_pressure_law(), 0.0, 0, 1e17, 1e14)
+
+
+def test_step_count_beyond_the_float_range_is_exact():
+    # the float span or quotient overflows: the exact step count decides
+    def dust(t=0.0):
+        return FluidState(a=1.0, a_dot=0.0, rho=1.0, t=t)
+
+    for initial, t_end, steps in ((dust(), 10**400, 10**400),
+                                  (dust(10**400), 10**401, 9 * 10**400)):
+        with pytest.raises(SizeLimitError) as exc:
+            evolve_scale_factor(initial, dust_pressure_law(), 0.0, 0, t_end, 1.0)
+        assert exc.value.witness == {"requested": steps, "cap": MAX_STEPS}
+    # ten steps, each beyond the float range
+    with pytest.raises(InvalidInputError):
+        evolve_scale_factor(dust(), dust_pressure_law(), 0.0, 0, 10**400, 10**399)
+    # a span of 2e308 overflows, yet 2001 steps of 1e305 s are within the
+    # limit; they overshoot the dust collapse
+    with pytest.raises(NonPositiveScaleFactorError):
+        evolve_scale_factor(dust(-1e308), dust_pressure_law(), 0.0, 0, 1e308, 1e305)
 
 
 def test_scale_factor_whose_square_underflows_is_invalid_input():

@@ -355,7 +355,7 @@ def test_tabled_and_untabled_specs_agree(p, k):
     q = tabled.order
     for i in range(q):
         a, pa = tabled.element(i), plain.element(i)
-        for n in (-q - 1, -3, -1, 0, 1, 2, 5, q - 1, q):
+        for n in (-q - 1, -3, -1, 0, 1, 2, 5, q - 1, q, 10**30, -10**30):
             if i == 0 and n < 0:
                 with pytest.raises(DivisionByZeroError):
                     a ** n
@@ -401,6 +401,16 @@ def test_untabled_arithmetic_matches_reference(p, k):
             inverse = ref.power(rb, q - 2, modulus, p)
             assert b.inverse().coeffs == inverse
             assert (a / b).coeffs == ref.mul(ra, inverse, modulus, p)
+        # a negative power is a power of the inverse, 0**0 is one
+        for n in (0, 1, q - 2, q - 1, q, -1, -q, 10**30, -10**30):
+            if n >= 0:
+                assert (a ** n).coeffs == ref.power(ra, n, modulus, p)
+            elif i:
+                inverse = ref.power(ra, q - 2, modulus, p)
+                assert (a ** n).coeffs == ref.power(inverse, -n, modulus, p)
+            else:
+                with pytest.raises(DivisionByZeroError):
+                    a ** n
     assert spec._tables is None
 
 
