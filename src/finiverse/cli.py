@@ -19,7 +19,14 @@ from fractions import Fraction
 from . import cosmology, fields, geometry, hilbert, regularization
 from .constants import CODATA2018, GIGAYEAR
 from .cosmology import OBSERVED, LinearityWarning
-from .errors import FiniverseError, InvalidInputError, SizeLimitError, UsageError, _integer
+from .errors import (
+    FiniverseError,
+    InvalidInputError,
+    SizeLimitError,
+    UsageError,
+    _finite,
+    _integer,
+)
 
 __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
 
@@ -301,7 +308,8 @@ def _handle_field_inverse(args) -> RunReport:
     return RunReport(
         inputs={"p": spec.p, "k": spec.k, "element": str(element)},
         outputs={"inverse": (str(element.inverse()), "")},
-        formula="extended Euclidean algorithm on coefficient polynomials",
+        formula=("a^(p-2) mod p (Fermat's little theorem)" if spec.k == 1
+                 else "extended Euclidean algorithm on coefficient polynomials"),
     )
 
 
@@ -515,13 +523,18 @@ def _handle_cosmo_value(args) -> RunReport:
     )
 
 
+@_finite("growth exponent")
+def _growth_exponent(H0: float, dt: float) -> float:
+    return 4 * H0 * dt
+
+
 def _handle_cosmo_growth(args) -> RunReport:
     constants, params = _constants_and_params(args)
     dt = args.dt_gyr * GIGAYEAR
     return RunReport(
         inputs={"H0": params.H0, "dt_gyr": args.dt_gyr},
         outputs={
-            "exponent": (4 * params.H0 * dt, "dimensionless"),
+            "exponent": (_growth_exponent(params.H0, dt), "dimensionless"),
             "factor": (cosmology.point_count_growth_factor(params.H0, dt), "dimensionless"),
             "exponent_per_gyr": (cosmology.growth_exponent_per_gigayear(params.H0), "1/Gyr"),
         },

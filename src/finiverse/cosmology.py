@@ -193,6 +193,7 @@ def point_count_growth_factor(H0: float, dt: float) -> float:
     return math.exp(4 * H0 * dt)
 
 
+@_finite("growth exponent per gigayear")
 def growth_exponent_per_gigayear(H0: float) -> float:
     """The exponent 4*H0*dt accumulated over one gigayear."""
     _real(H0, "H0")

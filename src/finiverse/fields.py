@@ -13,8 +13,8 @@ coefficients mod p (constant term least significant), which is also its
 position in enumeration order.  The index and the spec are all an
 element stores; its coefficients are derived from the index when asked
 for.  Equality and hashing compare indices, ``+`` and ``-`` add and
-subtract indices digit by digit mod p (for k = 1 just ``(a +- b) % p``),
-and every operation is exact.
+subtract indices digit by digit mod p (for k = 1 just ``(a +- b) % p``,
+for p = 2 the bitwise XOR ``a ^ b``), and every operation is exact.
 
 The first time a field is enumerated (``enumerate_elements`` and,
 through it, ``operation_tables``, ``AffineSpace.points`` and
@@ -268,7 +268,10 @@ def _digits(n: int, p: int, width: int) -> list[int]:
 def _digitwise(a, b, sign: int, p: int, k: int):
     """Index of the element whose digits are those of a plus ``sign``
     times those of b, each mod p: index arithmetic for + and -.  Also
-    elementwise on numpy index arrays."""
+    elementwise on numpy index arrays.  In characteristic 2 a digit and
+    its negative agree, so both signs are the bitwise XOR."""
+    if p == 2:
+        return a ^ b
     if k == 1:
         return (a + sign * b) % p
     n, place = 0, 1

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -43,6 +44,7 @@ from .fields import (
 
 __all__ = [
     "LINE_CAP",
+    "INCIDENCE_CAP",
     "CAPACITY_BITS",
     "AffineSpace",
     "Line",
@@ -68,6 +70,10 @@ __all__ = [
 
 #: largest point count for which full line enumeration is attempted
 LINE_CAP = 2**16
+
+#: largest number of point-line incidences (q times the line count) that
+#: enumerate_lines will build; its time and memory grow with this number
+INCIDENCE_CAP = 2**19
 
 #: bit-size guard for exact integer powers
 CAPACITY_BITS = 4_000_000
@@ -169,6 +175,9 @@ class Line:
     direction: FieldVector
     points: tuple[FieldVector, ...]
 
+    #: sorted point ids of ``points``, set by enumerate_lines (not a dataclass field)
+    _ids = None
+
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
@@ -195,7 +204,8 @@ def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
 def _point_id(coords: Sequence[FieldElement], q: int) -> int:
     """Position of a point in ``AffineSpace.points`` order: its coordinate
     indices as base-q digits, first coordinate most significant.  Read
-    as k*dim base-p digits instead, the id adds digit-wise like the point."""
+    as k*dim base-p digits instead, the id adds digit-wise like the point,
+    so ``enumerate_lines`` builds every line as base id + offset ids."""
     n = 0
     for c in coords:
         n = n * q + c._index
@@ -207,35 +217,53 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
 
     For each canonical direction the space is partitioned into cosets
     of that direction's span, giving q^(dim-1) parallel lines per class
-    and q^(dim-1) * (q^dim - 1)/(q - 1) lines in total.
+    and q^(dim-1) * (q^dim - 1)/(q - 1) lines in total.  A space whose
+    lines hold more than ``INCIDENCE_CAP`` points in all (q times the
+    line count) is refused before anything is built.
 
-    The cosets are built on point ids (``_point_id``): the q offsets t*d
-    of a direction d are computed once as ids, each member of a line is
-    one digit-wise id sum, and sorted ids are enumeration order.  The
-    lines hold the points of ``space.points()``.
+    Each class is built from a transversal on point ids (``_point_id``).
+    Let c be the pivot of the direction d, its first nonzero coordinate.
+    Along a line the coordinates before c are fixed and coordinate c
+    takes every value once, so the points whose coordinate c is zero
+    meet every line once, each as its enumeration-smallest point.  They
+    are the bases, in id order; the q offsets t*d are computed once as
+    ids, and a line's members are its base plus each offset, digit-wise,
+    sorted into enumeration order: one numpy array per class.  The lines
+    hold the points of ``space.points()`` and keep their sorted ids.
     """
     if space.point_count > LINE_CAP:
         raise SizeLimitError(
             f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}",
             witness={"requested": space.point_count, "cap": LINE_CAP},
         )
-    points = space.points()
-    spec = space.spec
+    spec, dim = space.spec, space.dim
+    q = spec.order
+    incidences = q**dim * (q**dim - 1) // (q - 1)
+    if incidences > INCIDENCE_CAP:
+        raise SizeLimitError(
+            f"{incidences // q} lines of {q} points hold {incidences} incidences, "
+            f"more than the line-enumeration cap {INCIDENCE_CAP}",
+            witness={"requested": incidences, "cap": INCIDENCE_CAP},
+        )
+    points = space.points()  # builds the field's tables, and so loads numpy
+    import numpy as np
+
     elems = spec.elements()
-    q = len(elems)
-    digits = spec.k * space.dim
+    p, digits = spec.p, spec.k * dim
+    # bases[c]: the ids whose coordinate c is index 0, ascending
+    bases = [(np.arange(q**c)[:, None] * q ** (dim - c)
+              + np.arange(q ** (dim - 1 - c))).ravel() for c in range(dim)]
     lines: list[Line] = []
     for direction in _canonical_directions(points):
-        offsets = [_point_id([t * c for c in direction.coords], q) for t in elems]
-        assigned = bytearray(len(points))
-        for base in range(len(points)):
-            if assigned[base]:
-                continue
-            members = sorted(_digitwise(base, n, 1, spec.p, digits) for n in offsets)
-            for m in members:
-                assigned[m] = 1
-            lines.append(Line(base=points[base], direction=direction,
-                              points=tuple(points[m] for m in members)))
+        pivot = next(c for c, n in enumerate(direction.index_key()) if n)
+        offsets = np.array([_point_id([t * c for c in direction.coords], q) for t in elems])
+        members = np.sort(_digitwise(bases[pivot][:, None], offsets[None, :], 1, p, digits),
+                          axis=1)
+        for ids in map(tuple, members.tolist()):
+            line = Line(base=points[ids[0]], direction=direction,
+                        points=itemgetter(*ids)(points))
+            object.__setattr__(line, "_ids", ids)
+            lines.append(line)
     return lines
 
 
@@ -275,10 +303,9 @@ class IncidenceStructure:
 
 def incidence_structure(space: AffineSpace) -> IncidenceStructure:
     """Abstract incidence data of a space: integer point ids in
-    enumeration order, each line a frozenset of ids."""
-    q = space.spec.order
-    lines = tuple(frozenset(_point_id(pt.coords, q) for pt in ln.points)
-                  for ln in enumerate_lines(space))
+    enumeration order, each line a frozenset of ids.  The ids are those
+    ``enumerate_lines`` keeps on each line, so no point is mapped back."""
+    lines = tuple(frozenset(ln._ids) for ln in enumerate_lines(space))
     return IncidenceStructure(points=tuple(range(space.point_count)), lines=lines)
 
 

@@ -112,16 +112,23 @@ def norm_squared(v: FieldVector) -> FieldElement:
 def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes.
 
-    The norm-square sum(conj(c) * c) is summed on indices: each term is
-    one multiplication, and the terms are added digit-wise mod p."""
+    The norm-square sum(conj(c) * c) is summed on indices.  On a tabled
+    spec each term is one table lookup, ``exp[(log conj + log c) mod
+    (q-1)]`` (both factors are nonzero); on an untabled one it is the
+    element product.  The terms are added digit-wise mod p."""
     spec = v.spec
-    p, k = spec.p, spec.k
+    p, k, t = spec.p, spec.k, spec._tables
     nonzero, total = False, 0
     for c in v.coords:
         n = c._index
         if n:
             nonzero = True
-            total = _digitwise(total, (spec._at(_conjugate_index(spec, n)) * c)._index, 1, p, k)
+            conj = _conjugate_index(spec, n)
+            if t is None:
+                term = (spec._at(conj) * c)._index
+            else:
+                term = t.exp[(t.log[conj] + t.log[n]) % t.period]
+            total = _digitwise(total, term, 1, p, k)
     return nonzero and total == 0
 
 

@@ -355,6 +355,8 @@ def test_planck_density_command():
     ["geometry", "ordinary-line", "--points", "0,0;1,1/0;2,2"],
     # finite input whose result a float cannot hold
     ["cosmo", "growth", "--dt-gyr", "1e10"],
+    ["cosmo", "growth", "--h0", "1e300", "--dt-gyr", "-1"],  # exponent -inf
+    ["cosmo", "growth", "--h0", "1e300", "--dt-gyr", "0"],  # per-Gyr exponent inf
     ["cosmo", "evolve", "--a0", "1e-200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e14"],
     ["cosmo", "evolve", "--a0", "1e-170", "--adot0", "0", "--rho0", "6e-27", "--t-end", "1e17",
      "--step", "1e16"],
@@ -379,3 +381,29 @@ def test_non_finite_input_is_invalid(argv):
     assert report.status == "error"
     assert report.error == "InvalidInput"
     assert report.exit_code == 1
+
+
+# stdout bytes of commands beside perfbench/cli_goldens.json: a prime-field
+# inverse (Fermat power, not Euclid) and a space over the line-incidence cap
+EXTRA_GOLDENS = {
+    ("field", "inverse", "--p", "7", "--element", "3"): (0, (
+        "command: field inverse\n"
+        "status: ok\n"
+        "inputs: p=7 k=1 element=3\n"
+        "inverse = 5\n"
+        "formula: a^(p-2) mod p (Fermat's little theorem)\n"
+    )),
+    ("geometry", "lines", "--q", "7", "--dim", "4", "--format", "json"): (1, (
+        '{"command": "geometry lines", "status": "error", "outputs": {}, '
+        '"message": "137200 lines of 7 points hold 960400 incidences, more than the '
+        'line-enumeration cap 524288", "error": "SizeLimit", '
+        '"witness": {"requested": 960400, "cap": 524288}, "exit_code": 1}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXTRA_GOLDENS), ids=" ".join)
+def test_cli_output_matches_extra_golden(argv, capsys):
+    code, stdout = EXTRA_GOLDENS[argv]
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == stdout

@@ -66,6 +66,26 @@ def test_tabled_field_laws_over_random_fields(pk, data):
         assert a * a.inverse() == spec.one
 
 
+def _digit_sum(a, b, sign, p, k):
+    """Reference index of a + sign*b, one coefficient at a time."""
+    db = ref.digits(b, p, k)
+    return ref.index(ref.add(ref.digits(a, p, k), db if sign > 0 else ref.neg(db, p), p), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 8), sign=st.sampled_from((1, -1)), data=st.data())
+def test_characteristic_two_digitwise_is_the_digit_loop(k, sign, data):
+    # in characteristic 2 _digitwise is the bitwise XOR, on ints and on the
+    # numpy index arrays operation_tables passes it
+    index = st.integers(0, 2**k - 1)
+    a, b = data.draw(index), data.draw(index)
+    assert fields_mod._digitwise(a, b, sign, 2, k) == _digit_sum(a, b, sign, 2, k)
+    xs = data.draw(st.lists(index, min_size=1, max_size=20))
+    ys = data.draw(st.lists(index, min_size=len(xs), max_size=len(xs)))
+    got = fields_mod._digitwise(np.array(xs)[:, None], np.array(ys)[None, :], sign, 2, k)
+    assert got.tolist() == [[_digit_sum(x, y, sign, 2, k) for y in ys] for x in xs]
+
+
 #: most monic candidates of one degree tested against both oracles
 CANDIDATE_CAP = 500
 
