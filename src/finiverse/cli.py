@@ -4,6 +4,12 @@ Every report is deterministic: the same argv produces byte-identical
 JSON.  Floats render as 15-significant-digit decimal strings, exact
 rationals as {"num": ..., "den": ...}; every physical output carries a
 unit string.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+An action whose one output is a library function of its own flags is
+declared, not written: ``value_action`` in ``_build_parser`` names its
+module, function, flags, output name and unit, formula, and whether the
+constants follow, and ``_handle_value`` runs it.  The cosmo actions on
+CosmologyParams are declared the same way with ``cosmo_action``.
 """
 
 from __future__ import annotations
@@ -387,33 +393,6 @@ def _handle_geometry_ordinary(args) -> RunReport:
     )
 
 
-def _handle_geometry_cardinality(args) -> RunReport:
-    count = geometry.pointset_cardinality(args.order, args.dim)
-    return RunReport(
-        inputs={"order": args.order, "dim": args.dim},
-        outputs={"cardinality": (count, "points")},
-        formula="card = order^dim",
-    )
-
-
-def _handle_geometry_diameter(args) -> RunReport:
-    d = geometry.subspace_diameter(args.step, args.order)
-    return RunReport(
-        inputs={"step": args.step, "order": args.order},
-        outputs={"diameter": (d, "m")},
-        formula="diam = step*(order-1)",
-    )
-
-
-def _handle_hilbert_cardinality(args) -> RunReport:
-    count = hilbert.hilbert_cardinality(args.p, args.k, args.dim)
-    return RunReport(
-        inputs={"p": args.p, "k": args.k, "dim": args.dim},
-        outputs={"cardinality": (count, "vectors")},
-        formula="card = p^(k*dim)",
-    )
-
-
 def _handle_hilbert_norm(args) -> RunReport:
     spec = _field_spec_from(args)
     vec = _parse_vector(spec, args.vector)
@@ -439,40 +418,6 @@ def _handle_hilbert_inner(args) -> RunReport:
     )
 
 
-def _handle_reg_bernoulli(args) -> RunReport:
-    return RunReport(
-        inputs={"n": args.n},
-        outputs={"value": (regularization.bernoulli(args.n), "dimensionless")},
-        formula="sum_{j<=n} C(n+1,j)*B_j = n+1 (B_1 = +1/2 convention)",
-    )
-
-
-def _handle_reg_zeta(args) -> RunReport:
-    return RunReport(
-        inputs={"s": args.s},
-        outputs={"value": (regularization.zeta_negative(args.s), "dimensionless")},
-        formula="zeta(-s) = -B_(s+1)/(s+1)",
-    )
-
-
-def _handle_reg_partial_sum(args) -> RunReport:
-    return RunReport(
-        inputs={"n": args.n},
-        outputs={"value": (regularization.partial_sum_linear(args.n), "dimensionless")},
-        formula="S(N) = N*(N+1)/2",
-    )
-
-
-def _handle_reg_mode_energy(args) -> RunReport:
-    constants, _ = _constants_and_params(args)
-    omega = regularization.mode_energy(args.m0, args.kx, args.ky, args.kz, constants)
-    return RunReport(
-        inputs={"m0": args.m0, "kx": args.kx, "ky": args.ky, "kz": args.kz},
-        outputs={"omega": (omega, "rad/s")},
-        formula="omega = c*sqrt((m0*c/hbar)^2 + kx^2+ky^2+kz^2)",
-    )
-
-
 def _handle_reg_vacuum(args) -> RunReport:
     constants, _ = _constants_and_params(args)
     if args.n is not None:
@@ -490,22 +435,17 @@ def _handle_reg_vacuum(args) -> RunReport:
     )
 
 
-def _handle_reg_oscillator(args) -> RunReport:
-    constants, _ = _constants_and_params(args)
-    energy = regularization.oscillator_count_energy(args.l, args.count, constants)
-    return RunReport(
-        inputs={"L": args.l, "P": args.count},
-        outputs={"energy": (energy, "J")},
-        formula="E = pi*hbar*c*P/L",
-    )
-
-
-def _handle_reg_point_bound(args) -> RunReport:
-    return RunReport(
-        inputs={"K": args.k_cutoff},
-        outputs={"bound": (regularization.point_bound_from_cutoff(args.k_cutoff), "points")},
-        formula="P < (sqrt(3)/2)*K*(K+1)",
-    )
+def _handle_value(args) -> RunReport:
+    """An action whose one output is a library function of its own flag
+    values, passed in declaration order, then of the constants when the
+    action declares them (only then is --config read).  The function is
+    looked up by name on each run, so a rebound module attribute (a
+    wrapper, a test double) is the one called."""
+    inputs = {dest: getattr(args, dest) for dest in args.inputs}
+    constants = (_constants_and_params(args)[0],) if args.constants else ()
+    name, unit = args.output
+    value = getattr(args.module, args.function)(*inputs.values(), *constants)
+    return RunReport(inputs=inputs, outputs={name: (value, unit)}, formula=args.formula)
 
 
 def _handle_cosmo_value(args) -> RunReport:
@@ -661,6 +601,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--gaussian", action="store_true")
         return p
 
+    def value_action(sub, name, module, function, output, formula, *flags, constants=False):
+        """An action run by _handle_value: ``output`` is (name, unit) of
+        module.function(*flag values[, constants]).  A flag is (spelling,
+        dest, type), required, or (spelling, dest, type, default); the
+        dests are the report's input names."""
+        p = action(sub, name, _handle_value, module=module, function=function, output=output,
+                   formula=formula, constants=constants, inputs=[flag[1] for flag in flags])
+        for spelling, dest, type_, *default in flags:
+            p.add_argument(spelling, dest=dest, type=type_, required=not default,
+                           default=default[0] if default else None)
+
     f = subs.add_parser("field").add_subparsers(dest="action", required=True)
     field_action(f, "table", _handle_field_table)
     p = action(f, "gaussian", _handle_field_gaussian)
@@ -681,18 +632,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--dim", type=int, default=2)
     p = action(g, "ordinary-line", _handle_geometry_ordinary)
     p.add_argument("--points", required=True, help='"x1,y1;x2,y2;..." exact rationals')
-    p = action(g, "cardinality", _handle_geometry_cardinality)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p = action(g, "diameter", _handle_geometry_diameter)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--order", type=int, required=True)
+    value_action(g, "cardinality", geometry, "pointset_cardinality", ("cardinality", "points"),
+                 "card = order^dim", ("--order", "order", int), ("--dim", "dim", int))
+    value_action(g, "diameter", geometry, "subspace_diameter", ("diameter", "m"),
+                 "diam = step*(order-1)", ("--step", "step", float), ("--order", "order", int))
 
     h = subs.add_parser("hilbert").add_subparsers(dest="action", required=True)
-    p = action(h, "cardinality", _handle_hilbert_cardinality)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--dim", type=int, required=True)
+    value_action(h, "cardinality", hilbert, "hilbert_cardinality", ("cardinality", "vectors"),
+                 "card = p^(k*dim)", ("--p", "p", int), ("--k", "k", int, 1), ("--dim", "dim", int))
     p = field_action(h, "norm", _handle_hilbert_norm)
     p.add_argument("--vector", required=True, help='coords "c0:c1,c0:c1" or ints')
     p = field_action(h, "inner", _handle_hilbert_inner)
@@ -700,25 +647,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--v", required=True)
 
     r = subs.add_parser("regularize").add_subparsers(dest="action", required=True)
-    p = action(r, "bernoulli", _handle_reg_bernoulli)
-    p.add_argument("--n", type=int, required=True)
-    p = action(r, "zeta", _handle_reg_zeta)
-    p.add_argument("--s", type=int, required=True)
-    p = action(r, "partial-sum", _handle_reg_partial_sum)
-    p.add_argument("--n", type=int, required=True)
-    p = action(r, "mode-energy", _handle_reg_mode_energy)
-    p.add_argument("--m0", type=float, default=0.0)
-    p.add_argument("--kx", type=float, default=0.0)
-    p.add_argument("--ky", type=float, default=0.0)
-    p.add_argument("--kz", type=float, default=0.0)
+    value_action(r, "bernoulli", regularization, "bernoulli", ("value", "dimensionless"),
+                 "sum_{j<=n} C(n+1,j)*B_j = n+1 (B_1 = +1/2 convention)", ("--n", "n", int))
+    value_action(r, "zeta", regularization, "zeta_negative", ("value", "dimensionless"),
+                 "zeta(-s) = -B_(s+1)/(s+1)", ("--s", "s", int))
+    value_action(r, "partial-sum", regularization, "partial_sum_linear",
+                 ("value", "dimensionless"), "S(N) = N*(N+1)/2", ("--n", "n", int))
+    value_action(r, "mode-energy", regularization, "mode_energy", ("omega", "rad/s"),
+                 "omega = c*sqrt((m0*c/hbar)^2 + kx^2+ky^2+kz^2)",
+                 *((f"--{k}", k, float, 0.0) for k in ("m0", "kx", "ky", "kz")), constants=True)
     p = action(r, "vacuum", _handle_reg_vacuum)
     p.add_argument("--l", type=float, required=True, help="box edge, m")
     p.add_argument("--n", type=int, default=None, help="cutoff; omit for regularized value")
-    p = action(r, "oscillator-energy", _handle_reg_oscillator)
-    p.add_argument("--l", type=float, required=True)
-    p.add_argument("--count", type=float, required=True)
-    p = action(r, "point-bound", _handle_reg_point_bound)
-    p.add_argument("--k", dest="k_cutoff", type=int, required=True)
+    value_action(r, "oscillator-energy", regularization, "oscillator_count_energy",
+                 ("energy", "J"), "E = pi*hbar*c*P/L", ("--l", "L", float), ("--count", "P", float),
+                 constants=True)
+    value_action(r, "point-bound", regularization, "point_bound_from_cutoff", ("bound", "points"),
+                 "P < (sqrt(3)/2)*K*(K+1)", ("--k", "K", int))
 
     c = subs.add_parser("cosmo").add_subparsers(dest="action", required=True)
 
@@ -783,7 +728,7 @@ def dispatch(argv: list[str]) -> RunReport:
             status="error",
             error=exc.code,
             message=str(exc),
-            witness=getattr(exc, "witness", None),
+            witness=exc.witness,
             exit_code=2 if isinstance(exc, UsageError) else 1,
         )
     report.command = command

@@ -34,6 +34,7 @@ LinearityWarning beyond it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -383,7 +384,9 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
 
     The run is always repeated at half step; if the endpoint scale
     factor differs by more than 1e-6 relative, StepTooLargeError is
-    raised instead of returning an untrustworthy trajectory.  Samples
+    raised instead of returning an untrustworthy trajectory.  A step not
+    above the float spacing of the times would never advance t, so it is
+    refused with InvalidInputError before integrating.  Samples
     land on every full step plus the exact endpoint, each carrying the
     monitored Friedmann residual and acceleration ratio.
     """
@@ -407,6 +410,14 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
             f"{steps} steps exceed the limit {MAX_STEPS}",
             witness={"requested": steps, "cap": MAX_STEPS},
         )
+    # t += h leaves t unchanged once h is at most half the float spacing
+    # near t, so the half-step rerun could never end unless step exceeds
+    # the spacing at the larger time
+    resolution = math.ulp(min(max(abs(initial.t), abs(t_end)), sys.float_info.max))
+    if step <= resolution:
+        raise InvalidInputError(
+            f"step {step} is not above the float resolution {resolution} of the times"
+        )
 
     try:
         samples, residuals, accels = _integrate(
@@ -422,7 +433,8 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     if rel > 1e-6:
         raise StepTooLargeError(
             f"halving the step moved the endpoint by relative {rel:.3e} "
-            f"(> 1e-6); reduce step below {step}"
+            f"(> 1e-6); reduce step below {step}",
+            witness={"relative_difference": rel, "tolerance": 1e-6, "step": step},
         )
     return ScaleFactorTrajectory(
         samples=tuple(samples),

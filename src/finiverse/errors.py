@@ -33,9 +33,14 @@ __all__ = [
 
 
 class FiniverseError(Exception):
-    """Base class; ``code`` identifies the failure kind."""
+    """Base class; ``code`` identifies the failure kind, and ``witness``,
+    when not None, is machine-readable evidence of the failure."""
 
     code = "Error"
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotPrimeError(FiniverseError, ValueError):
@@ -53,10 +58,6 @@ class NotAFieldError(FiniverseError, ValueError):
     """
 
     code = "NotAField"
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SpecMismatchError(FiniverseError, ValueError):
@@ -85,10 +86,6 @@ class SizeLimitError(FiniverseError, ValueError):
     """
 
     code = "SizeLimit"
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class RangeLimitError(FiniverseError, ValueError):
@@ -140,7 +137,12 @@ class NonPositiveScaleFactorError(FiniverseError, ValueError):
 
 
 class StepTooLargeError(FiniverseError, ValueError):
-    """Halving the integrator step moved the endpoint beyond tolerance."""
+    """Halving the integrator step moved the endpoint beyond tolerance.
+
+    ``witness`` is ``{"relative_difference": r, "tolerance": tol, "step":
+    h}``: the endpoint's relative change on halving, the largest change
+    allowed, and the step that was too large.
+    """
 
     code = "StepTooLarge"
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product, repeat, zip_longest
-from math import isqrt
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
@@ -102,18 +101,22 @@ _MR_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Exact primality of an int (False for anything else).
 
-    Below psi_13 = 3,317,044,064,679,887,385,961,981 this is Miller-Rabin
-    with the prime bases 2..41, which is deterministic there (Sorenson &
-    Webster, Math. Comp. 86, 2017).  From psi_13 on it falls back to trial
-    division, which is exact but takes up to sqrt(n)/2 steps.
+    This is Miller-Rabin with the prime bases 2..41, which is
+    deterministic below psi_13 = 3,317,044,064,679,887,385,961,981
+    (Sorenson & Webster, Math. Comp. 86, 2017).  An n from psi_13 on that
+    no base divides raises SizeLimitError, whose witness is
+    ``{"requested": n, "cap": psi_13 - 1}``.
     """
     if not isinstance(n, int) or n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_BOUND:  # trial division by the odd numbers past the bases
-        return all(n % d for d in range(_MR_BASES[-1] + 2, isqrt(n) + 1, 2))
+    if n >= _MR_BOUND:
+        raise SizeLimitError(
+            f"primality is decided only below psi_13 = {_MR_BOUND}, got {n}",
+            witness={"requested": n, "cap": _MR_BOUND - 1},
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

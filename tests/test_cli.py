@@ -247,12 +247,38 @@ def test_large_prime_order_is_not_factored(capsys):
 
 @pytest.mark.parametrize("q", ["1000000000000000000000000000057", "1000000000000"])
 def test_order_above_the_point_cap_is_refused_before_primality(q, capsys):
-    # a prime above psi_13 would fall back to trial division in is_prime,
-    # and 10^12 is no prime power: both are refused by size first
+    # a prime above psi_13 is beyond is_prime, and 10^12 is no prime
+    # power: both are refused by the point cap first
     argv = ["geometry", "degenerate", "--q", q, "--dim", "2", "--format", "json"]
     assert main(argv) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "SizeLimit"
+    assert doc["witness"]["cap"] == 2**16
+
+
+def test_primality_beyond_psi_13_is_refused(deadline, capsys):
+    # these once ran trial division up to sqrt(2^89 - 1) and never ended
+    p = 2**89 - 1
+    for argv in (["hilbert", "cardinality", "--p", str(p), "--dim", "1"],
+                 ["field", "inverse", "--p", str(p), "--element", "1"],
+                 ["field", "gaussian", "--p", str(p)]):
+        assert main(argv + ["--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == "SizeLimit"
+        assert doc["witness"] == {"requested": p, "cap": 3317044064679887385961980}
+
+
+def test_step_too_large_witness_in_json():
+    # ten steps of one Hubble time: halving the step moves the endpoint
+    argv = ["cosmo", "evolve", "--rho0", "6.0083103026895395e-27",
+            "--t-end", "5.455840416463666e18", "--step", "5.455840416463666e17"]
+    report, doc = run_json(argv)
+    assert report.exit_code == 1
+    assert doc["error"] == "StepTooLarge"
+    assert doc["witness"] == {
+        "relative_difference": "0.0326771732483322", "tolerance": "1e-06",
+        "step": "5.45584041646367e+17",
+    }
 
 
 def test_size_limit_witness_in_json():

@@ -292,10 +292,25 @@ def test_partial_final_step_lands_on_endpoint():
 
 def test_step_too_large_raises():
     _, hub, initial = de_sitter_setup()
-    with pytest.raises(StepTooLargeError):
+    with pytest.raises(StepTooLargeError) as exc:
         evolve_scale_factor(
             initial, vacuum_pressure_law(), lam=0.0, kappa=0, t_end=10 / hub, step=1.0 / hub
         )
+    witness = exc.value.witness
+    assert witness.keys() == {"relative_difference", "tolerance", "step"}
+    assert witness["relative_difference"] > witness["tolerance"] == 1e-6
+    assert witness["step"] == 1.0 / hub
+
+
+def test_step_within_the_float_resolution_of_the_times_is_refused(deadline):
+    # near t = 1e17 floats are 16 apart: t += 1.0 never moves t, and with
+    # step 12 the full run advances but the half-step rerun (6) does not
+    initial = FluidState(a=1.0, a_dot=0.0, rho=1e-30, t=1e17)
+    for step in (1.0, 12.0, 16.0):
+        with pytest.raises(InvalidInputError):
+            evolve_scale_factor(initial, dust_pressure_law(), 0.0, 0, 1e17 + 2048, step)
+    traj = evolve_scale_factor(initial, dust_pressure_law(), 0.0, 0, 1e17 + 2048, 32.0)
+    assert traj.final.t == 1e17 + 2048
 
 
 def test_collapse_to_zero_scale_factor_raises():

@@ -49,11 +49,24 @@ def test_is_prime_small():
 
 def test_is_prime_large():
     # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 (psi_12, which
-    # base 41 exposes); psi_13 itself takes the slow trial-division path
+    # base 41 exposes); psi_13 itself is refused (below)
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n)
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * 1000000007)
+
+
+def test_primality_from_psi_13_on_is_refused_at_once(deadline):
+    # 2^89 - 1 is prime and beyond psi_13, where the bases decide nothing
+    n = 2**89 - 1
+    for call in (is_prime, make_prime_field):
+        with pytest.raises(SizeLimitError) as exc:
+            call(n)
+        assert exc.value.witness == {"requested": n, "cap": 3317044064679887385961980}
+    with pytest.raises(SizeLimitError):
+        is_prime(3317044064679887385961981)
+    # a factor among the bases still answers first
+    assert not is_prime(2**90) and not is_prime(41 * n)
 
 
 # -- construction ------------------------------------------------------------

@@ -6,8 +6,10 @@ operators and ``AffineSpace.points`` in their class dicts.  A call the
 CLI makes through a reference it captured earlier (say, when it built
 its parser) bypasses the rebinding and drops out of the trace.  This
 test loads the tracer from its file, unchanged, and checks the spans of
-four commands.  ``hilbert inner`` is among them because it still adds
-field elements, so the operator counters are seen through the CLI.
+five commands.  ``hilbert inner`` is among them because it still adds
+field elements, so the operator counters are seen through the CLI, and
+``regularize zeta`` because it runs through the declared-action handler,
+which looks its function up by name.
 """
 
 import importlib.util
@@ -37,13 +39,14 @@ def test_tracer_records_library_spans_of_cli_commands():
             ["cosmo", "density"],
             ["geometry", "lines", "--q", "3"],
             ["hilbert", "inner", "--p", "3", "--k", "2", "--u", "1:1,0:1", "--v", "2:0,1:1"],
+            ["regularize", "zeta", "--s", "1"],
         ):
             assert finiverse.cli.dispatch(argv).exit_code == 0
     finally:
         tracer.uninstall()
     assert cosmology.lambda_from_density is original
     names = [rec[spans.NAME] for rec in tracer.spans]
-    assert names.count("cli.dispatch") == 4
+    assert names.count("cli.dispatch") == 5
     for name in (
         "cosmology.lambda_from_density",
         "cosmology.pointset_density",
@@ -51,6 +54,7 @@ def test_tracer_records_library_spans_of_cli_commands():
         "geometry.incidence_structure",
         "geometry.enumerate_lines",
         "geometry.points",
+        "regularization.zeta_negative",
     ):
         assert name in names, name
     aggregate = spans.aggregate(tracer)
