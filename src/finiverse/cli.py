@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -710,6 +711,19 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _refuse_unprintable(outputs: dict) -> None:
+    """SizeLimitError for an int output with more decimal digits than
+    ``str`` converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
+    cap = sys.get_int_max_str_digits()
+    for name, (value, _) in outputs.items():
+        if type(value) is int and cap and abs(value).bit_length() > 3 * cap:  # else < 8**cap
+            digits = int(math.log10(abs(value)))  # the count, or one below it
+            digits += abs(value) >= 10**digits
+            if digits > cap:
+                message = f"{name} has {digits} decimal digits, more than the {cap} str() converts"
+                raise SizeLimitError(message, witness={"requested": digits, "cap": cap})
+
+
 def dispatch(argv: list[str]) -> RunReport:
     """Parse argv, run exactly one operation, and return its report."""
     command = " ".join(argv[:2]) if argv else ""
@@ -720,6 +734,7 @@ def dispatch(argv: list[str]) -> RunReport:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", LinearityWarning)
             report = args.handler(args)
+            _refuse_unprintable(report.outputs)
             report.warnings.extend(
                 str(w.message) for w in caught if issubclass(w.category, LinearityWarning)
             )

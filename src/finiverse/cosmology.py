@@ -16,10 +16,17 @@ Core quantities, all plain SI floats:
     addot/a = -(4*pi*G/3)*(rho + 3*p/c**2) + Lambda*c**2/a**2
     rhodot  = -3*(adot/a)*(rho + p/c**2)
 
-with classical fixed-step fourth-order Runge-Kutta and a mandatory
-step-halving endpoint verification, recording the first-integral
-residual (adot/a)**2 - (8*pi*G/3)*rho + kappa*c**2/a**2 - Lambda*c**2/a**2
-at every sample.
+with classical fixed-step fourth-order Runge-Kutta.  One generator,
+``_integrate``, runs the steps and yields (t, a, a_dot, rho) after each;
+the main run is read lazily into the samples, each with its acceleration
+ratio and first-integral residual
+(adot/a)**2 - (8*pi*G/3)*rho + kappa*c**2/a**2 - Lambda*c**2/a**2, and a
+mandatory rerun at half step is read only for its endpoint.  Samples are
+built without ``FluidState.__post_init__``, as the loop has refused
+a <= 0 (a NaN scale factor is still refused).  Still checked: the inputs,
+the 10**6-step cap, a step above the float spacing of the times, a > 0 at
+every stage, the float range, the halving tolerance, and
+``ScaleFactorTrajectory.__post_init__``.
 
 Conformance note: the Lambda term is implemented as Lambda*c**2/a**2 in
 both the acceleration equation and the first integral, the convention
@@ -38,7 +45,8 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable
 
 from .constants import CODATA2018, GIGAYEAR, Constants
 from .errors import (
@@ -117,6 +125,7 @@ def vacuum_point_count(params: CosmologyParams,
     return params.rho_vac * params.L_U0**4 / (math.pi * constants.hbar * constants.c)
 
 
+@_finite("cosmological constant", 0, above=True)
 def lambda_from_density(params: CosmologyParams,
                         constants: Constants = CODATA2018) -> float:
     """Cosmological constant 8*pi*G*rho_vac/c**4, in 1/m^2."""
@@ -156,7 +165,7 @@ def point_count_at_linear(params: CosmologyParams, dt: float,
     return prefactor * params.L_U0**4 * (1 + 4 * params.H0 * dt)
 
 
-@_finite("point-count rate")
+@_finite("point-count rate", 0, above=True)
 def point_count_rate(params: CosmologyParams,
                      constants: Constants = CODATA2018) -> float:
     """Flat-space point-count rate dP/dt = 4 * H0 * P0, in 1/s."""
@@ -168,6 +177,7 @@ def point_count_rate(params: CosmologyParams,
     return 4 * params.H0 * vacuum_point_count(params, constants)
 
 
+@_finite("point-count rate")
 def point_count_rate_general(params: CosmologyParams, dt: float,
                              hubble_rate: float, accel_ratio: float,
                              constants: Constants = CODATA2018) -> float:
@@ -186,7 +196,7 @@ def point_count_rate_general(params: CosmologyParams, dt: float,
     return prefactor * params.L_U0**4 * bracket
 
 
-@_finite("growth factor")
+@_finite("growth factor", 0, above=True)
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
     _real(H0, "H0")
@@ -216,12 +226,14 @@ def min_metric_diameter(params: CosmologyParams,
     return (math.pi * constants.hbar * constants.c / (params.rho_vac * params.L_U0)) ** (1 / 3)
 
 
+@_finite("Planck vacuum density", 0, above=True)
 def planck_vacuum_density(constants: Constants = CODATA2018) -> float:
     """Vacuum energy density set by the Planck length:
     c**4 / (8*pi*G*l_planck**2), in J/m^3."""
     return constants.c**4 / (8 * math.pi * constants.G * constants.l_planck**2)
 
 
+@_finite("acceleration ratio", 0, above=True)
 def acceleration_constant_check(params: CosmologyParams,
                                 constants: Constants = CODATA2018) -> float:
     """Constant acceleration ratio addot/a of a vacuum-dominated epoch.
@@ -318,63 +330,46 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     return math.sqrt(h2)
 
 
-def _derivatives(a, a_dot, rho, eos, lam, constants):
-    if a <= 0:
-        raise NonPositiveScaleFactorError(
-            f"scale factor reached {a} during integration"
-        )
-    p = eos(rho)
+def _acceleration_ratio(a, rho, p, c2, g43, lc2):
+    """addot/a, given c2 = c**2, g43 = -(4*pi*G/3) and lc2 = Lambda*c**2."""
+    return g43 * (rho + 3 * p / c2) + lc2 / a**2
+
+
+def _integrate(initial, eos, lam, t_end, step, constants):
+    """Fixed-step classical RK4 from ``initial`` to ``t_end``, yielding
+    (t, a, a_dot, rho) after every step; the last step is cut at t_end."""
     c2 = constants.c**2
-    accel_ratio = -(4 * math.pi * constants.G / 3) * (rho + 3 * p / c2) + lam * c2 / a**2
-    rho_dot = -3 * (a_dot / a) * (rho + p / c2)
-    return a_dot, a * accel_ratio, rho_dot
+    g43 = -(4 * math.pi * constants.G / 3)
+    lc2 = lam * c2
 
-
-def _integrate(initial, eos, lam, kappa, t_end, step, constants, record):
-    """Fixed-step classical RK4 over [initial.t, t_end].
-
-    Returns (samples, residuals, accel_ratios) when ``record`` is true,
-    else just the endpoint triple (a, a_dot, rho).
-    """
-    c2 = constants.c**2
-    g83 = 8 * math.pi * constants.G / 3
-    a, a_dot, rho = initial.a, initial.a_dot, initial.rho
-    t = initial.t
-
-    samples = []
-    residuals = []
-    accels = []
-
-    def snap():
+    def rates(a, a_dot, rho):
+        if a <= 0:
+            raise NonPositiveScaleFactorError(f"scale factor reached {a} during integration")
         p = eos(rho)
-        accel = -(4 * math.pi * constants.G / 3) * (rho + 3 * p / c2) + lam * c2 / a**2
-        residual = (a_dot / a) ** 2 - g83 * rho + kappa * c2 / a**2 - lam * c2 / a**2
-        samples.append(FluidState(a=a, a_dot=a_dot, rho=rho, p=p, t=t))
-        residuals.append(residual)
-        accels.append(accel)
+        accel = _acceleration_ratio(a, rho, p, c2, g43, lc2)
+        return a_dot, a * accel, -3 * (a_dot / a) * (rho + p / c2)
 
-    if record:
-        snap()
+    a, a_dot, rho, t = initial.a, initial.a_dot, initial.rho, initial.t
     while t < t_end:
         h = min(step, t_end - t)
-        k1 = _derivatives(a, a_dot, rho, eos, lam, constants)
-        k2 = _derivatives(a + 0.5 * h * k1[0], a_dot + 0.5 * h * k1[1],
-                          rho + 0.5 * h * k1[2], eos, lam, constants)
-        k3 = _derivatives(a + 0.5 * h * k2[0], a_dot + 0.5 * h * k2[1],
-                          rho + 0.5 * h * k2[2], eos, lam, constants)
-        k4 = _derivatives(a + h * k3[0], a_dot + h * k3[1],
-                          rho + h * k3[2], eos, lam, constants)
-        a += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        a_dot += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        rho += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        a1, v1, r1 = rates(a, a_dot, rho)
+        a2, v2, r2 = rates(a + 0.5 * h * a1, a_dot + 0.5 * h * v1, rho + 0.5 * h * r1)
+        a3, v3, r3 = rates(a + 0.5 * h * a2, a_dot + 0.5 * h * v2, rho + 0.5 * h * r2)
+        a4, v4, r4 = rates(a + h * a3, a_dot + h * v3, rho + h * r3)
+        a += h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        a_dot += h / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
+        rho += h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
         t += h
         if a <= 0:
             raise NonPositiveScaleFactorError(f"scale factor reached {a} at t = {t}")
-        if record:
-            snap()
-    if record:
-        return samples, residuals, accels
-    return a, a_dot, rho
+        yield t, a, a_dot, rho
+
+
+def _trusted_state(a, a_dot, rho, p, t) -> FluidState:
+    """A FluidState of checked floats, built without ``__post_init__``."""
+    state = object.__new__(FluidState)
+    state.__dict__.update(a=a, a_dot=a_dot, rho=rho, p=p, t=t)
+    return state
 
 
 def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
@@ -398,12 +393,7 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     _real(lam, "lambda")
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
-    try:
-        steps = (t_end - initial.t) / step
-    except OverflowError:  # an int bound or step beyond the float range
-        steps = math.inf
-    if steps == math.inf:  # the float span or quotient overflowed: count exactly
-        steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)
+    steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)  # exact, also past 1e308
     if steps > MAX_STEPS:
         steps = math.ceil(steps)
         raise SizeLimitError(
@@ -419,13 +409,24 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
             f"step {step} is not above the float resolution {resolution} of the times"
         )
 
+    c2 = constants.c**2
+    g43 = -(4 * math.pi * constants.G / 3)
+    g83 = 8 * math.pi * constants.G / 3
+    lc2 = lam * c2
+    start = (initial.t, initial.a, initial.a_dot, initial.rho)
+    run = _integrate(initial, eos, lam, t_end, step, constants)
+    samples, residuals, accels = [], [], []
     try:
-        samples, residuals, accels = _integrate(
-            initial, eos, lam, kappa, t_end, step, constants, record=True
-        )
-        a_half, _, _ = _integrate(
-            initial, eos, lam, kappa, t_end, step / 2, constants, record=False
-        )
+        # read lazily, so an error is raised at the step that meets it
+        for t, a, a_dot, rho in chain((start,), run):
+            p = eos(rho)
+            accels.append(_acceleration_ratio(a, rho, p, c2, g43, lc2))
+            residuals.append((a_dot / a) ** 2 - g83 * rho + kappa * c2 / a**2 - lc2 / a**2)
+            if a != a:  # a NaN passes the loop's a <= 0 check, not the constructor's
+                _real(a, "scale factor")
+            samples.append(_trusted_state(a, a_dot, rho, p, t))
+        for _, a_half, _, _ in _integrate(initial, eos, lam, t_end, step / 2, constants):
+            pass
     except (OverflowError, ZeroDivisionError):
         raise InvalidInputError("the integration leaves the float range") from None
     a_end = samples[-1].a
@@ -439,7 +440,6 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     return ScaleFactorTrajectory(
         samples=tuple(samples),
         step=float(step),
-        scheme_order=4,
         friedmann_residuals=tuple(residuals),
         acceleration_ratios=tuple(accels),
         halving_rel_diff=rel,

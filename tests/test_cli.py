@@ -292,6 +292,34 @@ def test_size_limit_witness_in_json():
     assert doc["witness"] == {"requested": 10**12, "cap": 2**16}
 
 
+@pytest.mark.parametrize("argv, digits", [
+    (["geometry", "cardinality", "--order", "10", "--dim", "5000"], 5001),
+    (["hilbert", "cardinality", "--p", "2", "--dim", "20000"], 6021),
+    (["geometry", "cardinality", "--order", "10", "--dim", "4300"], 4301),
+    (["geometry", "cardinality", "--order", "10", "--dim", "4299"], None),  # prints
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_integer_too_long_to_print_is_size_limit(argv, digits, capsys):
+    # counts the library admits can pass the interpreter's int-to-str limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        json_code = main(argv + ["--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        text_code = main(argv)
+        text = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(previous)
+    if digits is None:
+        assert json_code == text_code == 0
+        assert doc["outputs"]["cardinality"]["value"] == 10**4299
+        return
+    assert json_code == text_code == 1
+    assert doc["error"] == "SizeLimit"
+    assert doc["witness"] == {"requested": digits, "cap": 4300}
+    assert "error: SizeLimit\n" in text
+    assert f"witness: {{'requested': {digits}, 'cap': 4300}}\n" in text
+
+
 # numpy stays unloaded until a field's tables are built: importing the
 # package and running commands that never enumerate a field must not
 # load it, and geometry lines (which builds tables) still answers its golden
@@ -344,7 +372,7 @@ def test_module_entry_point_subprocess():
     assert doc["outputs"]["value"]["value"] == {"num": -1, "den": 12}
 
 
-def test_planck_density_command():
+def test_planck_density_command(tmp_path):
     _, doc = run_json(["cosmo", "planck-density"])
     assert float(doc["outputs"]["planck_density"]["value"]) == pytest.approx(
         1.843391011650114e112, rel=1e-12
@@ -352,6 +380,12 @@ def test_planck_density_command():
     assert float(doc["outputs"]["min_diameter_at_planck_density"]["value"]) == pytest.approx(
         1.8294288892041766e-55, rel=1e-12
     )
+    # c**4 underflows to 0: the density itself is refused, not the rho_vac it feeds
+    cfg = tmp_path / "cosmo.cfg"
+    cfg.write_text("c = 1e-100\n", encoding="utf-8")
+    report, doc = run_json(["cosmo", "planck-density", "--config", str(cfg)])
+    assert report.exit_code == 1
+    assert doc["message"] == "Planck vacuum density must be a finite real number > 0, got 0.0"
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,10 +433,27 @@ def test_planck_density_command():
     ["cosmo", "min-diameter", "--rho-vac", "1e300", "--l-u", "1e300"],
     ["cosmo", "rate", "--h0", "1e200"],
     ["cosmo", "evolve", "--a0", "1e200", "--rho0", "6e-27", "--t-end", "1e17", "--step", "1e15"],
+    # Lambda*c**2 overflows to inf and the scale factor becomes NaN
+    ["cosmo", "evolve", "--rho0", "6e-27", "--lambda", "1e295", "--adot0", "0", "--t-end", "1e17",
+     "--step", "1e16"],
     ["regularize", "oscillator-energy", "--l", "1e-300", "--count", "1e300"],
     ["geometry", "diameter", "--step", "1e300", "--order", "10000000000"],
+    # closed forms that divide by an underflowed c**4, overflow to inf or
+    # underflow to 0 (the --config value is the file's text)
+    ["cosmo", "lambda", "--rho-vac", "1e300", "--config", "c = 1e-100"],
+    ["cosmo", "lambda", "--rho-vac", "1e300", "--config", "G = 1e300"],
+    ["cosmo", "accel", "--rho-vac", "1e300", "--config", "G = 1e300"],
+    ["cosmo", "accel", "--rho-vac", "1e300", "--config", "c = 1e-100"],
+    ["cosmo", "accel", "--rho-vac", "1e-320"],
+    ["cosmo", "growth", "--h0", "1", "--dt-gyr", "-1"],
+    ["cosmo", "planck-density", "--config", "c = 1e-100"],
 ], ids=lambda argv: " ".join(argv))
-def test_non_finite_input_is_invalid(argv):
+def test_non_finite_input_is_invalid(argv, tmp_path):
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        cfg = tmp_path / "cosmo.cfg"
+        cfg.write_text(argv[i] + "\n", encoding="utf-8")
+        argv = argv[:i] + [str(cfg)] + argv[i + 1:]
     report = dispatch(argv)
     assert report.status == "error"
     assert report.error == "InvalidInput"

@@ -1,6 +1,8 @@
 """Pointset cosmology: closed-form observables and the RK4 integrator."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import pytest
@@ -340,6 +342,30 @@ def test_evolve_validation_errors():
         FluidState(a=-2.0, a_dot=1.0, rho=1.0)
 
 
+@pytest.mark.parametrize("law", [vacuum_pressure_law(), dust_pressure_law()],
+                         ids=["vacuum", "dust"])
+def test_samples_are_ordinary_fluid_states(law):
+    # the integrator builds its samples without __post_init__: each must
+    # still behave like the state the public constructor builds
+    rho, hub, _ = de_sitter_setup()
+    initial = FluidState(a=1.0, a_dot=hub, rho=rho, p=law(rho), t=0.0)
+    traj = evolve_scale_factor(initial, law, lam=0.0, kappa=0, t_end=1 / hub, step=1 / (50 * hub))
+    for s in traj.samples:
+        built = FluidState(**vars(s))
+        assert type(s) is FluidState
+        assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+        assert vars(s) == vars(built) and list(vars(s)) == list(vars(built))
+        assert dataclasses.asdict(s) == dataclasses.asdict(built)
+        assert dataclasses.replace(s) == built
+        assert dataclasses.replace(s, t=-1.0) == dataclasses.replace(built, t=-1.0)
+        assert pickle.loads(pickle.dumps(s)) == built
+        assert s.hubble == built.hubble
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.a = 2.0
+    with pytest.raises(NonPositiveScaleFactorError):
+        dataclasses.replace(traj.final, a=0.0)
+
+
 def test_trajectory_rejects_unordered_times():
     s0 = FluidState(a=1.0, a_dot=0.0, rho=1.0, p=0.0, t=1.0)
     s1 = FluidState(a=1.0, a_dot=0.0, rho=1.0, p=0.0, t=0.5)
@@ -366,7 +392,8 @@ def test_growth_factor_overflow_is_invalid_input():
         point_count_growth_factor(OBSERVED.H0, 1e10 * GIGAYEAR)
     with pytest.raises(InvalidInputError):  # 4*H0*dt is inf although both are finite
         point_count_growth_factor(1e300, 1e300)
-    assert point_count_growth_factor(-1e300, 1e300) == 0.0
+    with pytest.raises(InvalidInputError):  # exp underflows to 0, yet the factor is positive
+        point_count_growth_factor(-1e300, 1e300)
 
 
 def test_closed_forms_outside_the_float_range_are_invalid_input():
@@ -383,6 +410,15 @@ def test_closed_forms_outside_the_float_range_are_invalid_input():
         lambda: friedmann_hubble_rate(OBSERVED.rho_vac / C2, a=1e200),
         lambda: universe_diameter_at(OBSERVED, 1e300),
         lambda: point_count_at_linear(OBSERVED, 1e300),
+        lambda: lambda_from_density(CosmologyParams(rho_vac=1e300), Constants(c=1e-100)),
+        lambda: lambda_from_density(CosmologyParams(rho_vac=1e300), Constants(G=1e300)),
+        lambda: lambda_from_density(CosmologyParams(rho_vac=1e-320)),  # positive, yet 0.0
+        lambda: acceleration_constant_check(CosmologyParams(rho_vac=1e300), Constants(G=1e300)),
+        lambda: acceleration_constant_check(CosmologyParams(rho_vac=1e-320)),
+        lambda: planck_vacuum_density(Constants(c=1e-100)),
+        lambda: planck_vacuum_density(Constants(G=1e300, l_planck=1e300)),
+        lambda: point_count_rate_general(OBSERVED, 1e300, 1e300, 0.0),
+        lambda: point_count_rate_general(OBSERVED, 0.0, 1.0, 0.0, Constants(c=1e-100)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinearityWarning)
