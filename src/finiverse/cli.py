@@ -713,8 +713,8 @@ _PARSER = _build_parser()
 
 def _refuse_unprintable(outputs: dict) -> None:
     """SizeLimitError for an int output with more decimal digits than
-    ``str`` converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
-    cap = sys.get_int_max_str_digits()
+    ``str`` converts (0 for no limit, as before Python 3.10.7)."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for name, (value, _) in outputs.items():
         if type(value) is int and cap and abs(value).bit_length() > 3 * cap:  # else < 8**cap
             digits = int(math.log10(abs(value)))  # the count, or one below it

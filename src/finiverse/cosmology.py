@@ -17,16 +17,11 @@ Core quantities, all plain SI floats:
     rhodot  = -3*(adot/a)*(rho + p/c**2)
 
 with classical fixed-step fourth-order Runge-Kutta.  One generator,
-``_integrate``, runs the steps and yields (t, a, a_dot, rho) after each;
-the main run is read lazily into the samples, each with its acceleration
-ratio and first-integral residual
+``_integrate``, yields each state with its first-stage pressure and
+acceleration ratio; every sample is built by the checked ``FluidState``
+constructor and records the first-integral residual
 (adot/a)**2 - (8*pi*G/3)*rho + kappa*c**2/a**2 - Lambda*c**2/a**2, and a
-mandatory rerun at half step is read only for its endpoint.  Samples are
-built without ``FluidState.__post_init__``, as the loop has refused
-a <= 0 (a NaN scale factor is still refused).  Still checked: the inputs,
-the 10**6-step cap, a step above the float spacing of the times, a > 0 at
-every stage, the float range, the halving tolerance, and
-``ScaleFactorTrajectory.__post_init__``.
+mandatory rerun at half step verifies the endpoint.
 
 Conformance note: the Lambda term is implemented as Lambda*c**2/a**2 in
 both the acceleration equation and the first integral, the convention
@@ -45,7 +40,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Callable
 
 from .constants import CODATA2018, GIGAYEAR, Constants
@@ -330,14 +324,11 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
     return math.sqrt(h2)
 
 
-def _acceleration_ratio(a, rho, p, c2, g43, lc2):
-    """addot/a, given c2 = c**2, g43 = -(4*pi*G/3) and lc2 = Lambda*c**2."""
-    return g43 * (rho + 3 * p / c2) + lc2 / a**2
-
-
 def _integrate(initial, eos, lam, t_end, step, constants):
-    """Fixed-step classical RK4 from ``initial`` to ``t_end``, yielding
-    (t, a, a_dot, rho) after every step; the last step is cut at t_end."""
+    """Fixed-step classical RK4 from ``initial`` to ``t_end``; the last
+    step is cut at t_end.  Yields (t, a, a_dot, rho, p, addot/a) for the
+    initial state and after every step, p and addot/a being the first
+    stage's rates at that state."""
     c2 = constants.c**2
     g43 = -(4 * math.pi * constants.G / 3)
     lc2 = lam * c2
@@ -346,30 +337,25 @@ def _integrate(initial, eos, lam, t_end, step, constants):
         if a <= 0:
             raise NonPositiveScaleFactorError(f"scale factor reached {a} during integration")
         p = eos(rho)
-        accel = _acceleration_ratio(a, rho, p, c2, g43, lc2)
-        return a_dot, a * accel, -3 * (a_dot / a) * (rho + p / c2)
+        accel = g43 * (rho + 3 * p / c2) + lc2 / a**2
+        return p, accel, a_dot, a * accel, -3 * (a_dot / a) * (rho + p / c2)
 
     a, a_dot, rho, t = initial.a, initial.a_dot, initial.rho, initial.t
-    while t < t_end:
+    while True:
+        p, accel, a1, v1, r1 = rates(a, a_dot, rho)
+        yield t, a, a_dot, rho, p, accel
+        if not t < t_end:
+            return
         h = min(step, t_end - t)
-        a1, v1, r1 = rates(a, a_dot, rho)
-        a2, v2, r2 = rates(a + 0.5 * h * a1, a_dot + 0.5 * h * v1, rho + 0.5 * h * r1)
-        a3, v3, r3 = rates(a + 0.5 * h * a2, a_dot + 0.5 * h * v2, rho + 0.5 * h * r2)
-        a4, v4, r4 = rates(a + h * a3, a_dot + h * v3, rho + h * r3)
+        _, _, a2, v2, r2 = rates(a + 0.5 * h * a1, a_dot + 0.5 * h * v1, rho + 0.5 * h * r1)
+        _, _, a3, v3, r3 = rates(a + 0.5 * h * a2, a_dot + 0.5 * h * v2, rho + 0.5 * h * r2)
+        _, _, a4, v4, r4 = rates(a + h * a3, a_dot + h * v3, rho + h * r3)
         a += h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
         a_dot += h / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
         rho += h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
         t += h
         if a <= 0:
             raise NonPositiveScaleFactorError(f"scale factor reached {a} at t = {t}")
-        yield t, a, a_dot, rho
-
-
-def _trusted_state(a, a_dot, rho, p, t) -> FluidState:
-    """A FluidState of checked floats, built without ``__post_init__``."""
-    state = object.__new__(FluidState)
-    state.__dict__.update(a=a, a_dot=a_dot, rho=rho, p=p, t=t)
-    return state
 
 
 def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
@@ -410,22 +396,16 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
         )
 
     c2 = constants.c**2
-    g43 = -(4 * math.pi * constants.G / 3)
     g83 = 8 * math.pi * constants.G / 3
     lc2 = lam * c2
-    start = (initial.t, initial.a, initial.a_dot, initial.rho)
-    run = _integrate(initial, eos, lam, t_end, step, constants)
     samples, residuals, accels = [], [], []
     try:
         # read lazily, so an error is raised at the step that meets it
-        for t, a, a_dot, rho in chain((start,), run):
-            p = eos(rho)
-            accels.append(_acceleration_ratio(a, rho, p, c2, g43, lc2))
+        for t, a, a_dot, rho, p, accel in _integrate(initial, eos, lam, t_end, step, constants):
             residuals.append((a_dot / a) ** 2 - g83 * rho + kappa * c2 / a**2 - lc2 / a**2)
-            if a != a:  # a NaN passes the loop's a <= 0 check, not the constructor's
-                _real(a, "scale factor")
-            samples.append(_trusted_state(a, a_dot, rho, p, t))
-        for _, a_half, _, _ in _integrate(initial, eos, lam, t_end, step / 2, constants):
+            accels.append(accel)
+            samples.append(FluidState(a=a, a_dot=a_dot, rho=rho, p=p, t=t))
+        for _, a_half, _, _, _, _ in _integrate(initial, eos, lam, t_end, step / 2, constants):
             pass
     except (OverflowError, ZeroDivisionError):
         raise InvalidInputError("the integration leaves the float range") from None

@@ -1,11 +1,10 @@
 """Reference RK4 scale-factor integrator for ``finiverse.cosmology``.
 
 The library integrates with one generator that hoists the constants,
-computes each rate from a closure and builds its samples without
-re-validating them.  ``_derivatives`` and ``_integrate`` below are the
+computes each rate from a closure and yields each state with its
+first-stage rates.  ``_derivatives`` and ``_integrate`` below are the
 direct version it replaced, kept unchanged: every stage calls
-``_derivatives``, and ``snap`` builds each sample through the checked
-``FluidState`` constructor.  ``evolve_reference`` is the part of
+``_derivatives``, and ``snap`` computes each sample's rates again.  ``evolve_reference`` is the part of
 ``evolve_scale_factor`` after its input checks, on top of them.  The
 library must agree with it bit for bit, errors included.
 """

@@ -97,7 +97,7 @@ def test_integrator_matches_the_reference(run):
     )
     for h in (step, step / 2):
         assert _outcome(
-            lambda: deque(cosmology._integrate(initial, eos, lam, t_end, h, C), maxlen=1)[0][1:],
+            lambda: deque(cosmology._integrate(initial, eos, lam, t_end, h, C), maxlen=1)[0][1:4],
             _bits,
         ) == _outcome(
             lambda: ref._integrate(initial, eos, lam, kappa, t_end, h, C, record=False), _bits
