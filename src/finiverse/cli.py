@@ -8,8 +8,8 @@ unit string.  Exit codes: 0 success, 1 domain error, 2 usage error.
 An action whose one output is a library function of its own flags is
 declared, not written: ``value_action`` in ``_build_parser`` names its
 module, function, flags, output name and unit, formula, and whether the
-constants follow, and ``_handle_value`` runs it.  The cosmo actions on
-CosmologyParams are declared the same way with ``cosmo_action``.
+CosmologyParams lead and the constants follow, and ``_handle_value``
+runs it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -29,10 +28,13 @@ from .cosmology import OBSERVED, LinearityWarning
 from .errors import (
     FiniverseError,
     InvalidInputError,
-    SizeLimitError,
     UsageError,
+    _at_most,
     _finite,
     _integer,
+    _printable,
+    _str_digits,
+    _str_limit,
 )
 
 __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
@@ -167,11 +169,7 @@ def _field_spec_from_order(q: int) -> fields.FieldSpec:
     caller enumerates at least q points, so q above the point cap is
     refused first, before any primality test."""
     _integer(q, "field order", 2)
-    if q > geometry.LINE_CAP:
-        raise SizeLimitError(
-            f"field order {q} exceeds the point enumeration cap {geometry.LINE_CAP}",
-            witness={"requested": q, "cap": geometry.LINE_CAP},
-        )
+    _at_most(q, geometry.LINE_CAP, "field order {n} exceeds the point enumeration cap {cap}")
     for k in range(1, q.bit_length()):
         p = _integer_root(q, k)
         if p**k == q and fields.is_prime(p):
@@ -255,11 +253,7 @@ _TABLE_RENDER_CAP = 64
 
 def _handle_field_table(args) -> RunReport:
     spec = _field_spec_from(args)
-    if spec.order > _TABLE_RENDER_CAP:
-        raise SizeLimitError(
-            f"table rendering capped at order {_TABLE_RENDER_CAP}, got {spec.order}",
-            witness={"requested": spec.order, "cap": _TABLE_RENDER_CAP},
-        )
+    _at_most(spec.order, _TABLE_RENDER_CAP, "table rendering capped at order {cap}, got {n}")
     elements, add_t, mul_t = fields.operation_tables(spec)
     labels = [str(e) for e in elements]
 
@@ -438,30 +432,23 @@ def _handle_reg_vacuum(args) -> RunReport:
 
 def _handle_value(args) -> RunReport:
     """An action whose one output is a library function of its own flag
-    values, passed in declaration order, then of the constants when the
-    action declares them (only then is --config read).  The function is
-    looked up by name on each run, so a rebound module attribute (a
-    wrapper, a test double) is the one called."""
+    values, passed in declaration order, after the CosmologyParams and
+    before the constants when the action declares them (only then is
+    --config read); the params' fields lead the report's inputs.  The
+    function is looked up by name on each run, so a rebound module
+    attribute (a wrapper, a test double) is the one called."""
     inputs = {dest: getattr(args, dest) for dest in args.inputs}
-    constants = (_constants_and_params(args)[0],) if args.constants else ()
+    call = list(inputs.values())
+    if args.params or args.constants:
+        constants, params = _constants_and_params(args)
+        if args.params:
+            call.insert(0, params)
+            inputs = {**dataclasses.asdict(params), **inputs}
+        if args.constants:
+            call.append(constants)
     name, unit = args.output
-    value = getattr(args.module, args.function)(*inputs.values(), *constants)
+    value = getattr(args.module, args.function)(*call)
     return RunReport(inputs=inputs, outputs={name: (value, unit)}, formula=args.formula)
-
-
-def _handle_cosmo_value(args) -> RunReport:
-    """A cosmo action whose one output is a cosmology function of
-    (params, constants).  The function is looked up by name on each run,
-    so a rebound module attribute (a wrapper, a test double) is the one
-    called."""
-    constants, params = _constants_and_params(args)
-    name, unit = args.output
-    value = getattr(cosmology, args.function)(params, constants)
-    return RunReport(
-        inputs=dataclasses.asdict(params),
-        outputs={name: (value, unit)},
-        formula=args.formula,
-    )
 
 
 @_finite("growth exponent")
@@ -510,26 +497,6 @@ def _handle_cosmo_planck_density(args) -> RunReport:
             ),
         },
         formula="rho_vac = c^4/(8*pi*G*l_planck^2)",
-    )
-
-
-def _handle_cosmo_diameter_at(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        inputs={**dataclasses.asdict(params), "dt": args.dt},
-        outputs={"diameter": (cosmology.universe_diameter_at(params, args.dt), "m")},
-        formula="L_U(dt) = L_U0*(1+H0*dt)",
-    )
-
-
-def _handle_cosmo_count_at(args) -> RunReport:
-    constants, params = _constants_and_params(args)
-    return RunReport(
-        inputs={**dataclasses.asdict(params), "dt": args.dt},
-        outputs={
-            "point_count": (cosmology.point_count_at_linear(params, args.dt, constants), "points")
-        },
-        formula="P(dt) = (c^3*Lambda/(8*pi^2*hbar*G))*L_U0^4*(1+4*H0*dt)",
     )
 
 
@@ -602,13 +569,25 @@ def _build_parser() -> _Parser:
         p.add_argument("--gaussian", action="store_true")
         return p
 
-    def value_action(sub, name, module, function, output, formula, *flags, constants=False):
+    def cosmo_flags(p):
+        """The CosmologyParams flags; their dests are its field names."""
+        p.add_argument("--rho-vac", dest="rho_vac", type=float, default=None)
+        p.add_argument("--l-u", dest="L_U0", type=float, default=None)
+        p.add_argument("--h0", dest="H0", type=float, default=None)
+        p.add_argument("--kappa", type=int, default=None)
+        return p
+
+    def value_action(sub, name, module, function, output, formula, *flags, params=False,
+                     constants=False):
         """An action run by _handle_value: ``output`` is (name, unit) of
-        module.function(*flag values[, constants]).  A flag is (spelling,
-        dest, type), required, or (spelling, dest, type, default); the
-        dests are the report's input names."""
+        module.function([params, ]*flag values[, constants]).  A flag is
+        (spelling, dest, type), required, or (spelling, dest, type,
+        default); the dests are the report's input names."""
         p = action(sub, name, _handle_value, module=module, function=function, output=output,
-                   formula=formula, constants=constants, inputs=[flag[1] for flag in flags])
+                   formula=formula, params=params, constants=constants,
+                   inputs=[flag[1] for flag in flags])
+        if params:
+            cosmo_flags(p)
         for spelling, dest, type_, *default in flags:
             p.add_argument(spelling, dest=dest, type=type_, required=not default,
                            default=default[0] if default else None)
@@ -668,33 +647,28 @@ def _build_parser() -> _Parser:
 
     c = subs.add_parser("cosmo").add_subparsers(dest="action", required=True)
 
-    def cosmo_action(name, handler=_handle_cosmo_value, **defaults):
-        """An action on CosmologyParams; the flag dests are its field names."""
-        p = action(c, name, handler, **defaults)
-        p.add_argument("--rho-vac", dest="rho_vac", type=float, default=None)
-        p.add_argument("--l-u", dest="L_U0", type=float, default=None)
-        p.add_argument("--h0", dest="H0", type=float, default=None)
-        p.add_argument("--kappa", type=int, default=None)
-        return p
+    def cosmo_value(name, function, output, formula, *flags, constants=True):
+        """A value action on cosmology.function(params, *flags[, constants])."""
+        value_action(c, name, cosmology, function, output, formula, *flags, params=True,
+                     constants=constants)
 
-    cosmo_action("point-count", function="vacuum_point_count", output=("point_count", "points"),
-                 formula="P = rho_vac*L_U^4/(pi*hbar*c)")
-    cosmo_action("lambda", function="lambda_from_density", output=("lambda", "1/m^2"),
-                 formula="Lambda = 8*pi*G*rho_vac/c^4")
-    cosmo_action("rate", function="point_count_rate", output=("rate", "1/s"),
-                 formula="dP/dt = 4*H0*P")
-    p = cosmo_action("growth", _handle_cosmo_growth)
+    cosmo_value("point-count", "vacuum_point_count", ("point_count", "points"),
+                "P = rho_vac*L_U^4/(pi*hbar*c)")
+    cosmo_value("lambda", "lambda_from_density", ("lambda", "1/m^2"),
+                "Lambda = 8*pi*G*rho_vac/c^4")
+    cosmo_value("rate", "point_count_rate", ("rate", "1/s"), "dP/dt = 4*H0*P")
+    p = cosmo_flags(action(c, "growth", _handle_cosmo_growth))
     p.add_argument("--dt-gyr", dest="dt_gyr", type=float, default=1.0)
-    cosmo_action("density", _handle_cosmo_density)
-    cosmo_action("min-diameter", function="min_metric_diameter", output=("min_diameter", "m"),
-                 formula="d_min = (pi*hbar*c/(rho_vac*L_U))^(1/3)")
-    cosmo_action("planck-density", _handle_cosmo_planck_density)
-    p = cosmo_action("diameter-at", _handle_cosmo_diameter_at)
-    p.add_argument("--dt", type=float, required=True, help="seconds")
-    p = cosmo_action("count-at", _handle_cosmo_count_at)
-    p.add_argument("--dt", type=float, required=True, help="seconds")
-    cosmo_action("accel", function="acceleration_constant_check", output=("accel_ratio", "1/s^2"),
-                 formula="addot/a = (8*pi*G/(3*c^2))*rho_vac")
+    cosmo_flags(action(c, "density", _handle_cosmo_density))
+    cosmo_value("min-diameter", "min_metric_diameter", ("min_diameter", "m"),
+                "d_min = (pi*hbar*c/(rho_vac*L_U))^(1/3)")
+    cosmo_flags(action(c, "planck-density", _handle_cosmo_planck_density))
+    cosmo_value("diameter-at", "universe_diameter_at", ("diameter", "m"),
+                "L_U(dt) = L_U0*(1+H0*dt)", ("--dt", "dt", float), constants=False)
+    cosmo_value("count-at", "point_count_at_linear", ("point_count", "points"),
+                "P(dt) = (c^3*Lambda/(8*pi^2*hbar*G))*L_U0^4*(1+4*H0*dt)", ("--dt", "dt", float))
+    cosmo_value("accel", "acceleration_constant_check", ("accel_ratio", "1/s^2"),
+                "addot/a = (8*pi*G/(3*c^2))*rho_vac")
     p = action(c, "evolve", _handle_cosmo_evolve)
     p.add_argument("--eos", choices=("vacuum", "dust"), default="vacuum")
     p.add_argument("--a0", type=float, default=1.0)
@@ -713,15 +687,10 @@ _PARSER = _build_parser()
 
 def _refuse_unprintable(outputs: dict) -> None:
     """SizeLimitError for an int output with more decimal digits than
-    ``str`` converts (0 for no limit, as before Python 3.10.7)."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ``str`` converts."""
     for name, (value, _) in outputs.items():
-        if type(value) is int and cap and abs(value).bit_length() > 3 * cap:  # else < 8**cap
-            digits = int(math.log10(abs(value)))  # the count, or one below it
-            digits += abs(value) >= 10**digits
-            if digits > cap:
-                message = f"{name} has {digits} decimal digits, more than the {cap} str() converts"
-                raise SizeLimitError(message, witness={"requested": digits, "cap": cap})
+        _at_most(_str_digits(value), _str_limit(),
+                 "{name} has {n} decimal digits, more than the {cap} str() converts", name=name)
 
 
 def dispatch(argv: list[str]) -> RunReport:
@@ -739,11 +708,14 @@ def dispatch(argv: list[str]) -> RunReport:
                 str(w.message) for w in caught if issubclass(w.category, LinearityWarning)
             )
     except FiniverseError as exc:
+        witness = exc.witness
+        if isinstance(witness, dict):  # a SizeLimit witness may hold an int too long for str
+            witness = {key: _printable(value) for key, value in witness.items()}
         report = RunReport(
             status="error",
             error=exc.code,
             message=str(exc),
-            witness=exc.witness,
+            witness=witness,
             exit_code=2 if isinstance(exc, UsageError) else 1,
         )
     report.command = command

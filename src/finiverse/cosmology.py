@@ -47,8 +47,8 @@ from .errors import (
     CurvatureUnsupportedError,
     InvalidInputError,
     NonPositiveScaleFactorError,
-    SizeLimitError,
     StepTooLargeError,
+    _at_most,
     _finite,
     _integer,
     _real,
@@ -380,12 +380,7 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     if not callable(eos):
         raise InvalidInputError("eos must be a callable pressure law p(rho)")
     steps = (Fraction(t_end) - Fraction(initial.t)) / Fraction(step)  # exact, also past 1e308
-    if steps > MAX_STEPS:
-        steps = math.ceil(steps)
-        raise SizeLimitError(
-            f"{steps} steps exceed the limit {MAX_STEPS}",
-            witness={"requested": steps, "cap": MAX_STEPS},
-        )
+    _at_most(math.ceil(steps), MAX_STEPS, "{n} steps exceed the limit {cap}")
     # t += h leaves t unchanged once h is at most half the float spacing
     # near t, so the half-step rerun could never end unless step exceeds
     # the spacing at the larger time

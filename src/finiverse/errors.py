@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from numbers import Real
 
 __all__ = [
@@ -154,8 +155,11 @@ class UsageError(FiniverseError, ValueError):
 
 
 # -- argument validation ------------------------------------------------------
-# Every library boundary checks numeric arguments through these two, so the
-# rules (no bool, no non-number, no NaN or infinity) and the message agree.
+# Every library boundary checks numeric arguments through ``_real`` and
+# ``_integer``, so the rules (no bool, no non-number, no NaN or infinity) and
+# the message agree; ``_finite`` does the same for a float formula's result.
+# Every size cap refuses through ``_at_most``, which owns the SizeLimit
+# witness and names a size too long for ``str`` by its bit length.
 
 
 def _real(value, what: str, low=None, *, above: bool = False):
@@ -204,3 +208,32 @@ def _finite(what: str, low=None, *, above: bool = False):
         return checked
 
     return decorate
+
+
+#: the most decimal digits ``str`` converts, 0 for no limit (as before 3.10.7)
+_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _str_digits(value) -> int:
+    """The decimal digit count of an int too long for ``str``, else 0."""
+    cap = _str_limit()
+    if type(value) is not int or not cap or abs(value).bit_length() <= 3 * cap:  # < 8**cap
+        return 0
+    digits = int(math.log10(abs(value)))  # the count, or one below it
+    digits += abs(value) >= 10**digits
+    return digits if digits > cap else 0
+
+
+def _printable(value):
+    """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``."""
+    return f"<{value.bit_length()}-bit integer>" if _str_digits(value) else value
+
+
+def _at_most(n: int, cap: int, message: str, **details) -> None:
+    """SizeLimitError when ``n > cap``, with witness ``{"requested": n,
+    "cap": cap}``.  ``message`` is a template over ``n``, ``cap`` and
+    ``details``, formatted only on refusal, each value through
+    ``_printable``; the witness keeps ``n`` exact."""
+    if n > cap:
+        shown = {key: _printable(v) for key, v in dict(details, n=n, cap=cap).items()}
+        raise SizeLimitError(message.format(**shown), witness={"requested": n, "cap": cap})

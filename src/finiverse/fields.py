@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product, repeat, zip_longest
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     DimMismatchError,
@@ -58,6 +58,7 @@ from .errors import (
     NotPrimeError,
     SizeLimitError,
     SpecMismatchError,
+    _at_most,
     _integer,
 )
 
@@ -96,6 +97,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: psi_13, the smallest strong pseudoprime to all of _MR_BASES (Sorenson &
 #: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
 _MR_BOUND = 3317044064679887385961981
+#: is_prime's refusal, a template formatted only when it raises
+_MR_REFUSAL = f"primality is decided only below psi_13 = {_MR_BOUND}, got {{n}}"
 
 
 def is_prime(n: int) -> bool:
@@ -112,11 +115,7 @@ def is_prime(n: int) -> bool:
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_BOUND:
-        raise SizeLimitError(
-            f"primality is decided only below psi_13 = {_MR_BOUND}, got {n}",
-            witness={"requested": n, "cap": _MR_BOUND - 1},
-        )
+    _at_most(n, _MR_BOUND - 1, _MR_REFUSAL)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -819,12 +818,7 @@ def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     The first call on a spec builds its log/antilog tables; the list
     holds the spec's cached instances.
     """
-    q = spec.order
-    if q > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"field order {q} exceeds enumeration cap {ENUMERATION_CAP}",
-            witness={"requested": q, "cap": ENUMERATION_CAP},
-        )
+    _at_most(spec.order, ENUMERATION_CAP, "field order {n} exceeds enumeration cap {cap}")
     t = spec._tables
     if t is None:
         t = _Tables(spec)
@@ -842,11 +836,7 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
     import numpy as np
 
     q = spec.order
-    if q > AXIOM_CHECK_CAP:
-        raise SizeLimitError(
-            f"field order {q} exceeds table cap {AXIOM_CHECK_CAP}",
-            witness={"requested": q, "cap": AXIOM_CHECK_CAP},
-        )
+    _at_most(q, AXIOM_CHECK_CAP, "field order {n} exceeds table cap {cap}")
     elements = enumerate_elements(spec)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)

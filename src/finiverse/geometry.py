@@ -26,8 +26,8 @@ from .errors import (
     InvalidInputError,
     MalformedStructureError,
     MalformedTableError,
-    SizeLimitError,
     TooFewPointsError,
+    _at_most,
     _finite,
     _integer,
     _real,
@@ -91,16 +91,12 @@ class AffineSpace:
 
     @property
     def point_count(self) -> int:
-        return self.spec.order**self.dim
+        return pointset_cardinality(self.spec.order, self.dim)
 
     def points(self) -> list[FieldVector]:
         """All points; first coordinate varies slowest, so the origin
         comes first and orderings agree with coordinate index keys."""
-        if self.point_count > LINE_CAP:
-            raise SizeLimitError(
-                f"{self.point_count} points exceed the enumeration cap {LINE_CAP}",
-                witness={"requested": self.point_count, "cap": LINE_CAP},
-            )
+        _at_most(self.point_count, LINE_CAP, "{n} points exceed the enumeration cap {cap}")
         return _vectors(self.spec, self.dim)
 
     def point(self, values: Sequence) -> FieldVector:
@@ -231,20 +227,13 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     sorted into enumeration order: one numpy array per class.  The lines
     hold the points of ``space.points()`` and keep their sorted ids.
     """
-    if space.point_count > LINE_CAP:
-        raise SizeLimitError(
-            f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}",
-            witness={"requested": space.point_count, "cap": LINE_CAP},
-        )
+    count = space.point_count
+    _at_most(count, LINE_CAP, "{n} points exceed the line-enumeration cap {cap}")
     spec, dim = space.spec, space.dim
     q = spec.order
-    incidences = q**dim * (q**dim - 1) // (q - 1)
-    if incidences > INCIDENCE_CAP:
-        raise SizeLimitError(
-            f"{incidences // q} lines of {q} points hold {incidences} incidences, "
-            f"more than the line-enumeration cap {INCIDENCE_CAP}",
-            witness={"requested": incidences, "cap": INCIDENCE_CAP},
-        )
+    incidences = count * (count - 1) // (q - 1)
+    _at_most(incidences, INCIDENCE_CAP, "{lines} lines of {q} points hold {n} incidences, "
+             "more than the line-enumeration cap {cap}", lines=incidences // q, q=q)
     points = space.points()  # builds the field's tables, and so loads numpy
     import numpy as np
 

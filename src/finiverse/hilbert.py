@@ -21,7 +21,7 @@ from .errors import (
     DimMismatchError,
     InvalidInputError,
     NotPrimeError,
-    SizeLimitError,
+    _at_most,
     _integer,
 )
 from .fields import (
@@ -135,9 +135,5 @@ def is_isotropic(v: FieldVector) -> bool:
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:
     """All vectors in coordinate-enumeration order (first coordinate
     varies slowest); capped at ENUMERATION_CAP vectors."""
-    if space.cardinality > ENUMERATION_CAP:
-        raise SizeLimitError(
-            f"{space.cardinality} vectors exceed the enumeration cap {ENUMERATION_CAP}",
-            witness={"requested": space.cardinality, "cap": ENUMERATION_CAP},
-        )
+    _at_most(space.cardinality, ENUMERATION_CAP, "{n} vectors exceed the enumeration cap {cap}")
     return _vectors(space.spec, space.dim)

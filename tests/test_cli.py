@@ -322,6 +322,35 @@ def test_integer_too_long_to_print_is_size_limit(argv, digits, capsys):
     assert f"witness: {{'requested': {digits}, 'cap': 4300}}\n" in text
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str limit")
+@pytest.mark.parametrize("argv, error", [
+    (["geometry", "degenerate", "--q", "2", "--dim", "20000"], "SizeLimit"),
+    (["geometry", "lines", "--q", "2", "--dim", "20000"], "SizeLimit"),
+    (["geometry", "hesse", "--q", "2", "--dim", "20000"], "SizeLimit"),
+    (["geometry", "degenerate", "--q", "2", "--dim", "10000000"], "Overflow"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_refused_size_too_long_to_print_ends_typed(argv, error, deadline, capsys):
+    # 2**20000 points pass the bit estimate but not str(); 2**10**7 fails
+    # the estimate; both once ended in a raw ValueError
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        json_code = main(argv + ["--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        text_code = main(argv)
+        text = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert json_code == text_code == 1
+    assert doc["error"] == error
+    assert f"error: {error}\n" in text
+    if error == "SizeLimit":
+        assert doc["message"].startswith("<20001-bit integer> points exceed")
+        assert doc["witness"] == {"requested": "<20001-bit integer>", "cap": 2**16}
+        assert "witness: {'requested': '<20001-bit integer>', 'cap': 65536}\n" in text
+
+
 # numpy stays unloaded until a field's tables are built: importing the
 # package and running commands that never enumerate a field must not
 # load it, and geometry lines (which builds tables) still answers its golden

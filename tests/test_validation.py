@@ -2,10 +2,13 @@
 infinities with InvalidInputError, and every size cap refuses with a
 SizeLimitError that names the requested size and the cap."""
 
+import argparse
 import math
+import sys
 
 import pytest
 
+from finiverse import cli
 from finiverse.constants import Constants
 from finiverse.cosmology import (
     OBSERVED,
@@ -18,9 +21,15 @@ from finiverse.cosmology import (
     point_count_growth_factor,
     universe_diameter_at,
 )
-from finiverse.errors import InvalidInputError, NonPositiveScaleFactorError, SizeLimitError
+from finiverse.errors import (
+    CapacityOverflowError,
+    InvalidInputError,
+    NonPositiveScaleFactorError,
+    SizeLimitError,
+)
 from finiverse.fields import (
     enumerate_elements,
+    is_prime,
     make_extension_field,
     make_prime_field,
     verify_field_axioms,
@@ -93,25 +102,82 @@ def test_nonpositive_scale_factor_keeps_its_type():
 
 
 F257_PLANE = AffineSpace(make_prime_field(257), 2)  # 66049 points > 2**16
+PSI_13 = 3317044064679887385961981
+
+
+def refuse_unprintable_output():
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        cli._refuse_unprintable({"cardinality": (10**5000, "points")})
+    finally:
+        sys.set_int_max_str_digits(previous)
+
 
 SIZE_CAPS = {
+    "is_prime": (lambda: is_prime(PSI_13), PSI_13, PSI_13 - 1,
+                 f"primality is decided only below psi_13 = {PSI_13}, got {PSI_13}"),
     "enumerate_elements": (lambda: enumerate_elements(make_extension_field(103, 3)),
-                           103**3, 2**20),
-    "verify_field_axioms": (lambda: verify_field_axioms(make_extension_field(23, 2)), 529, 500),
-    "verify_modular_ring_axioms": (lambda: verify_modular_ring_axioms(501), 501, 500),
-    "AffineSpace.points": (F257_PLANE.points, 257**2, 2**16),
-    "enumerate_lines": (lambda: enumerate_lines(F257_PLANE), 257**2, 2**16),
-    "enumerate_vectors": (lambda: enumerate_vectors(FiniteHilbertSpace(F3, 13)), 3**13, 2**20),
-    "evolve_scale_factor": (lambda: evolve(step=2.0**-30), 2**30, 10**6),
+                           103**3, 2**20, "field order 1092727 exceeds enumeration cap 1048576"),
+    "verify_field_axioms": (lambda: verify_field_axioms(make_extension_field(23, 2)), 529, 500,
+                            "field order 529 exceeds table cap 500"),
+    "verify_modular_ring_axioms": (lambda: verify_modular_ring_axioms(501), 501, 500,
+                                   "modulus must lie in 2..500, got 501"),
+    "AffineSpace.points": (F257_PLANE.points, 257**2, 2**16,
+                           "66049 points exceed the enumeration cap 65536"),
+    "enumerate_lines": (lambda: enumerate_lines(F257_PLANE), 257**2, 2**16,
+                        "66049 points exceed the line-enumeration cap 65536"),
+    # AG(2, 127): 16129 points, under the point cap, on 16256 lines
+    "enumerate_lines incidences": (
+        lambda: enumerate_lines(AffineSpace(make_prime_field(127), 2)), 16256 * 127, 2**19,
+        "16256 lines of 127 points hold 2064512 incidences, "
+        "more than the line-enumeration cap 524288"),
+    "enumerate_vectors": (lambda: enumerate_vectors(FiniteHilbertSpace(F3, 13)), 3**13, 2**20,
+                          "1594323 vectors exceed the enumeration cap 1048576"),
+    "evolve_scale_factor": (lambda: evolve(step=2.0**-30), 2**30, 10**6,
+                            "1073741824 steps exceed the limit 1000000"),
     # 1.0 / 5e-324 overflows a float; the step count is still exact
-    "evolve_scale_factor tiny step": (lambda: evolve(step=5e-324), 2**1074, 10**6),
+    "evolve_scale_factor tiny step": (lambda: evolve(step=5e-324), 2**1074, 10**6,
+                                      f"{2**1074} steps exceed the limit 1000000"),
+    "cli field order": (lambda: cli._field_spec_from_order(65537), 65537, 2**16,
+                        "field order 65537 exceeds the point enumeration cap 65536"),
+    "cli field table": (
+        lambda: cli._handle_field_table(argparse.Namespace(p=67, k=1, gaussian=False)), 67, 64,
+        "table rendering capped at order 64, got 67"),
+    "cli unprintable output": (refuse_unprintable_output, 5001, 4300,
+                               "cardinality has 5001 decimal digits, more than the 4300 "
+                               "str() converts"),
 }
 
 
 @pytest.mark.parametrize("site", sorted(SIZE_CAPS))
 def test_size_limit_carries_requested_and_cap(site):
-    call, requested, cap = SIZE_CAPS[site]
+    call, requested, cap, message = SIZE_CAPS[site]
     with pytest.raises(SizeLimitError) as exc:
         call()
     assert exc.value.code == "SizeLimit"
     assert exc.value.witness == {"requested": requested, "cap": cap}
+    assert str(exc.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str limit")
+def test_size_too_long_to_print_is_named_by_its_bit_length():
+    # 2**20000 has 6021 decimal digits, more than str() converts
+    space = AffineSpace(make_prime_field(2), 20000)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SizeLimitError) as exc:
+            space.points()
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert str(exc.value) == "<20001-bit integer> points exceed the enumeration cap 65536"
+    assert exc.value.witness == {"requested": 2**20000, "cap": 2**16}
+
+
+def test_point_count_is_capacity_checked_before_the_power(deadline):
+    # the bit estimate refuses 2**10**7 before computing it
+    with pytest.raises(CapacityOverflowError) as exc:
+        AffineSpace(make_prime_field(2), 10**7).point_count
+    assert str(exc.value) == "2**10000000 would exceed 4000000 bits"
