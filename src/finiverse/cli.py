@@ -28,6 +28,7 @@ from .cosmology import OBSERVED, LinearityWarning
 from .errors import (
     FiniverseError,
     InvalidInputError,
+    SizeLimitError,
     UsageError,
     _at_most,
     _finite,
@@ -216,7 +217,14 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
         if len(parts) != 2:
             raise InvalidInputError(f"point {chunk!r} is not x,y")
         try:
+            for part in parts:  # 10**exponent is computed only below the str() limit
+                mantissa, _, exponent = part.lower().partition("e")
+                digits = len(mantissa) + abs(int(exponent or 0))
+                _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
+                         "about {n} digits, more than the {cap} str() converts", chunk=chunk)
             x, y = Fraction(parts[0]), Fraction(parts[1])
+        except SizeLimitError:
+            raise
         except (ValueError, ZeroDivisionError):
             raise InvalidInputError(f"point {chunk!r} is not two exact rationals") from None
         points.append(geometry.RationalPoint(x, y))
@@ -290,8 +298,6 @@ def _handle_field_axioms(args) -> RunReport:
     if args.ring is not None:
         report = fields.verify_modular_ring_axioms(args.ring)
         inputs = {"ring": f"Z/{args.ring}"}
-    elif args.p is None:
-        raise UsageError("one of the arguments --p --ring is required")
     else:
         spec = _field_spec_from(args)
         report = fields.verify_field_axioms(spec)
@@ -552,19 +558,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="finiverse", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--config", default=None, help="key=value constants/params file")
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def action(sub, name, handler, **defaults):
+    def action(sub, name, handler, config=False, **defaults):
+        """An action; --config only on one that calls _constants_and_params."""
         p = sub.add_parser(name, parents=[common])
         p.set_defaults(handler=handler, **defaults)
+        if config:
+            p.add_argument("--config", default=None, help="key=value constants/params file")
         return p
 
-    def field_action(sub, name, handler, p_required=True):
+    def field_action(sub, name, handler):
         """An action on GF(p^k), or on the Gaussian field with --gaussian."""
         p = action(sub, name, handler)
-        p.add_argument("--p", type=int, required=p_required)
+        p.add_argument("--p", type=int, required=True)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--gaussian", action="store_true")
         return p
@@ -583,9 +591,9 @@ def _build_parser() -> _Parser:
         module.function([params, ]*flag values[, constants]).  A flag is
         (spelling, dest, type), required, or (spelling, dest, type,
         default); the dests are the report's input names."""
-        p = action(sub, name, _handle_value, module=module, function=function, output=output,
-                   formula=formula, params=params, constants=constants,
-                   inputs=[flag[1] for flag in flags])
+        p = action(sub, name, _handle_value, params or constants, module=module,
+                   function=function, output=output, formula=formula, params=params,
+                   constants=constants, inputs=[flag[1] for flag in flags])
         if params:
             cosmo_flags(p)
         for spelling, dest, type_, *default in flags:
@@ -596,8 +604,12 @@ def _build_parser() -> _Parser:
     field_action(f, "table", _handle_field_table)
     p = action(f, "gaussian", _handle_field_gaussian)
     p.add_argument("--p", type=int, required=True)
-    p = field_action(f, "axioms", _handle_field_axioms, p_required=False)
-    p.add_argument("--ring", type=int, default=None, help="check Z/n instead of a field")
+    p = action(f, "axioms", _handle_field_axioms)
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--p", type=int)
+    one.add_argument("--ring", type=int, help="check Z/n instead of a field")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--gaussian", action="store_true")
     p = field_action(f, "inverse", _handle_field_inverse)
     p.add_argument("--element", required=True)
 
@@ -636,7 +648,7 @@ def _build_parser() -> _Parser:
     value_action(r, "mode-energy", regularization, "mode_energy", ("omega", "rad/s"),
                  "omega = c*sqrt((m0*c/hbar)^2 + kx^2+ky^2+kz^2)",
                  *((f"--{k}", k, float, 0.0) for k in ("m0", "kx", "ky", "kz")), constants=True)
-    p = action(r, "vacuum", _handle_reg_vacuum)
+    p = action(r, "vacuum", _handle_reg_vacuum, config=True)
     p.add_argument("--l", type=float, required=True, help="box edge, m")
     p.add_argument("--n", type=int, default=None, help="cutoff; omit for regularized value")
     value_action(r, "oscillator-energy", regularization, "oscillator_count_energy",
@@ -657,19 +669,19 @@ def _build_parser() -> _Parser:
     cosmo_value("lambda", "lambda_from_density", ("lambda", "1/m^2"),
                 "Lambda = 8*pi*G*rho_vac/c^4")
     cosmo_value("rate", "point_count_rate", ("rate", "1/s"), "dP/dt = 4*H0*P")
-    p = cosmo_flags(action(c, "growth", _handle_cosmo_growth))
+    p = cosmo_flags(action(c, "growth", _handle_cosmo_growth, config=True))
     p.add_argument("--dt-gyr", dest="dt_gyr", type=float, default=1.0)
-    cosmo_flags(action(c, "density", _handle_cosmo_density))
+    cosmo_flags(action(c, "density", _handle_cosmo_density, config=True))
     cosmo_value("min-diameter", "min_metric_diameter", ("min_diameter", "m"),
                 "d_min = (pi*hbar*c/(rho_vac*L_U))^(1/3)")
-    cosmo_flags(action(c, "planck-density", _handle_cosmo_planck_density))
+    cosmo_flags(action(c, "planck-density", _handle_cosmo_planck_density, config=True))
     cosmo_value("diameter-at", "universe_diameter_at", ("diameter", "m"),
                 "L_U(dt) = L_U0*(1+H0*dt)", ("--dt", "dt", float), constants=False)
     cosmo_value("count-at", "point_count_at_linear", ("point_count", "points"),
                 "P(dt) = (c^3*Lambda/(8*pi^2*hbar*G))*L_U0^4*(1+4*H0*dt)", ("--dt", "dt", float))
     cosmo_value("accel", "acceleration_constant_check", ("accel_ratio", "1/s^2"),
                 "addot/a = (8*pi*G/(3*c^2))*rho_vac")
-    p = action(c, "evolve", _handle_cosmo_evolve)
+    p = action(c, "evolve", _handle_cosmo_evolve, config=True)
     p.add_argument("--eos", choices=("vacuum", "dust"), default="vacuum")
     p.add_argument("--a0", type=float, default=1.0)
     p.add_argument("--adot0", type=float, default=None, help="default: on the first integral")
@@ -685,11 +697,18 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _scalars(value) -> list:
+    """A report value's scalars: the value, its items, a fraction's two terms."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _scalars(item)]
+    return [value.numerator, value.denominator] if isinstance(value, Fraction) else [value]
+
+
 def _refuse_unprintable(outputs: dict) -> None:
-    """SizeLimitError for an int output with more decimal digits than
-    ``str`` converts."""
+    """SizeLimitError for an output holding an int with more decimal digits
+    than ``str`` converts."""
     for name, (value, _) in outputs.items():
-        _at_most(_str_digits(value), _str_limit(),
+        _at_most(max(map(_str_digits, _scalars(value)), default=0), _str_limit(),
                  "{name} has {n} decimal digits, more than the {cap} str() converts", name=name)
 
 

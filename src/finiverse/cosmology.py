@@ -51,6 +51,7 @@ from .errors import (
     _at_most,
     _finite,
     _integer,
+    _printable,
     _real,
 )
 
@@ -260,7 +261,9 @@ class FluidState:
         if a != math.inf:
             _real(a, "scale factor")
         if a <= 0:
-            raise NonPositiveScaleFactorError(f"scale factor must be positive, got {a!r}")
+            raise NonPositiveScaleFactorError(
+                f"scale factor must be positive, got {_printable(a)!r}"
+            )
 
     @property
     def hubble(self) -> float:

@@ -96,7 +96,11 @@ class RangeLimitError(FiniverseError, ValueError):
 
 
 class CapacityOverflowError(FiniverseError, OverflowError):
-    """An exact integer result would be too large to materialize."""
+    """An exact integer result would be too large to materialize.
+
+    ``witness`` is ``{"requested": bits, "cap": CAPACITY_BITS}``, both in
+    bits: the estimated size of the result and the largest size allowed.
+    """
 
     code = "Overflow"
 
@@ -155,11 +159,15 @@ class UsageError(FiniverseError, ValueError):
 
 
 # -- argument validation ------------------------------------------------------
-# Every library boundary checks numeric arguments through ``_real`` and
-# ``_integer``, so the rules (no bool, no non-number, no NaN or infinity) and
-# the message agree; ``_finite`` does the same for a float formula's result.
-# Every size cap refuses through ``_at_most``, which owns the SizeLimit
-# witness and names a size too long for ``str`` by its bit length.
+# Each argument rule has one check, which names a refused value through
+# ``_printable`` (an int too long for ``str`` by its bit length): a number,
+# ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity; ``_finite``
+# for a float formula's result); a size, ``_at_most``; a result's bit size,
+# ``_within_capacity``; a prime, ``fields._prime``; a dimension and coordinate
+# count, ``fields._Space``; a Bernoulli index, ``regularization._bernoulli_index``.
+
+#: bit-size guard for exact integer results
+CAPACITY_BITS = 4_000_000
 
 
 def _real(value, what: str, low=None, *, above: bool = False):
@@ -171,6 +179,7 @@ def _real(value, what: str, low=None, *, above: bool = False):
         or not -math.inf < value < math.inf  # false for NaN; exact for huge ints
         or (low is not None and (value <= low if above else value < low))
     ):
+        value, low = _printable(value), _printable(low)
         bound = "" if low is None else f" {'>' if above else '>='} {low}"
         raise InvalidInputError(f"{what} must be a finite real number{bound}, got {value!r}")
     return value
@@ -185,7 +194,7 @@ def _integer(value, what: str, low: int, high: int | None = None) -> int:
         or (high is not None and value > high)
     ):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise InvalidInputError(f"{what} must be an integer {bound}, got {value!r}")
+        raise InvalidInputError(f"{what} must be an integer {bound}, got {_printable(value)!r}")
     return value
 
 
@@ -229,11 +238,18 @@ def _printable(value):
     return f"<{value.bit_length()}-bit integer>" if _str_digits(value) else value
 
 
-def _at_most(n: int, cap: int, message: str, **details) -> None:
-    """SizeLimitError when ``n > cap``, with witness ``{"requested": n,
-    "cap": cap}``.  ``message`` is a template over ``n``, ``cap`` and
-    ``details``, formatted only on refusal, each value through
+def _at_most(n: int, cap: int, message: str, error=SizeLimitError, **details) -> None:
+    """``error`` (SizeLimitError by default) when ``n > cap``, with witness
+    ``{"requested": n, "cap": cap}``.  ``message`` is a template over ``n``,
+    ``cap`` and ``details``, formatted only on refusal, each value through
     ``_printable``; the witness keeps ``n`` exact."""
     if n > cap:
         shown = {key: _printable(v) for key, v in dict(details, n=n, cap=cap).items()}
-        raise SizeLimitError(message.format(**shown), witness={"requested": n, "cap": cap})
+        raise error(message.format(**shown), witness={"requested": n, "cap": cap})
+
+
+def _within_capacity(bits: int, what: str, **details) -> None:
+    """CapacityOverflowError, through ``_at_most``, when an exact result of
+    ``bits`` bits would exceed CAPACITY_BITS."""
+    message = what + " would exceed {cap} bits"
+    _at_most(bits, CAPACITY_BITS, message, CapacityOverflowError, **details)

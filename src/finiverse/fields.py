@@ -60,6 +60,7 @@ from .errors import (
     SpecMismatchError,
     _at_most,
     _integer,
+    _printable,
 )
 
 if TYPE_CHECKING:
@@ -131,6 +132,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime(p) -> None:
+    """NotPrimeError unless ``p`` is a prime int."""
+    if not is_prime(p):
+        raise NotPrimeError(f"{_printable(p)} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +439,7 @@ class FieldSpec:
     _tables = None
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrimeError(f"characteristic must be prime, got {self.p}")
+        _prime(self.p)
         _integer(self.k, "extension degree", 1)
         if self.construction_tag not in _TAGS:
             raise InvalidInputError(f"unknown construction tag {self.construction_tag!r}")
@@ -475,7 +481,9 @@ class FieldSpec:
             if self.k == 1:
                 return self._at(value % p)
             if not 0 <= value < self.order:
-                raise InvalidInputError(f"element index {value} outside 0..{self.order - 1}")
+                raise InvalidInputError(
+                    f"element index {_printable(value)} outside 0..{self.order - 1}"
+                )
             return self._at(value)
         coeffs = [int(c) % p for c in value]
         if len(coeffs) != self.k:
@@ -536,7 +544,7 @@ class FieldElement:
         p = spec.p
         for c in coeffs:
             if not (isinstance(c, int) and 0 <= c < p):
-                raise InvalidInputError(f"coefficient {c!r} not reduced mod {p}")
+                raise InvalidInputError(f"coefficient {_printable(c)!r} not reduced mod {p}")
         _set_spec(self, spec)
         _set_index(self, _index_of(coeffs, p))
 
@@ -754,6 +762,26 @@ def _vectors(spec: FieldSpec, dim: int) -> list[FieldVector]:
     return list(map(_vector, product(spec.elements(), repeat=dim)))
 
 
+@dataclass(frozen=True)
+class _Space:
+    """The dim-tuples over a field, which ``geometry.AffineSpace`` and
+    ``hilbert.FiniteHilbertSpace`` extend: one dimension and coordinate check."""
+
+    spec: FieldSpec
+    dim: int
+
+    def __post_init__(self):
+        _integer(self.dim, "dimension", 1)
+
+    def _coordinates(self, values: Sequence) -> FieldVector:
+        """``values`` as a vector over ``spec``; DimMismatchError unless ``dim`` long."""
+        if len(values) != self.dim:
+            raise DimMismatchError(
+                f"expected {_printable(self.dim)} coordinates, got {len(values)}"
+            )
+        return FieldVector(tuple(self.spec.element(v) for v in values))
+
+
 # ---------------------------------------------------------------------------
 # factories
 # ---------------------------------------------------------------------------
@@ -761,9 +789,7 @@ def _vectors(spec: FieldSpec, dim: int) -> list[FieldVector]:
 
 def make_prime_field(p: int) -> FieldSpec:
     """Field of integers mod a prime p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    return _proven_spec(p, 1, (0, 1), "prime")
+    return make_extension_field(p, 1)
 
 
 def make_gaussian_extension(p: int) -> FieldSpec:
@@ -775,8 +801,7 @@ def make_gaussian_extension(p: int) -> FieldSpec:
     NotAFieldError is raised carrying an explicit witness pair
     (r + i, (p - r) + i) whose product is zero, where r*r = -1 mod p.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _prime(p)
     if p == 2:
         # i = 1 already lies in GF(2): x^2 + 1 = (x + 1)^2
         raise NotAFieldError(
@@ -798,8 +823,7 @@ def make_gaussian_extension(p: int) -> FieldSpec:
 
 def make_extension_field(p: int, k: int) -> FieldSpec:
     """GF(p^k) via the smallest monic irreducible of degree k (k <= 6)."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _prime(p)
     _integer(k, "extension degree", 1, 6)
     if k == 1:
         return _proven_spec(p, 1, (0, 1), "prime")
@@ -871,9 +895,6 @@ class AxiomReport:
 
     def failing(self) -> list[str]:
         return [name for name, c in self.checks.items() if not c.passed]
-
-
-_AXIOM_NAMES = ("commutativity", "associativity", "identities", "inverses", "distributivity")
 
 
 def _generators(table: np.ndarray) -> list[int]:
@@ -1031,7 +1052,7 @@ def verify_modular_ring_axioms(n: int) -> AxiomReport:
 
     if not (isinstance(n, int) and 2 <= n <= AXIOM_CHECK_CAP):
         raise SizeLimitError(
-            f"modulus must lie in 2..{AXIOM_CHECK_CAP}, got {n}",
+            f"modulus must lie in 2..{AXIOM_CHECK_CAP}, got {_printable(n)}",
             witness={"requested": n, "cap": AXIOM_CHECK_CAP},
         )
     idx = np.arange(n)

@@ -21,8 +21,7 @@ from operator import itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import (
-    CapacityOverflowError,
-    DimMismatchError,
+    CAPACITY_BITS,
     InvalidInputError,
     MalformedStructureError,
     MalformedTableError,
@@ -31,12 +30,13 @@ from .errors import (
     _finite,
     _integer,
     _real,
+    _within_capacity,
 )
 from .fields import (
     AxiomCheck,
     FieldElement,
-    FieldSpec,
     FieldVector,
+    _Space,
     _digitwise,
     _vectors,
     element_index,
@@ -75,19 +75,9 @@ LINE_CAP = 2**16
 #: enumerate_lines will build; its time and memory grow with this number
 INCIDENCE_CAP = 2**19
 
-#: bit-size guard for exact integer powers
-CAPACITY_BITS = 4_000_000
 
-
-@dataclass(frozen=True)
-class AffineSpace:
+class AffineSpace(_Space):
     """The coordinate space of dim-tuples over a finite field."""
-
-    spec: FieldSpec
-    dim: int
-
-    def __post_init__(self):
-        _integer(self.dim, "dimension", 1)
 
     @property
     def point_count(self) -> int:
@@ -100,9 +90,7 @@ class AffineSpace:
         return _vectors(self.spec, self.dim)
 
     def point(self, values: Sequence) -> FieldVector:
-        if len(values) != self.dim:
-            raise DimMismatchError(f"expected {self.dim} coordinates, got {len(values)}")
-        return FieldVector(tuple(self.spec.element(v) for v in values))
+        return self._coordinates(values)
 
     def __str__(self):
         return f"AG({self.dim},{self.spec.order})"
@@ -553,10 +541,7 @@ def pointset_cardinality(order: int, dim: int) -> int:
     """Number of dim-tuples over a set of the given order: order**dim."""
     _integer(order, "order", 2)
     _integer(dim, "dimension", 1)
-    if dim * order.bit_length() > CAPACITY_BITS:
-        raise CapacityOverflowError(
-            f"{order}**{dim} would exceed {CAPACITY_BITS} bits"
-        )
+    _within_capacity(dim * order.bit_length(), "{order}**{dim}", order=order, dim=dim)
     return order**dim
 
 

@@ -13,27 +13,19 @@ exist and are reported rather than forbidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    CapacityOverflowError,
-    DimMismatchError,
-    InvalidInputError,
-    NotPrimeError,
-    _at_most,
-    _integer,
-)
+from .errors import InvalidInputError, _at_most, _integer, _within_capacity
 from .fields import (
     ENUMERATION_CAP,
     FieldElement,
     FieldSpec,
     FieldVector,
+    _Space,
     _digitwise,
+    _prime,
     _vectors,
-    is_prime,
 )
-from .geometry import CAPACITY_BITS
 
 __all__ = [
     "FiniteHilbertSpace",
@@ -48,12 +40,10 @@ __all__ = [
 
 def hilbert_cardinality(p: int, k: int, dim: int) -> int:
     """Exact number of state vectors: p**(k*dim)."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _prime(p)
     _integer(k, "extension degree", 1)
     _integer(dim, "dimension", 1)
-    if k * dim * p.bit_length() > CAPACITY_BITS:
-        raise CapacityOverflowError(f"{p}**{k * dim} would exceed {CAPACITY_BITS} bits")
+    _within_capacity(k * dim * p.bit_length(), "{p}**{e}", p=p, e=k * dim)
     return p ** (k * dim)
 
 
@@ -73,24 +63,15 @@ def conjugate(a: FieldElement) -> FieldElement:
     return a.spec._at(_conjugate_index(a.spec, a._index))
 
 
-@dataclass(frozen=True)
-class FiniteHilbertSpace:
+class FiniteHilbertSpace(_Space):
     """Dimension-d coordinate space over GF(p^k) with the conjugate form."""
-
-    spec: FieldSpec
-    dim: int
-
-    def __post_init__(self):
-        _integer(self.dim, "dimension", 1)
 
     @property
     def cardinality(self) -> int:
         return hilbert_cardinality(self.spec.p, self.spec.k, self.dim)
 
     def vector(self, values: Sequence) -> FieldVector:
-        if len(values) != self.dim:
-            raise DimMismatchError(f"expected {self.dim} coordinates, got {len(values)}")
-        return FieldVector(tuple(self.spec.element(v) for v in values))
+        return self._coordinates(values)
 
 
 def inner_product(u: FieldVector, v: FieldVector) -> FieldElement:

@@ -26,9 +26,8 @@ from fractions import Fraction
 from functools import cache
 
 from .constants import CODATA2018, Constants
-from .errors import CapacityOverflowError, InvalidInputError, RangeLimitError
-from .errors import _finite, _integer, _real
-from .geometry import CAPACITY_BITS
+from .errors import InvalidInputError, RangeLimitError
+from .errors import _finite, _integer, _printable, _real, _within_capacity
 
 __all__ = [
     "BERNOULLI_MAX",
@@ -45,6 +44,13 @@ __all__ = [
 
 #: largest Bernoulli index served by this table
 BERNOULLI_MAX = 64
+
+
+def _bernoulli_index(n, what: str) -> int:
+    """``n`` unchanged when it is an int in 0..BERNOULLI_MAX; else RangeLimitError."""
+    if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
+        raise RangeLimitError(f"{what} must lie in 0..{BERNOULLI_MAX}, got {_printable(n)}")
+    return n
 
 
 def _bernoulli_values(n_max: int) -> tuple[Fraction, ...]:
@@ -82,9 +88,7 @@ class BernoulliTable:
 
     @classmethod
     def compute(cls, n_max: int) -> "BernoulliTable":
-        if not (isinstance(n_max, int) and 0 <= n_max <= BERNOULLI_MAX):
-            raise RangeLimitError(f"table size must lie in 0..{BERNOULLI_MAX}, got {n_max}")
-        return cls(values=_bernoulli_values(n_max))
+        return cls(values=_bernoulli_values(_bernoulli_index(n_max, "table size")))
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
@@ -101,9 +105,7 @@ def _table() -> BernoulliTable:
 
 def bernoulli(n: int) -> Fraction:
     """Exact B_n for 0 <= n <= 64 (B1 = +1/2 convention)."""
-    if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
-        raise RangeLimitError(f"index must lie in 0..{BERNOULLI_MAX}, got {n}")
-    return _table()[n]
+    return _table()[_bernoulli_index(n, "index")]
 
 
 def zeta_negative(s: int) -> Fraction:
@@ -118,8 +120,7 @@ def zeta_negative(s: int) -> Fraction:
 def partial_sum_linear(N: int) -> int:
     """Exact cutoff sum 1 + 2 + ... + N = N(N+1)/2."""
     _integer(N, "cutoff", 1)
-    if N.bit_length() > CAPACITY_BITS // 2:
-        raise CapacityOverflowError(f"N(N+1)/2 would exceed {CAPACITY_BITS} bits")
+    _within_capacity(2 * N.bit_length(), "N(N+1)/2")
     return N * (N + 1) // 2
 
 

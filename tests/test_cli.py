@@ -99,11 +99,28 @@ def test_usage_errors_exit_two():
         [],
         ["field", "axioms"],  # neither --p nor --ring
         ["field", "axioms", "--gaussian"],
+        ["field", "axioms", "--ring", "6", "--p", "5"],  # both
     ):
         report = dispatch(argv)
         assert report.status == "error"
         assert report.exit_code == 2
         assert report.error == "Usage"
+    assert dispatch(["field", "axioms"]).message == "one of the arguments --p --ring is required"
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "gaussian", "--p", "3"],
+    ["field", "table", "--p", "3"],
+    ["geometry", "cardinality", "--order", "9", "--dim", "3"],
+    ["hilbert", "norm", "--p", "3", "--vector", "1,1"],
+    ["regularize", "zeta", "--s", "1"],
+], ids=" ".join)
+def test_config_is_refused_where_nothing_reads_it(argv, tmp_path):
+    missing = str(tmp_path / "nope.cfg")
+    report = dispatch(argv + ["--config", missing])
+    assert (report.exit_code, report.error) == (2, "Usage")
+    assert report.message == f"unrecognized arguments: --config {missing}"
+    assert dispatch(argv).exit_code == 0
 
 
 def test_field_table_shows_quartic_structure():
@@ -349,6 +366,32 @@ def test_refused_size_too_long_to_print_ends_typed(argv, error, deadline, capsys
         assert doc["message"].startswith("<20001-bit integer> points exceed")
         assert doc["witness"] == {"requested": "<20001-bit integer>", "cap": 2**16}
         assert "witness: {'requested': '<20001-bit integer>', 'cap': 65536}\n" in text
+    else:  # the bit estimate of 2**10**7 and the bit cap
+        assert doc["witness"] == {"requested": 20_000_000, "cap": 4_000_000}
+        assert "witness: {'requested': 20000000, 'cap': 4000000}\n" in text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str limit")
+@pytest.mark.parametrize("points, message", [
+    # 10**5000 would print; 10**99999999 would take minutes to compute
+    ("1e5000,0;0,1;1,1", "point '1e5000,0' has a coordinate of about 5001 digits"),
+    ("-1e99999999,0;0,1;1,1", "point '-1e99999999,0' has a coordinate of about 100000001"),
+    # each coordinate prints, but the line through the pair holds a longer int
+    (f"1/{7**3500},0;0,2/{3**6000};1,1", "line has 5821 decimal digits"),
+], ids=["exponent", "huge exponent", "line"])
+def test_rational_point_too_long_to_print_ends_typed(points, message, deadline, capsys):
+    with_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["geometry", "ordinary-line", f"--points={points}", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+    finally:
+        sys.set_int_max_str_digits(with_limit)
+    assert code == 1
+    assert doc["error"] == "SizeLimit"
+    assert doc["message"].startswith(message)
+    assert doc["witness"]["cap"] == 4300
 
 
 # numpy stays unloaded until a field's tables are built: importing the

@@ -1,8 +1,11 @@
 """Every numeric library boundary rejects bools, non-numbers, NaN and
-infinities with InvalidInputError, and every size cap refuses with a
-SizeLimitError that names the requested size and the cap."""
+infinities with InvalidInputError; every size cap refuses with a
+SizeLimitError, and every bit-size guard with a CapacityOverflowError,
+that names the requested size and the cap; and every refusal of an int
+too long for ``str`` is still typed, naming it by its bit length."""
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -23,14 +26,20 @@ from finiverse.cosmology import (
 )
 from finiverse.errors import (
     CapacityOverflowError,
+    DimMismatchError,
     InvalidInputError,
     NonPositiveScaleFactorError,
+    NotPrimeError,
+    RangeLimitError,
     SizeLimitError,
 )
 from finiverse.fields import (
+    FieldElement,
+    FieldSpec,
     enumerate_elements,
     is_prime,
     make_extension_field,
+    make_gaussian_extension,
     make_prime_field,
     verify_field_axioms,
     verify_modular_ring_axioms,
@@ -43,6 +52,8 @@ from finiverse.geometry import (
 )
 from finiverse.hilbert import FiniteHilbertSpace, enumerate_vectors, hilbert_cardinality
 from finiverse.regularization import (
+    BernoulliTable,
+    bernoulli,
     mode_energy,
     oscillator_count_energy,
     partial_sum_linear,
@@ -105,13 +116,20 @@ F257_PLANE = AffineSpace(make_prime_field(257), 2)  # 66049 points > 2**16
 PSI_13 = 3317044064679887385961981
 
 
-def refuse_unprintable_output():
+@contextlib.contextmanager
+def int_str_limit(digits=4300):
+    """Python's default int-to-str limit, whatever the interpreter was given."""
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(digits)
     try:
-        cli._refuse_unprintable({"cardinality": (10**5000, "points")})
+        yield
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def refuse_unprintable_output():
+    with int_str_limit():
+        cli._refuse_unprintable({"cardinality": (10**5000, "points")})
 
 
 SIZE_CAPS = {
@@ -165,19 +183,73 @@ def test_size_limit_carries_requested_and_cap(site):
 def test_size_too_long_to_print_is_named_by_its_bit_length():
     # 2**20000 has 6021 decimal digits, more than str() converts
     space = AffineSpace(make_prime_field(2), 20000)
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(SizeLimitError) as exc:
-            space.points()
-    finally:
-        sys.set_int_max_str_digits(previous)
+    with int_str_limit(), pytest.raises(SizeLimitError) as exc:
+        space.points()
     assert str(exc.value) == "<20001-bit integer> points exceed the enumeration cap 65536"
     assert exc.value.witness == {"requested": 2**20000, "cap": 2**16}
 
 
-def test_point_count_is_capacity_checked_before_the_power(deadline):
-    # the bit estimate refuses 2**10**7 before computing it
+#: bit-size guards, each refusing before the power is computed (under the deadline)
+CAPACITY = {
+    "AffineSpace.point_count": (lambda: AffineSpace(make_prime_field(2), 10**7).point_count,
+                                2 * 10**7, "2**10000000 would exceed 4000000 bits"),
+    # 5 has 3 bits, so 5**(2*10**6) is estimated at 6*10**6 bits
+    "hilbert_cardinality": (lambda: hilbert_cardinality(5, 2, 10**6), 3 * 2 * 10**6,
+                            "5**2000000 would exceed 4000000 bits"),
+    "partial_sum_linear": (lambda: partial_sum_linear(2**2_000_000), 2 * 2_000_001,
+                           "N(N+1)/2 would exceed 4000000 bits"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CAPACITY))
+def test_capacity_overflow_carries_requested_and_cap_in_bits(site, deadline):
+    call, requested, message = CAPACITY[site]
     with pytest.raises(CapacityOverflowError) as exc:
-        AffineSpace(make_prime_field(2), 10**7).point_count
-    assert str(exc.value) == "2**10000000 would exceed 4000000 bits"
+        call()
+    assert exc.value.code == "Overflow"
+    assert exc.value.witness == {"requested": requested, "cap": 4_000_000}
+    assert str(exc.value) == message
+
+
+HUGE = 10**5000  # 16610 bits, 5001 decimal digits
+F9 = make_extension_field(3, 2)
+
+#: a library call refusing an int too long for str: (call, sign, error type)
+TOO_LONG_TO_PRINT = {
+    "make_prime_field": (make_prime_field, 1, NotPrimeError),
+    "make_gaussian_extension": (make_gaussian_extension, -1, NotPrimeError),
+    "make_extension_field p": (lambda x: make_extension_field(x, 2), 1, NotPrimeError),
+    "make_extension_field k": (lambda x: make_extension_field(3, x), 1, InvalidInputError),
+    "FieldSpec p": (lambda x: FieldSpec(x, 1, (0, 1)), -1, NotPrimeError),
+    "FieldSpec.element": (F9.element, 1, InvalidInputError),
+    "FieldElement coefficient": (lambda x: FieldElement(F3, [x]), 1, InvalidInputError),
+    "verify_modular_ring_axioms": (verify_modular_ring_axioms, 1, SizeLimitError),
+    "AffineSpace dim": (lambda x: AffineSpace(F3, x), -1, InvalidInputError),
+    "AffineSpace.point": (lambda x: AffineSpace(F3, x).point([0]), 1, DimMismatchError),
+    "pointset_cardinality order": (lambda x: pointset_cardinality(x, 2), -1, InvalidInputError),
+    "pointset_cardinality dim": (lambda x: pointset_cardinality(3, x), 1, CapacityOverflowError),
+    "hilbert_cardinality p": (lambda x: hilbert_cardinality(x, 1, 2), 1, NotPrimeError),
+    "hilbert_cardinality dim": (lambda x: hilbert_cardinality(3, 1, x), 1, CapacityOverflowError),
+    "FiniteHilbertSpace.vector": (lambda x: FiniteHilbertSpace(F3, x).vector([0]), 1,
+                                  DimMismatchError),
+    "bernoulli": (bernoulli, 1, RangeLimitError),
+    "BernoulliTable.compute": (BernoulliTable.compute, -1, RangeLimitError),
+    "zeta_negative": (zeta_negative, 1, RangeLimitError),
+    "partial_sum_linear": (partial_sum_linear, -1, InvalidInputError),
+    "vacuum_energy_regularized L": (vacuum_energy_regularized, -1, InvalidInputError),
+    "Constants hbar": (lambda x: Constants(hbar=x), -1, InvalidInputError),
+    "CosmologyParams kappa": (lambda x: CosmologyParams(kappa=x), 1, InvalidInputError),
+    "FluidState a": (lambda x: FluidState(a=x, a_dot=0.0, rho=1.0), -1,
+                     NonPositiveScaleFactorError),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str limit")
+@pytest.mark.parametrize("site", sorted(TOO_LONG_TO_PRINT))
+def test_int_too_long_to_print_is_refused_typed(site):
+    call, sign, error = TOO_LONG_TO_PRINT[site]
+    with int_str_limit(), pytest.raises(error) as exc:
+        call(sign * HUGE)
+    assert exc.value.code == error.code
+    assert "<16610-bit integer>" in str(exc.value)
