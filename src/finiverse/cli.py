@@ -217,7 +217,8 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
         if len(parts) != 2:
             raise InvalidInputError(f"point {chunk!r} is not x,y")
         try:
-            for part in parts:  # 10**exponent is computed only below the str() limit
+            # refused before 10**exponent is computed; no cap without a str() limit
+            for part in parts:
                 mantissa, _, exponent = part.lower().partition("e")
                 digits = len(mantissa) + abs(int(exponent or 0))
                 _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
