@@ -14,7 +14,7 @@ The package has five working layers:
 ``cli`` exposes all of it as the ``finiverse`` command.
 """
 
-from .constants import CODATA2018, GIGAYEAR, JULIAN_YEAR, Constants
+from .constants import CODATA2018, GIGAYEAR, Constants
 from .cosmology import (
     OBSERVED,
     CosmologyParams,
@@ -33,7 +33,6 @@ from .cosmology import (
     point_count_at_linear,
     point_count_growth_factor,
     point_count_rate,
-    point_count_rate_general,
     pointset_density,
     universe_diameter_at,
     vacuum_point_count,
@@ -59,7 +58,6 @@ from .errors import (
     UsageError,
 )
 from .fields import (
-    AxiomCheck,
     AxiomReport,
     FieldElement,
     FieldSpec,
@@ -81,13 +79,11 @@ from .geometry import (
     HesseCheck,
     IncidenceStructure,
     Line,
-    MetricReport,
     OrdinaryLineResult,
     RationalPoint,
     check_hesse_property,
     check_metric_axioms,
     enumerate_lines,
-    euclidean_distance_table,
     find_degenerate_pair,
     find_ordinary_line,
     incidence_structure,
@@ -107,7 +103,6 @@ from .hilbert import (
 )
 from .regularization import (
     BERNOULLI_MAX,
-    BernoulliTable,
     bernoulli,
     mode_energy,
     oscillator_count_energy,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import _real
 
-__all__ = ["Constants", "CODATA2018", "JULIAN_YEAR", "GIGAYEAR"]
+__all__ = ["Constants", "CODATA2018", "GIGAYEAR"]
 
 #: seconds per Julian year (365.25 days)
 JULIAN_YEAR = 3.15576e7

@@ -36,6 +36,7 @@ LinearityWarning beyond it.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -67,7 +68,6 @@ __all__ = [
     "universe_diameter_at",
     "point_count_at_linear",
     "point_count_rate",
-    "point_count_rate_general",
     "point_count_growth_factor",
     "growth_exponent_per_gigayear",
     "pointset_density",
@@ -172,25 +172,6 @@ def point_count_rate(params: CosmologyParams,
     return 4 * params.H0 * vacuum_point_count(params, constants)
 
 
-@_finite("point-count rate")
-def point_count_rate_general(params: CosmologyParams, dt: float,
-                             hubble_rate: float, accel_ratio: float,
-                             constants: Constants = CODATA2018) -> float:
-    """General point-count rate for an arbitrary expansion history:
-
-    (c**3*Lambda/(2*pi**2*hbar*G)) * L_U0**4
-        * ((addot/a - (adot/a)**2)*dt + adot/a)
-
-    with adot/a = hubble_rate (1/s) and addot/a = accel_ratio (1/s^2)
-    evaluated on that history.  For constant hubble_rate = H0 (so
-    accel_ratio = H0**2) it reduces to 4*H0*P0 at every dt.
-    """
-    lam = lambda_from_density(params, constants)
-    prefactor = constants.c**3 * lam / (2 * math.pi**2 * constants.hbar * constants.G)
-    bracket = (accel_ratio - hubble_rate**2) * dt + hubble_rate
-    return prefactor * params.L_U0**4 * bracket
-
-
 @_finite("growth factor", 0, above=True)
 def point_count_growth_factor(H0: float, dt: float) -> float:
     """Exponential point-count growth over dt: exp(4*H0*dt)."""
@@ -265,10 +246,6 @@ class FluidState:
                 f"scale factor must be positive, got {_printable(a)!r}"
             )
 
-    @property
-    def hubble(self) -> float:
-        return self.a_dot / self.a
-
 
 @dataclass(frozen=True)
 class ScaleFactorTrajectory:
@@ -282,7 +259,6 @@ class ScaleFactorTrajectory:
 
     samples: tuple
     step: float
-    scheme_order: int = 4
     friedmann_residuals: tuple = field(default=())
     acceleration_ratios: tuple = field(default=())
     halving_rel_diff: float = 0.0
@@ -438,8 +414,13 @@ def load_config(path, base_constants: Constants = CODATA2018,
 
     Recognized keys: hbar, c, G, l_planck, l_strong, rho_vac, L_U0, H0,
     kappa.  Blank lines and lines starting with '#' are skipped; any
-    other key raises InvalidInputError.
+    other key raises InvalidInputError, and so does a path that is not
+    a ``str`` or ``os.PathLike`` (an int would open a file descriptor).
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidInputError(
+            f"config path must be a str or os.PathLike, got {type(path).__name__}"
+        )
     consts = {k: getattr(base_constants, k) for k in _CONSTANT_KEYS}
     pars = {k: getattr(base_params, k) for k in _PARAM_KEYS}
     try:

@@ -164,7 +164,7 @@ class UsageError(FiniverseError, ValueError):
 # ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity; ``_finite``
 # for a float formula's result); a size, ``_at_most``; a result's bit size,
 # ``_within_capacity``; a prime, ``fields._prime``; a dimension and coordinate
-# count, ``fields._Space``; a Bernoulli index, ``regularization._bernoulli_index``.
+# count, ``fields._Space``; a Bernoulli index, ``regularization.bernoulli``.
 
 #: bit-size guard for exact integer results
 CAPACITY_BITS = 4_000_000

@@ -56,7 +56,6 @@ from .errors import (
     InvalidInputError,
     NotAFieldError,
     NotPrimeError,
-    SizeLimitError,
     SpecMismatchError,
     _at_most,
     _integer,
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_elements",
     "element_index",
     "operation_tables",
-    "AxiomCheck",
     "AxiomReport",
     "verify_field_axioms",
     "verify_modular_ring_axioms",
@@ -416,24 +414,20 @@ class _Tables:
 # field specifications and elements
 # ---------------------------------------------------------------------------
 
-_TAGS = ("prime", "gaussian", "general")
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Immutable description of a concrete field GF(p^k).
 
     ``modulus_poly`` is the monic reduction polynomial of degree k with
     coefficients mod p, constant term first; for k == 1 it is (0, 1),
-    i.e. the polynomial x.  ``construction_tag`` records which factory
-    produced the field and only affects presentation, never arithmetic.
-    A spec built directly is validated in full, irreducibility included.
+    i.e. the polynomial x.  Two specs are equal when they have the same
+    p, k and modulus, whichever factory built them.  A spec built
+    directly is validated in full, irreducibility included.
     """
 
     p: int
     k: int
     modulus_poly: tuple[int, ...]
-    construction_tag: str = "general"
 
     #: log/antilog tables, set on first enumeration (not a dataclass field)
     _tables = None
@@ -441,8 +435,6 @@ class FieldSpec:
     def __post_init__(self):
         _prime(self.p)
         _integer(self.k, "extension degree", 1)
-        if self.construction_tag not in _TAGS:
-            raise InvalidInputError(f"unknown construction tag {self.construction_tag!r}")
         m = tuple(self.modulus_poly)
         object.__setattr__(self, "modulus_poly", m)
         if len(m) != self.k + 1 or m[-1] != 1:
@@ -456,7 +448,7 @@ class FieldSpec:
 
     def __reduce__(self):
         # copies and pickles carry the definition, not the tables
-        return (FieldSpec, (self.p, self.k, self.modulus_poly, self.construction_tag))
+        return (FieldSpec, (self.p, self.k, self.modulus_poly))
 
     @property
     def order(self) -> int:
@@ -514,14 +506,13 @@ class FieldSpec:
         return f"GF({self.p}^{self.k})"
 
 
-def _proven_spec(p: int, k: int, modulus: tuple[int, ...], tag: str) -> FieldSpec:
+def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
     """A FieldSpec for a factory that has itself proven p prime and the
     modulus irreducible, so that __post_init__ does not repeat the proof."""
     spec = object.__new__(FieldSpec)
     object.__setattr__(spec, "p", p)
     object.__setattr__(spec, "k", k)
     object.__setattr__(spec, "modulus_poly", modulus)
-    object.__setattr__(spec, "construction_tag", tag)
     return spec
 
 
@@ -818,7 +809,7 @@ def make_gaussian_extension(p: int) -> FieldSpec:
             witness=((root, 1), (p - root, 1)),
         )
     # no root of x^2 + 1 in GF(p), so the quadratic is irreducible
-    return _proven_spec(p, 2, (1, 0, 1), "gaussian")
+    return _proven_spec(p, 2, (1, 0, 1))
 
 
 def make_extension_field(p: int, k: int) -> FieldSpec:
@@ -826,8 +817,8 @@ def make_extension_field(p: int, k: int) -> FieldSpec:
     _prime(p)
     _integer(k, "extension degree", 1, 6)
     if k == 1:
-        return _proven_spec(p, 1, (0, 1), "prime")
-    return _proven_spec(p, k, _smallest_irreducible(p, k), "general")
+        return _proven_spec(p, 1, (0, 1))
+    return _proven_spec(p, k, _smallest_irreducible(p, k))
 
 
 # ---------------------------------------------------------------------------
@@ -1050,11 +1041,8 @@ def verify_modular_ring_axioms(n: int) -> AxiomReport:
     """
     import numpy as np
 
-    if not (isinstance(n, int) and 2 <= n <= AXIOM_CHECK_CAP):
-        raise SizeLimitError(
-            f"modulus must lie in 2..{AXIOM_CHECK_CAP}, got {_printable(n)}",
-            witness={"requested": n, "cap": AXIOM_CHECK_CAP},
-        )
+    _integer(n, "modulus", 2)
+    _at_most(n, AXIOM_CHECK_CAP, "modulus must lie in 2..{cap}, got {n}")
     idx = np.arange(n)
     add_t = (idx[:, None] + idx[None, :]) % n
     mul_t = (idx[:, None] * idx[None, :]) % n

@@ -21,7 +21,6 @@ from operator import itemgetter
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .errors import (
-    CAPACITY_BITS,
     InvalidInputError,
     MalformedStructureError,
     MalformedTableError,
@@ -29,11 +28,13 @@ from .errors import (
     _at_most,
     _finite,
     _integer,
+    _printable,
     _real,
     _within_capacity,
 )
 from .fields import (
     AxiomCheck,
+    AxiomReport,
     FieldElement,
     FieldVector,
     _Space,
@@ -45,14 +46,12 @@ from .fields import (
 __all__ = [
     "LINE_CAP",
     "INCIDENCE_CAP",
-    "CAPACITY_BITS",
     "AffineSpace",
     "Line",
     "IncidenceStructure",
     "HesseCheck",
     "RationalPoint",
     "OrdinaryLineResult",
-    "MetricReport",
     "COLLINEAR",
     "ORDINARY",
     "squared_distance",
@@ -63,7 +62,6 @@ __all__ = [
     "find_ordinary_line",
     "check_metric_axioms",
     "squared_distance_table",
-    "euclidean_distance_table",
     "pointset_cardinality",
     "subspace_diameter",
 ]
@@ -244,6 +242,11 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     return lines
 
 
+def _labels(labels) -> str:
+    """Caller labels for a message, in input order, each through ``_printable``."""
+    return ", ".join(repr(_printable(x)) for x in labels)
+
+
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Points (arbitrary hashable ids) with lines as id sets."""
@@ -253,22 +256,19 @@ class IncidenceStructure:
 
     def __post_init__(self):
         pts = tuple(self.points)
-        lns = tuple(frozenset(l) for l in self.lines)
+        given = tuple(self.lines)
+        lns = tuple(map(frozenset, given))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lines", lns)
         seen = set(pts)
         if len(seen) != len(pts):
             raise MalformedStructureError("duplicate point identifiers")
-        for ln in lns:
+        for line, ln in zip(given, lns):
             if len(ln) < 2:
-                raise MalformedStructureError(f"line {sorted(ln)} has fewer than two points")
+                raise MalformedStructureError(f"line [{_labels(line)}] has fewer than two points")
             if not ln <= seen:
-                raise MalformedStructureError(
-                    f"line references unknown points {sorted(ln - seen)}"
-                )
-
-    def lines_through(self, point) -> list[frozenset]:
-        return [ln for ln in self.lines if point in ln]
+                unknown = _labels(p for p in line if p not in seen)
+                raise MalformedStructureError(f"line references unknown points [{unknown}]")
 
     def point_degrees(self) -> dict:
         degrees = dict.fromkeys(self.points, 0)
@@ -415,23 +415,10 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """M1..M4 outcomes for a distance table: non-negativity, symmetry,
-    zero distance only for identical points, triangle inequality."""
-
-    checks: dict
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def failing(self) -> list[str]:
-        return [name for name, c in self.checks.items() if not c.passed]
-
-
-def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> MetricReport:
-    """Check the four metric axioms on an explicit distance table.
+def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomReport:
+    """Check the four metric axioms on an explicit distance table: M1
+    non-negativity, M2 symmetry, M3 zero distance only for identical
+    points, M4 the triangle inequality.
 
     ``table`` maps ordered label pairs to real values; every ordered
     pair must be present.  ``math.inf`` is a legal saturating distance.
@@ -446,11 +433,11 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> MetricRep
         try:
             v = table[(x, y)]
         except (KeyError, TypeError):
-            raise MalformedTableError(f"missing entry for pair ({x}, {y})") from None
+            raise MalformedTableError(f"missing entry for pair ({_labels((x, y))})") from None
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise MalformedTableError(f"non-numeric distance {v!r} for ({x}, {y})")
+            raise MalformedTableError(f"non-numeric distance {v!r} for ({_labels((x, y))})")
         if isinstance(v, float) and math.isnan(v):
-            raise MalformedTableError(f"NaN distance for ({x}, {y})")
+            raise MalformedTableError(f"NaN distance for ({_labels((x, y))})")
         return v
 
     checks: dict[str, AxiomCheck] = {}
@@ -503,7 +490,7 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> MetricRep
             break
     checks["M4"] = AxiomCheck(witness is None, witness)
 
-    return MetricReport(checks=checks)
+    return AxiomReport(description="metric axioms", order=len(labels), checks=checks)
 
 
 def squared_distance_table(space: AffineSpace) -> tuple[list[int], dict]:
@@ -519,16 +506,6 @@ def squared_distance_table(space: AffineSpace) -> tuple[list[int], dict]:
     for i, a in enumerate(points):
         for j, b in enumerate(points):
             table[(i, j)] = element_index(squared_distance(a, b))
-    return labels, table
-
-
-def euclidean_distance_table(points: Sequence[RationalPoint]) -> tuple[list[int], dict]:
-    """Float Euclidean distances between exact rational plane points."""
-    labels = list(range(len(points)))
-    table = {}
-    for i, a in enumerate(points):
-        for j, b in enumerate(points):
-            table[(i, j)] = math.hypot(float(a.x - b.x), float(a.y - b.y))
     return labels, table
 
 

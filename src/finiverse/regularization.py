@@ -21,17 +21,15 @@ proportional to 1/L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .constants import CODATA2018, Constants
-from .errors import InvalidInputError, RangeLimitError
+from .errors import RangeLimitError
 from .errors import _finite, _integer, _printable, _real, _within_capacity
 
 __all__ = [
     "BERNOULLI_MAX",
-    "BernoulliTable",
     "bernoulli",
     "zeta_negative",
     "partial_sum_linear",
@@ -46,21 +44,16 @@ __all__ = [
 BERNOULLI_MAX = 64
 
 
-def _bernoulli_index(n, what: str) -> int:
-    """``n`` unchanged when it is an int in 0..BERNOULLI_MAX; else RangeLimitError."""
-    if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
-        raise RangeLimitError(f"{what} must lie in 0..{BERNOULLI_MAX}, got {_printable(n)}")
-    return n
-
-
-def _bernoulli_values(n_max: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_n_max by the defining recurrence, exact rationals.
+@cache
+def _table() -> tuple[Fraction, ...]:
+    """B_0 .. B_BERNOULLI_MAX by the defining recurrence, exact rationals,
+    built on first use rather than at import.
 
     With B1 = +1/2 the identity sum_{j=0}^{n} C(n+1, j) * B_j = n + 1
     holds for every n >= 0, which solves for B_n term by term.
     """
     values: list[Fraction] = []
-    for n in range(n_max + 1):
+    for n in range(BERNOULLI_MAX + 1):
         acc = sum(
             (Fraction(math.comb(n + 1, j)) * values[j] for j in range(n)),
             start=Fraction(0),
@@ -69,43 +62,11 @@ def _bernoulli_values(n_max: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0..B_n under the B1 = +1/2 convention."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        v = self.values
-        if not v or v[0] != 1:
-            raise InvalidInputError("B_0 must be 1")
-        if len(v) > 1 and v[1] != Fraction(1, 2):
-            raise InvalidInputError("B_1 must be +1/2 in this convention")
-        for i in range(3, len(v), 2):
-            if v[i] != 0:
-                raise InvalidInputError(f"B_{i} must vanish for odd index >= 3")
-
-    @classmethod
-    def compute(cls, n_max: int) -> "BernoulliTable":
-        return cls(values=_bernoulli_values(_bernoulli_index(n_max, "table size")))
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
-
-
-@cache
-def _table() -> BernoulliTable:
-    """B_0..B_BERNOULLI_MAX, built on first use rather than at import."""
-    return BernoulliTable.compute(BERNOULLI_MAX)
-
-
 def bernoulli(n: int) -> Fraction:
     """Exact B_n for 0 <= n <= 64 (B1 = +1/2 convention)."""
-    return _table()[_bernoulli_index(n, "index")]
+    if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
+        raise RangeLimitError(f"index must lie in 0..{BERNOULLI_MAX}, got {_printable(n)}")
+    return _table()[n]
 
 
 def zeta_negative(s: int) -> Fraction:

@@ -97,7 +97,6 @@ def evolve_reference(initial, eos, lam, kappa, t_end, step, constants=CODATA2018
     return ScaleFactorTrajectory(
         samples=tuple(samples),
         step=float(step),
-        scheme_order=4,
         friedmann_residuals=tuple(residuals),
         acceleration_ratios=tuple(accels),
         halving_rel_diff=rel,

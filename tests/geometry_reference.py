@@ -12,8 +12,12 @@ the library must agree with exactly (small inputs only):
 * ``find_ordinary_line_naive`` tests all n points against every pair,
   O(n^3);
 * ``is_isotropic_naive`` sums ``conjugate(c) * c`` with element ``+``.
+
+``euclidean_distance_table`` gives ``check_metric_axioms`` a table that is
+a metric by construction.
 """
 
+import math
 from typing import Optional, Sequence
 
 from finiverse.fields import FieldVector
@@ -121,3 +125,13 @@ def find_ordinary_line_naive(points: Sequence[RationalPoint]) -> OrdinaryLineRes
 def is_isotropic_naive(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes."""
     return any(not c.is_zero for c in v.coords) and norm_squared(v).is_zero
+
+
+def euclidean_distance_table(points: Sequence[RationalPoint]) -> tuple[list[int], dict]:
+    """Float Euclidean distances between exact rational plane points."""
+    labels = list(range(len(points)))
+    table = {}
+    for i, a in enumerate(points):
+        for j, b in enumerate(points):
+            table[(i, j)] = math.hypot(float(a.x - b.x), float(a.y - b.y))
+    return labels, table

@@ -121,7 +121,13 @@ def test_gaussian_extension_field_cases():
     assert R3.order == 9
     assert R7.order == 49
     assert R3.modulus_poly == (1, 0, 1)
-    assert R3.construction_tag == "gaussian"
+    # for p = 3 mod 4 both factories quotient GF(p) by x^2 + 1: one field
+    for p in (3, 7, 11, 19):
+        gaussian, general = make_gaussian_extension(p), make_extension_field(p, 2)
+        assert gaussian == general and hash(gaussian) == hash(general)
+        a, b = gaussian.element([1, 2]), general.element([p - 1, 1])
+        assert a + b == general.element([0, 3]) == b + a
+        assert a * b == gaussian.element([-3, -1]) == b * a
 
 
 def test_gaussian_extension_failure_witnesses():
@@ -286,8 +292,8 @@ def test_operation_tables_e3():
 
 
 def test_gaussian_tables_match_general_construction():
-    # the same field under the gaussian and the general construction tag
-    general = FieldSpec(7, 2, (1, 0, 1), "general")
+    # the same field from the gaussian factory and built directly
+    general = FieldSpec(7, 2, (1, 0, 1))
     _, add_g, mul_g = operation_tables(R7)
     _, add_n, mul_n = operation_tables(general)
     assert (add_g == add_n).all()
@@ -326,10 +332,12 @@ def test_modular_ring_diagnostics():
     assert verify_modular_ring_axioms(7).all_pass
     assert verify_modular_ring_axioms(2).all_pass
 
-    with pytest.raises(SizeLimitError):
-        verify_modular_ring_axioms(1)
-    with pytest.raises(SizeLimitError):
+    for n in (1, 0, -3, True, 2.0, "6"):
+        with pytest.raises(InvalidInputError):
+            verify_modular_ring_axioms(n)
+    with pytest.raises(SizeLimitError) as exc:
         verify_modular_ring_axioms(501)
+    assert exc.value.witness == {"requested": 501, "cap": 500}
 
 
 # -- log/antilog table core: differential checks -----------------------------
@@ -443,7 +451,7 @@ def test_table_build_rejects_a_ring():
     # x^2+1 = (x+1)^2 over GF(2) and x^2+2 = (x+1)(x+2) over GF(3): the
     # quotients are rings, and the generator's powers repeat early
     for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1))):
-        ring = fields_mod._proven_spec(p, 2, modulus, "general")
+        ring = fields_mod._proven_spec(p, 2, modulus)
         with pytest.raises(NotAFieldError) as exc:
             enumerate_elements(ring)
         generator, steps = exc.value.witness

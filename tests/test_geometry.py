@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from geometry_reference import find_degenerate_pair_naive
+from geometry_reference import euclidean_distance_table, find_degenerate_pair_naive
 
 from finiverse.errors import (
     CapacityOverflowError,
@@ -27,7 +27,6 @@ from finiverse.geometry import (
     check_hesse_property,
     check_metric_axioms,
     enumerate_lines,
-    euclidean_distance_table,
     find_degenerate_pair,
     find_ordinary_line,
     incidence_structure,
@@ -215,7 +214,7 @@ def test_incidence_structure_shape():
                                 lines=({"a", "b"}, {"a", "b", "c"}, {"a", "c"}))
     degrees = uneven.point_degrees()
     assert list(degrees.items()) == [("b", 2), ("d", 0), ("a", 3), ("c", 2)]
-    assert degrees == {p: len(uneven.lines_through(p)) for p in uneven.points}
+    assert degrees == {p: sum(p in ln for ln in uneven.lines) for p in uneven.points}
 
 
 def test_incidence_structure_validation():
@@ -225,6 +224,9 @@ def test_incidence_structure_validation():
         IncidenceStructure(points=(0, 1), lines=(frozenset({0}),))
     with pytest.raises(MalformedStructureError):
         IncidenceStructure(points=(0, 0, 1), lines=())
+    # labels of mixed types are named in input order, never sorted
+    with pytest.raises(MalformedStructureError, match=r"unknown points \['b', 2\.5\]$"):
+        IncidenceStructure(points=(1, 2), lines=[(1, "b", 2.5)])
 
 
 def test_hesse_property_cases():

@@ -14,7 +14,6 @@ from finiverse.errors import (
 )
 from finiverse.regularization import (
     BERNOULLI_MAX,
-    BernoulliTable,
     bernoulli,
     mode_energy,
     oscillator_count_energy,
@@ -82,14 +81,6 @@ def test_bernoulli_range_errors():
         bernoulli(-1)
     with pytest.raises(RangeLimitError):
         bernoulli(2.0)
-
-
-def test_bernoulli_table_invariants():
-    table = BernoulliTable.compute(12)
-    assert table.values[1] == Fraction(1, 2)
-    assert table.values[12] == Fraction(-691, 2730)
-    with pytest.raises(InvalidInputError):
-        BernoulliTable(values=(Fraction(1), Fraction(-1, 2)))
 
 
 def test_zeta_negative_anchors():

@@ -28,6 +28,8 @@ from finiverse.errors import (
     CapacityOverflowError,
     DimMismatchError,
     InvalidInputError,
+    MalformedStructureError,
+    MalformedTableError,
     NonPositiveScaleFactorError,
     NotPrimeError,
     RangeLimitError,
@@ -46,13 +48,14 @@ from finiverse.fields import (
 )
 from finiverse.geometry import (
     AffineSpace,
+    IncidenceStructure,
+    check_metric_axioms,
     enumerate_lines,
     pointset_cardinality,
     subspace_diameter,
 )
 from finiverse.hilbert import FiniteHilbertSpace, enumerate_vectors, hilbert_cardinality
 from finiverse.regularization import (
-    BernoulliTable,
     bernoulli,
     mode_energy,
     oscillator_count_energy,
@@ -224,8 +227,15 @@ TOO_LONG_TO_PRINT = {
     "FieldSpec.element": (F9.element, 1, InvalidInputError),
     "FieldElement coefficient": (lambda x: FieldElement(F3, [x]), 1, InvalidInputError),
     "verify_modular_ring_axioms": (verify_modular_ring_axioms, 1, SizeLimitError),
+    "verify_modular_ring_axioms low": (verify_modular_ring_axioms, -1, InvalidInputError),
     "AffineSpace dim": (lambda x: AffineSpace(F3, x), -1, InvalidInputError),
     "AffineSpace.point": (lambda x: AffineSpace(F3, x).point([0]), 1, DimMismatchError),
+    "check_metric_axioms label": (lambda x: check_metric_axioms([x, 1], {}), 1,
+                                  MalformedTableError),
+    "IncidenceStructure label": (lambda x: IncidenceStructure(points=(1, 2), lines=[(1, x)]),
+                                 1, MalformedStructureError),
+    "IncidenceStructure short line": (lambda x: IncidenceStructure(points=(x,), lines=[(x,)]),
+                                      1, MalformedStructureError),
     "pointset_cardinality order": (lambda x: pointset_cardinality(x, 2), -1, InvalidInputError),
     "pointset_cardinality dim": (lambda x: pointset_cardinality(3, x), 1, CapacityOverflowError),
     "hilbert_cardinality p": (lambda x: hilbert_cardinality(x, 1, 2), 1, NotPrimeError),
@@ -233,7 +243,6 @@ TOO_LONG_TO_PRINT = {
     "FiniteHilbertSpace.vector": (lambda x: FiniteHilbertSpace(F3, x).vector([0]), 1,
                                   DimMismatchError),
     "bernoulli": (bernoulli, 1, RangeLimitError),
-    "BernoulliTable.compute": (BernoulliTable.compute, -1, RangeLimitError),
     "zeta_negative": (zeta_negative, 1, RangeLimitError),
     "partial_sum_linear": (partial_sum_linear, -1, InvalidInputError),
     "vacuum_energy_regularized L": (vacuum_energy_regularized, -1, InvalidInputError),
