@@ -234,7 +234,10 @@ def _str_digits(value) -> int:
 
 
 def _printable(value):
-    """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``."""
+    """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``;
+    a tuple or list label the same, item by item at any depth."""
+    if type(value) in (tuple, list):
+        return type(value)(map(_printable, value))
     return f"<{value.bit_length()}-bit integer>" if _str_digits(value) else value
 
 

@@ -27,11 +27,13 @@ The tables stay with the spec for its lifetime (copies and pickles do
 not carry them), together with one cached instance per index: O(q)
 memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
 arithmetic (``exp[(log a + log b) mod (q-1)]``) and every result is a
-cached instance.  A field that is never enumerated builds nothing: ``*``
-multiplies the derived coefficients as polynomials and ``inverse`` of an
-extension element runs the extended Euclidean algorithm on them, so huge
-fields cost no table memory.  On both paths ``a ** n`` takes n mod q-1,
-which the order of every nonzero element divides.
+cached instance.  A field that is never enumerated builds no tables, so
+huge fields cost no table memory: for k = 1 ``*`` and ``**`` are int
+arithmetic mod p; for k >= 2 they run on the packed kernel ``_Packed``,
+one int product per ``*``, which Rabin's irreducibility test shares, and
+``inverse`` runs the extended Euclidean algorithm on the coefficients.
+On both paths ``a ** n`` takes n mod q-1, which the order of every
+nonzero element divides.
 
 ``FieldVector`` is an n-tuple over one field: the point type of
 ``geometry.AffineSpace`` and the vector type of
@@ -47,7 +49,8 @@ diagnostic for composite moduli.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product, repeat, zip_longest
+from functools import lru_cache
+from itertools import product, repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
@@ -139,113 +142,160 @@ def _prime(p) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient lists over Z_p, constant term first)
+# polynomial arithmetic over Z_p: packed products, one-term Euclid
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
+class _Packed:
+    """Polynomials of degree < k over GF(p) packed into one int, B bits
+    per coefficient (Kronecker substitution; von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, section 8.4).
+
+    Coefficient i sits in bits [i*B, (i+1)*B), so the product of two
+    polynomials is one int product.  B is the bit length of
+    (2k-1)(p-1)^2: a low slot of a product of reduced operands holds at
+    most k(p-1)^2, and folding the k-1 high slots back in, each taken mod
+    p, through the rows x^(k+j) mod f adds at most (k-1)(p-1)^2 more.  A
+    packed int is *reduced* when every slot lies in 0..p-1.  One layout
+    serves every monic modulus f of degree k; ``rows(f)`` gives f's.
+    """
+
+    __slots__ = ("p", "width", "mask", "shifts", "high", "low")
+
+    def __init__(self, p: int, k: int):
+        self.p = p
+        self.width = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.shifts = tuple(range(0, k * self.width, self.width))
+        self.high = k * self.width  # the shift of the first high slot
+        self.low = (1 << self.high) - 1
+
+    def pack(self, n: int) -> int:
+        """The reduced packed int of the element index n."""
+        p, out = self.p, 0
+        for s in self.shifts:
+            out |= n % p << s
+            n //= p
+        return out
+
+    def rows(self, f: Sequence[int]) -> tuple[int, ...]:
+        """x^(k+j) mod the monic f of degree k, packed, for j < k-1."""
+        p = self.p
+        base = [-c % p for c in f[:-1]]  # x^k mod f
+        row, out = base, []
+        for _ in range(len(base) - 1):
+            out.append(self.pack(_index_of(row, p)))
+            top = row[-1]
+            row = [(r + top * b) % p for r, b in zip([0] + row[:-1], base)]
+        return tuple(out)
+
+    def fold(self, c: int, rows: tuple[int, ...]) -> int:
+        """The product c of two reduced packed ints, with its high slots
+        taken mod p and added back through ``rows``: slots not yet mod p."""
+        p, width, mask = self.p, self.width, self.mask
+        top = c >> self.high
+        c &= self.low
+        for row in rows:
+            c += (top & mask) % p * row
+            top >>= width
+        return c
+
+    def index(self, c: int) -> int:
+        """The element index of a folded product or a reduced packed int,
+        each slot taken mod p."""
+        p, mask, n = self.p, self.mask, 0
+        for s in reversed(self.shifts):
+            n = n * p + (c >> s & mask) % p
+        return n
+
+    def power(self, a: int, n: int, rows: tuple[int, ...]) -> int:
+        """a^n mod f for a reduced packed a and n >= 0, by square-and-multiply
+        from the top bit down; the result is reduced."""
+        p, mask, shifts = self.p, self.mask, self.shifts
+
+        def mulmod(x, y):
+            c = self.fold(x * y, rows)
+            out = 0
+            for s in shifts:
+                out |= (c >> s & mask) % p << s
+            return out
+
+        if not n:
+            return 1
+        result = a
+        for bit in bin(n)[3:]:
+            result = mulmod(result, result)
+            if bit == "1":
+                result = mulmod(result, a)
+        return result
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+@lru_cache(maxsize=64)
+def _packing(p: int, k: int) -> _Packed:
+    """The slot layout of GF(p^k), built once per (p, k) while cached: the
+    irreducible search tests many candidate moduli on one layout."""
+    return _Packed(p, k)
 
 
-def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over GF(p); b must be nonzero."""
-    b = _poly_trim(list(b))
-    if not any(b):
-        raise DivisionByZeroError("polynomial division by zero")
-    a = _poly_trim(list(a))
-    db, da = len(b) - 1, len(a) - 1
-    lead_inv = pow(b[-1], p - 2, p)
-    quot = [0] * max(da - db + 1, 1)
-    rem = list(a)
-    for shift in range(da - db, -1, -1):
-        coef = (rem[shift + db] * lead_inv) % p
-        if coef:
-            quot[shift] = coef
-            for j, bj in enumerate(b):
-                rem[shift + j] = (rem[shift + j] - coef * bj) % p
-    return _poly_trim(quot), _poly_trim(rem)
+def _ext_gcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(g, u) with u*a = g mod f over GF(p) and g = gcd(a, f) monic, for
+    coefficient sequences a and f, f nonzero with a nonzero leading term.
 
-
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a by the monic m of degree k >= 1 over GF(p), reduced
-    from the top down with no quotient and no inverse."""
-    k = len(m) - 1
-    rem = list(a)
-    low = m[:-1]
-    for top in range(len(rem) - 1, k - 1, -1):
-        c = rem[top] % p
-        if c:
-            base = top - k
-            for j, mj in enumerate(low):
-                rem[base + j] -= c * mj
-    return _poly_trim([c % p for c in rem[:k]])
-
-
-def _poly_ext_gcd(a: Sequence[int], b: Sequence[int], p: int):
-    """Return (g, u) with u*a = g mod b over GF(p), g monic when nonzero."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    u0, u1 = [1], [0]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qu = _poly_mul(q, u1, p)
-        u0, u1 = u1, _poly_trim([(x - y) % p for x, y in zip_longest(u0, qu, fillvalue=0)])
-    if any(r0):
-        scale = pow(r0[-1], p - 2, p)
-        r0 = [(c * scale) % p for c in r0]
-        u0 = [(c * scale) % p for c in u0]
-    return r0, u0
-
-
-def _poly_powmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> list[int]:
-    """a^n mod the monic m over GF(p), by square-and-multiply."""
-    result = [1]
-    while n:
-        if n & 1:
-            result = _poly_mod(_poly_mul(result, a, p), m, p)
-        n >>= 1
-        if n:
-            a = _poly_mod(_poly_mul(a, a, p), m, p)
-    return result
+    This is the extended Euclidean algorithm one leading term at a time.
+    Throughout, r0 = u0*a and r1 = u1*a mod f.  Each step cancels the
+    leading term of r0 with c*x^s*r1 and subtracts the same c*x^s*u1
+    from u0, so no quotient is held and no cofactor product is formed;
+    once r0 falls below r1 in degree the pairs swap.  The cofactors are
+    left unreduced: each of the at most 2 deg f cancellations multiplies
+    their largest coefficient by at most p.  g and u are reduced and made
+    monic once, at the end.
+    """
+    r0, r1 = list(f), list(a)
+    u0, u1 = [], [1]
+    while r1 and not r1[-1]:
+        r1.pop()
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        n = len(r1) - 1
+        while len(r0) > n:
+            s = len(r0) - 1 - n
+            c = r0.pop() * inv % p
+            for j in range(n):
+                r0[s + j] = (r0[s + j] - c * r1[j]) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+            u0 += [0] * (s + len(u1) - len(u0))
+            for j, x in enumerate(u1, s):
+                u0[j] -= c * x
+        r0, r1, u0, u1 = r1, r0, u1, u0
+    scale = pow(r0[-1], -1, p)
+    return [c * scale % p for c in r0], [c * scale % p for c in u0]
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Rabin's test for a monic poly f of degree k over GF(p) (Rabin,
+    """Rabin's test for a monic poly f of degree k >= 1 over GF(p) (Rabin,
     "Probabilistic algorithms in finite fields", SIAM J. Comput. 9, 1980):
     f is irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1
     for every prime r dividing k.  Each Frobenius power x^(p^i) mod f is
-    the previous one raised to the p-th power, and each gcd is taken as
-    soon as its power is known: a candidate with a factor of degree
-    dividing k/r is rejected before the higher powers are computed.
+    the previous one raised to the p-th power on packed ints, and each gcd
+    is taken as soon as its power is known: a candidate with a factor of
+    degree dividing k/r is rejected before the higher powers are computed.
     """
-    f = _poly_trim(list(poly))
-    k = len(f) - 1
-    if k < 1:
-        return False
+    k = len(poly) - 1
     if k == 1:
         return True
     gcd_at = {k // r for r in _prime_factors(k)}
-    h = [0, 1]  # x^(p^i) mod f, for i = 0 .. k
+    packed = _packing(p, k)
+    rows = packed.rows(poly)
+    x = h = packed.pack(p)  # x^(p^i) mod f, for i = 0 .. k
     for i in range(1, k + 1):
-        h = _poly_powmod(h, p, f, p)
+        h = packed.power(h, p, rows)
         if i in gcd_at:
-            h_minus_x = h + [0] * (2 - len(h))
+            h_minus_x = [h >> s & packed.mask for s in packed.shifts]
             h_minus_x[1] = (h_minus_x[1] - 1) % p
-            if _poly_ext_gcd(h_minus_x, f, p)[0] != [1]:
+            if _ext_gcd(h_minus_x, poly, p)[0] != [1]:
                 return False
-    return h == [0, 1]
+    return h == x
 
 
 def _poly_str(coeffs: Sequence[int], var: str) -> str:
@@ -347,8 +397,8 @@ class _Tables:
         period = q - 1
         # the primitive element of smallest index: g has order q-1 iff
         # g**((q-1)/r) != 1 for every prime r dividing q-1; untabled, **
-        # is _poly_powmod.  For k >= 2 the indices below p are the
-        # constants, whose order divides p-1.
+        # is square-and-multiply on packed ints.  For k >= 2 the indices
+        # below p are the constants, whose order divides p-1.
         one = spec.one
         cofactors = [period // r for r in _prime_factors(period)]
         for g_index in range(p if k > 1 else 1, q):
@@ -429,8 +479,9 @@ class FieldSpec:
     k: int
     modulus_poly: tuple[int, ...]
 
-    #: log/antilog tables, set on first enumeration (not a dataclass field)
-    _tables = None
+    #: log/antilog tables, set on first enumeration, and the packed kernel,
+    #: set by ``_packed`` (neither is a dataclass field)
+    _tables = _kernel = None
 
     def __post_init__(self):
         _prime(self.p)
@@ -453,6 +504,19 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return self.p**self.k
+
+    def _packed(self) -> tuple[_Packed, tuple[int, ...]]:
+        """The packed layout and the modulus's reduction rows, built on the
+        first untabled product or power of an extension and kept like the
+        tables.  Both are set with ``object.__setattr__``: reading the
+        instance ``__dict__`` (as ``functools.cached_property`` does) would
+        slow every later attribute read on the spec."""
+        kernel = self._kernel
+        if kernel is None:
+            packed = _packing(self.p, self.k)
+            kernel = packed, packed.rows(self.modulus_poly)
+            object.__setattr__(self, "_kernel", kernel)
+        return kernel
 
     def _at(self, n: int) -> "FieldElement":
         """The element of index n: the cached instance once tabled."""
@@ -601,11 +665,10 @@ class FieldElement:
             if a == 0 or b == 0:
                 return t.elements[0]
             return t.elements[t.exp[(t.log[a] + t.log[b]) % t.period]]
-        p = spec.p
         if spec.k == 1:
-            return _new(spec, a * b % p)
-        prod = _poly_mul(self.coeffs, other.coeffs, p)
-        return _new(spec, _index_of(_poly_mod(prod, spec.modulus_poly, p), p))
+            return _new(spec, a * b % spec.p)
+        packed, rows = spec._packed()
+        return _new(spec, packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: ``self ** -1`` on a tabled spec or a
@@ -616,10 +679,10 @@ class FieldElement:
         if self._index == 0:
             raise DivisionByZeroError(f"zero has no inverse in {spec}")
         p = spec.p
-        g, u = _poly_ext_gcd(self.coeffs, spec.modulus_poly, p)
+        g, u = _ext_gcd(_digits(self._index, p, spec.k), spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
-        return _new(spec, _index_of(_poly_mod(u, spec.modulus_poly, p), p))
+        return _new(spec, _index_of(u, p))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -627,7 +690,7 @@ class FieldElement:
 
     def __pow__(self, n: int):
         """a**n, n mod q-1: exp[log a * n] on a tabled spec, otherwise a
-        modular power of the index (k = 1) or of the coefficients."""
+        modular power of the index (k = 1) or of the packed coefficients."""
         if not isinstance(n, int):
             raise InvalidInputError("exponent must be an integer")
         spec = self.spec
@@ -643,7 +706,8 @@ class FieldElement:
         p = spec.p
         if spec.k == 1:
             return _new(spec, pow(a, n, p))
-        return _new(spec, _index_of(_poly_powmod(self.coeffs, n, spec.modulus_poly, p), p))
+        packed, rows = spec._packed()
+        return _new(spec, packed.index(packed.power(packed.pack(a), n, rows)))
 
     # -- presentation -------------------------------------------------------
 

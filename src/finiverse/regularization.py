@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 
 from .constants import CODATA2018, Constants
-from .errors import RangeLimitError
+from .errors import InvalidInputError, RangeLimitError
 from .errors import _finite, _integer, _printable, _real, _within_capacity
 
 __all__ = [
@@ -64,6 +64,8 @@ def _table() -> tuple[Fraction, ...]:
 
 def bernoulli(n: int) -> Fraction:
     """Exact B_n for 0 <= n <= 64 (B1 = +1/2 convention)."""
+    if isinstance(n, bool):
+        raise InvalidInputError(f"index must be an integer in 0..{BERNOULLI_MAX}, got {n!r}")
     if not (isinstance(n, int) and 0 <= n <= BERNOULLI_MAX):
         raise RangeLimitError(f"index must lie in 0..{BERNOULLI_MAX}, got {_printable(n)}")
     return _table()[n]

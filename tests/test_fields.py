@@ -482,3 +482,14 @@ def test_copies_and_pickles_of_a_tabled_field():
         spec2, a2 = clone(spec), clone(a)
         assert spec2 == spec and spec2._tables is None  # tables are not copied
         assert a2 == a and (a2 * a2).coeffs == (a * a).coeffs
+
+
+def test_copies_and_pickles_of_an_untabled_extension():
+    spec = make_extension_field(101, 4)
+    a = spec.element(12345)
+    square = a * a  # builds the packed kernel
+    assert spec._kernel is not None and spec._tables is None
+    for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        spec2 = clone(spec)
+        assert spec2 == spec and spec2._kernel is None  # the kernel is not copied
+        assert spec2.element(12345) * spec2.element(12345) == clone(square)

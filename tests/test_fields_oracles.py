@@ -18,7 +18,8 @@ pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import isprime  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem  # noqa: E402
+from sympy.polys.galoistools import (  # noqa: E402
+    gf_gcdex, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem)
 
 from finiverse import fields as fields_mod  # noqa: E402
 from finiverse.fields import enumerate_elements, is_prime, make_extension_field  # noqa: E402
@@ -47,6 +48,85 @@ def test_products_and_inverses_match_sympy(p, k):
             assert _sympy_poly((a * b).coeffs) == expected
         product = gf_mul(_sympy_poly(a.coeffs), _sympy_poly(a.inverse().coeffs), p, ZZ)
         assert gf_rem(product, modulus, p, ZZ) == [ZZ(1)]
+
+
+# -- the packed kernel of untabled extension fields ----------------------------
+
+#: untabled (p, k) at the edges of the benchmark's field_sweep strata: k = 2
+#: and 3 with p near 2500, k = 3 with p in 40..70 (both residues mod 3, so
+#: both shapes of modulus), k = 4, 5 and 6 at the ends of their prime pools,
+#: and p = 2 for every k
+KERNEL_FIELDS = [(2477, 2), (2503, 2), (2437, 3), (2557, 3), (41, 3), (59, 3), (61, 3), (67, 3),
+                 (43, 4), (47, 4), (31, 5), (47, 5), (11, 6), (13, 6)]
+KERNEL_FIELDS += [(2, k) for k in range(2, 7)]
+
+def _untabled(p, k):
+    spec = make_extension_field(p, k)
+    return spec, spec.order, spec.modulus_poly, _sympy_poly(spec.modulus_poly)
+
+
+def _sympy_product(a, b, modulus, p):
+    return gf_rem(gf_mul(_sympy_poly(a), _sympy_poly(b), p, ZZ), modulus, p, ZZ)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_packed_products_match_sympy_and_reference(p, k):
+    spec, q, f, modulus = _untabled(p, k)
+    rng = random.Random(q)
+    pairs = [(q - 1, q - 1), (q - 1, p), (p ** (k - 1), p ** (k - 1)), (q - 1, 0), (1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(150)]
+    for i, j in pairs:
+        a, b = spec.element(i), spec.element(j)
+        got = (a * b).coeffs
+        assert _sympy_poly(got) == _sympy_product(a.coeffs, b.coeffs, modulus, p), (i, j)
+        assert got == ref.mul(a.coeffs, b.coeffs, f, p), (i, j)
+    assert spec._tables is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 43, 47, 61, 251, 2437, 65521])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_every_coefficient_top_is_the_worst_case(p, k):
+    # every coefficient p - 1 makes each product slot the largest sum the
+    # slot width must hold; squares, cubes and the products with x^(k-1)
+    # fill the high slots that fold back through the modulus's rows
+    spec, q, f, modulus = _untabled(p, k)
+    top = spec.element(q - 1)
+    for other in (top, top * top, spec.element(p ** (k - 1)), spec.element(q - p)):
+        assert _sympy_poly((top * other).coeffs) == _sympy_product(top.coeffs, other.coeffs,
+                                                                   modulus, p)
+    for n in (2, 3, p, 10**30):
+        assert (top ** n).coeffs == ref.power(top.coeffs, n, f, p)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_packed_powers_match_sympy_and_reference(p, k):
+    spec, q, f, modulus = _untabled(p, k)
+    rng = random.Random(-q)
+    for i in [1, p, q - 1] + [rng.randrange(1, q) for _ in range(4)]:
+        a = spec.element(i)
+        # the identity, one, the inverse, just below, at and above q - 1, far beyond
+        for n in (0, 1, -1, q - 2, q - 1, q, 10**30):
+            e = q - 2 if n == -1 else n  # a^-1 = a^(q-2)
+            got = (a ** n).coeffs
+            assert _sympy_poly(got) == gf_pow_mod(_sympy_poly(a.coeffs), e, modulus, p, ZZ), (i, n)
+            assert got == ref.power(a.coeffs, e, f, p), (i, n)
+    assert (spec.zero ** 0).coeffs == spec.one.coeffs and spec.zero ** q == spec.zero
+    assert spec._tables is None
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS + [(3, 4)])
+def test_untabled_inverses_match_sympy_and_reference(p, k):
+    # every inverse of GF(3^4) and of GF(2^k) up to GF(2^6), a sample of the others
+    spec, q, f, modulus = _untabled(p, k)
+    picks = range(1, q) if q <= 81 else [1, p, q - 1] + random.Random(q).sample(range(1, q), 60)
+    for i in picks:
+        a = spec.element(i)
+        inverse = a.inverse()
+        s, _, g = gf_gcdex(_sympy_poly(a.coeffs), modulus, p, ZZ)
+        assert g == [ZZ(1)] and _sympy_poly(inverse.coeffs) == s, i
+        assert inverse.coeffs == ref.power(a.coeffs, q - 2, f, p), i
+        assert (a * inverse) == spec.one and a ** -1 == inverse
+    assert spec._tables is None
 
 
 SMALL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 31, 53) for k in range(1, 7) if p**k <= 3000]

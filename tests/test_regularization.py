@@ -83,6 +83,15 @@ def test_bernoulli_range_errors():
         bernoulli(2.0)
 
 
+def test_bernoulli_refuses_a_bool_as_invalid_input():
+    # True == 1 as an int, but a bool is not an index, as zeta_negative(True) is not
+    for flag in (True, False):
+        with pytest.raises(InvalidInputError):
+            bernoulli(flag)
+    with pytest.raises(InvalidInputError):
+        zeta_negative(True)
+
+
 def test_zeta_negative_anchors():
     assert zeta_negative(0) == Fraction(-1, 2)
     assert zeta_negative(1) == Fraction(-1, 12)

@@ -234,6 +234,11 @@ TOO_LONG_TO_PRINT = {
                                   MalformedTableError),
     "IncidenceStructure label": (lambda x: IncidenceStructure(points=(1, 2), lines=[(1, x)]),
                                  1, MalformedStructureError),
+    "check_metric_axioms tuple label": (lambda x: check_metric_axioms([(x,), 1], {}), 1,
+                                        MalformedTableError),
+    "IncidenceStructure tuple label": (
+        lambda x: IncidenceStructure(points=(1, 2), lines=[(1, (x,))]), 1,
+        MalformedStructureError),
     "IncidenceStructure short line": (lambda x: IncidenceStructure(points=(x,), lines=[(x,)]),
                                       1, MalformedStructureError),
     "pointset_cardinality order": (lambda x: pointset_cardinality(x, 2), -1, InvalidInputError),
