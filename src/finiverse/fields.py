@@ -179,14 +179,16 @@ class _Packed:
         return out
 
     def rows(self, f: Sequence[int]) -> tuple[int, ...]:
-        """x^(k+j) mod the monic f of degree k, packed, for j < k-1."""
-        p = self.p
-        base = [-c % p for c in f[:-1]]  # x^k mod f
+        """x^(k+j) mod the monic f of degree k, packed, for j < k-1.  Each
+        row is x times the one before: a shift by one slot, whose top slot
+        is folded back in through x^k mod f."""
+        p, width = self.p, self.width
+        base = sum(-c % p << s for c, s in zip(f, self.shifts))  # x^k mod f
         row, out = base, []
-        for _ in range(len(base) - 1):
-            out.append(self.pack(_index_of(row, p)))
-            top = row[-1]
-            row = [(r + top * b) % p for r, b in zip([0] + row[:-1], base)]
+        for _ in range(len(self.shifts) - 1):
+            out.append(row)
+            row <<= width
+            row = self.reduce((row & self.low) + (row >> self.high) * base)
         return tuple(out)
 
     def fold(self, c: int, rows: tuple[int, ...]) -> int:
@@ -200,6 +202,13 @@ class _Packed:
             top >>= width
         return c
 
+    def reduce(self, c: int) -> int:
+        """The reduced packed int of a folded product: each slot taken mod p."""
+        p, mask, out = self.p, self.mask, 0
+        for s in self.shifts:
+            out |= (c >> s & mask) % p << s
+        return out
+
     def index(self, c: int) -> int:
         """The element index of a folded product or a reduced packed int,
         each slot taken mod p."""
@@ -211,22 +220,14 @@ class _Packed:
     def power(self, a: int, n: int, rows: tuple[int, ...]) -> int:
         """a^n mod f for a reduced packed a and n >= 0, by square-and-multiply
         from the top bit down; the result is reduced."""
-        p, mask, shifts = self.p, self.mask, self.shifts
-
-        def mulmod(x, y):
-            c = self.fold(x * y, rows)
-            out = 0
-            for s in shifts:
-                out |= (c >> s & mask) % p << s
-            return out
-
+        fold, reduce = self.fold, self.reduce
         if not n:
             return 1
         result = a
         for bit in bin(n)[3:]:
-            result = mulmod(result, result)
+            result = reduce(fold(result * result, rows))
             if bit == "1":
-                result = mulmod(result, a)
+                result = reduce(fold(result * a, rows))
         return result
 
 
@@ -372,8 +373,44 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-#: indices per block of the multiply-by-g map in the table build
+#: indices per block of the multiply-by-g map in the table build and of
+#: the digit arrays in ``_spread``
 _TABLE_BLOCK = 2**16
+
+
+#: the bits of one digit slot of a spread index
+_SLOT_MASK = 2**64 - 1
+
+
+def _spread(indices: Sequence[int], p: int, k: int) -> list[int]:
+    """The element indices, each with its k base-p digits spread into
+    64-bit slots (digit i in bits [64i, 64i + 64)), as ints.
+
+    Adding spread indices adds their digits slot by slot, with no carry
+    from one slot into the next while each slot stays below 2^64: a sum
+    of N of them is exact for N(p-1) < 2^64, which a tabled field (p <=
+    2^20) keeps for N < 2^44.  ``_is_zero_sum`` tells whether such a sum
+    is the index of zero.
+    """
+    import numpy as np
+
+    n = np.asarray(indices, dtype=np.int64)
+    places = p ** np.arange(k, dtype=np.int64)
+    size, out = 8 * k, []
+    for start in range(0, len(n), _TABLE_BLOCK):  # no len(n) x k digit array is held
+        raw = (n[start:start + _TABLE_BLOCK, None] // places % p).astype("<u8").tobytes()
+        out += [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    return out
+
+
+def _is_zero_sum(total: int, p: int) -> bool:
+    """True when a sum of spread indices (see ``_spread``) adds up to the
+    element zero: every one of its slots is 0 mod p."""
+    while total:
+        if (total & _SLOT_MASK) % p:
+            return False
+        total >>= 64
+    return True
 
 
 class _Tables:
@@ -384,10 +421,11 @@ class _Tables:
     ``log[n]`` the exponent of the nonzero element n (``log[0]`` is 0
     and never read as a logarithm).  ``exp`` and ``log`` are memoryviews
     of int64 arrays: 16 bytes per element, and indexing them gives plain
-    ints.
+    ints.  ``norms`` is None until ``hilbert.is_isotropic`` first needs
+    the spread norm of every element and keeps it here.
     """
 
-    __slots__ = ("elements", "exp", "log", "period")
+    __slots__ = ("elements", "exp", "log", "period", "norms")
 
     def __init__(self, spec: "FieldSpec"):
         import numpy as np
@@ -458,6 +496,7 @@ class _Tables:
         self.log = memoryview(log)
         self.elements = list(map(_new, repeat(spec), range(q)))
         self.period = period
+        self.norms = None
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from .fields import (
     FieldVector,
     _Space,
     _digitwise,
+    _is_zero_sum,
+    _spread,
     _vectors,
     element_index,
 )
@@ -122,9 +124,10 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     The form is diagonal, so the squared distance of y from the origin
     is the sum, over y's coordinates, of the squared distance of the
     axis point (y_c, 0, ..., 0) from the origin.  Those q values are
-    taken from ``squared_distance`` once, as element indices, and each y
-    is scanned as a digit-wise sum of them over its coordinate indices.
-    The pair returned is two members of ``space.points()``.
+    taken from ``squared_distance`` once, as spread element indices
+    (``fields._spread``), and each y is scanned as the builtin ``sum`` of
+    them over its coordinate indices.  The pair returned is two members
+    of ``space.points()``.
     """
     points = space.points()
     spec = space.spec
@@ -132,14 +135,12 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     origin = points[0]
     axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
     sq = [squared_distance(origin, points[i * axis])._index for i in range(q)]
-    p, k = spec.p, spec.k
+    p = spec.p
+    term = _spread(sq, p, spec.k).__getitem__
     coords = product(range(q), repeat=dim)
     next(coords)  # the origin itself
     for n, y in enumerate(coords, 1):
-        total = 0
-        for c in y:
-            total = _digitwise(total, sq[c], 1, p, k)
-        if total == 0:
+        if _is_zero_sum(sum(map(term, y)), p):
             return (origin, points[n])
     return None
 

@@ -8,7 +8,9 @@ sends x + i*y to x - i*y); it is defined once, on element indices, by
 ``_conjugate_index``, which both ``conjugate`` and ``is_isotropic`` use.
 The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
 the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
-exist and are reported rather than forbidden.
+exist and are reported rather than forbidden.  On a tabled field
+``is_isotropic`` reads each coordinate's norm conj(c) * c from a table
+built once per field, so a vector's norm-square is one builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from .fields import (
     FieldSpec,
     FieldVector,
     _Space,
+    _TABLE_BLOCK,
+    _Tables,
     _digitwise,
+    _is_zero_sum,
     _prime,
+    _spread,
     _vectors,
 )
 
@@ -47,9 +53,9 @@ def hilbert_cardinality(p: int, k: int, dim: int) -> int:
     return p ** (k * dim)
 
 
-def _conjugate_index(spec: FieldSpec, n: int) -> int:
+def _conjugate_index(spec: FieldSpec, n):
     """Index of the conjugate of element n: its constant digit kept, every
-    other digit negated mod p."""
+    other digit negated mod p.  Also elementwise on a numpy index array."""
     constant = n % spec.p
     return constant + _digitwise(0, n - constant, -1, spec.p, spec.k)
 
@@ -90,25 +96,53 @@ def norm_squared(v: FieldVector) -> FieldElement:
     return inner_product(v, v)
 
 
+def _norms(spec: FieldSpec, t: _Tables) -> list[int]:
+    """``norms[n]``, the norm conj(n) * n of every element n of a tabled
+    spec as a spread index (see ``fields._spread``), computed with numpy
+    as ``exp[(log conj + log n) mod (q-1)]`` one block of indices at a
+    time.  Elements of one norm share one int."""
+    import numpy as np
+
+    q, log, exp = spec.order, np.asarray(t.log), np.asarray(t.exp)
+    norm = np.empty(q, dtype=np.int64)
+    for start in range(0, q, _TABLE_BLOCK):
+        n = np.arange(start, min(start + _TABLE_BLOCK, q))
+        norm[start:start + len(n)] = exp[(log[_conjugate_index(spec, n)] + log[n]) % t.period]
+    norm[0] = 0
+    values = np.flatnonzero(np.bincount(norm, minlength=q))
+    spread = np.empty(q, dtype=object)
+    spread[values] = _spread(values, spec.p, spec.k)
+    return spread[norm].tolist()
+
+
 def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes.
 
-    The norm-square sum(conj(c) * c) is summed on indices.  On a tabled
-    spec each term is one table lookup, ``exp[(log conj + log c) mod
-    (q-1)]`` (both factors are nonzero); on an untabled one it is the
-    element product.  The terms are added digit-wise mod p."""
-    spec = v.spec
-    p, k, t = spec.p, spec.k, spec._tables
+    On a tabled spec the norm-square sum(conj(c) * c) is the builtin
+    ``sum`` of one table read per coordinate: the table, built on the
+    first call and kept with the spec's tables, holds each element's
+    norm with its k base-p digits spread into 64-bit slots, and the sum
+    is zero when every slot is 0 mod p.  A slot of a sum over N
+    coordinates holds at most N(p-1), and a tabled field has p <= 2^20,
+    so it cannot overflow below 2^44 coordinates.  On an untabled spec
+    each term is the element product, added digit-wise mod p."""
+    coords = v.coords
+    spec = coords[0].spec
+    t = spec._tables
+    if t is not None:
+        norms = t.norms
+        if norms is None:
+            norms = t.norms = _norms(spec, t)
+        return _is_zero_sum(sum([norms[c._index] for c in coords]), spec.p) and any(
+            c._index for c in coords
+        )
+    p, k = spec.p, spec.k
     nonzero, total = False, 0
-    for c in v.coords:
+    for c in coords:
         n = c._index
         if n:
             nonzero = True
-            conj = _conjugate_index(spec, n)
-            if t is None:
-                term = (spec._at(conj) * c)._index
-            else:
-                term = t.exp[(t.log[conj] + t.log[n]) % t.period]
+            term = (spec._at(_conjugate_index(spec, n)) * c)._index
             total = _digitwise(total, term, 1, p, k)
     return nonzero and total == 0
 

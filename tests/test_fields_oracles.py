@@ -99,6 +99,20 @@ def test_every_coefficient_top_is_the_worst_case(p, k):
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_reduction_rows_are_the_reference_powers_of_x(p, k):
+    # Rabin's test builds the rows of every candidate, reducible ones too:
+    # the factory's modulus, the all-(p-1) top case and random monic f
+    packed = fields_mod._packing(p, k)
+    x = (0, 1) + (0,) * (k - 2)
+    rng = random.Random(p * k)
+    candidates = [make_extension_field(p, k).modulus_poly, (p - 1,) * k + (1,)]
+    candidates += [tuple(rng.randrange(p) for _ in range(k)) + (1,) for _ in range(20)]
+    for f in candidates:
+        expected = [packed.pack(ref.index(ref.power(x, k + j, f, p), p)) for j in range(k - 1)]
+        assert packed.rows(f) == tuple(expected), f
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_packed_powers_match_sympy_and_reference(p, k):
     spec, q, f, modulus = _untabled(p, k)
     rng = random.Random(-q)

@@ -3,8 +3,11 @@ that share none of their shortcuts:
 
 * the transversal line builder against ``enumerate_lines_naive`` on
   spaces the benchmark does not run;
-* ``is_isotropic`` on a tabled spec (log/antilog lookups) against the
-  same spec untabled (element products).
+* ``is_isotropic`` on a tabled spec (one norm table, one ``sum`` per
+  vector) against the same spec untabled (element products) and against
+  ``is_isotropic_naive``;
+* ``find_degenerate_pair`` (the same spread ``sum``) against
+  ``find_degenerate_pair_naive``.
 
 The characteristic-2 ``_digitwise`` (the bitwise XOR) is checked against
 the digit-by-digit reference in ``test_fields_oracles``.
@@ -14,7 +17,11 @@ import copy
 import itertools
 
 import pytest
-from geometry_reference import enumerate_lines_naive
+from geometry_reference import (
+    enumerate_lines_naive,
+    find_degenerate_pair_naive,
+    is_isotropic_naive,
+)
 
 from finiverse.errors import SizeLimitError
 from finiverse.fields import FieldVector, enumerate_elements, make_extension_field
@@ -22,6 +29,7 @@ from finiverse.geometry import (
     INCIDENCE_CAP,
     AffineSpace,
     enumerate_lines,
+    find_degenerate_pair,
     incidence_structure,
 )
 from finiverse.hilbert import is_isotropic
@@ -73,3 +81,41 @@ def test_isotropy_agrees_tabled_and_untabled(p, k, dim):
         flags.append(flag)
     assert untabled._tables is None
     assert not flags[0]  # the zero vector is not isotropic
+
+
+def test_long_vectors_stay_exact_in_the_slots():
+    # GF(9) is GF(3)[a]/(a^2 + 1), so conj(a) * a = -a^2 = 1 and the
+    # norm-square of n copies of a is n mod 3.  Slots of 16 bits would
+    # carry 300,000 into the next slot and read the sum as nonzero.
+    spec = make_extension_field(3, 2)
+    assert spec.modulus_poly == (1, 0, 1)
+    enumerate_elements(spec)
+    c = spec.gen
+    for n, expected in ((300_000, True), (200_000, False)):
+        v = FieldVector((c,) * n)
+        assert is_isotropic(v) is expected
+        assert is_isotropic_naive(v) is expected
+
+
+def test_norm_table_is_built_once_and_only_when_tabled():
+    spec = make_extension_field(5, 2)
+    pairs = [FieldVector((spec.one, spec.element(n))) for n in range(spec.order)]
+    flags = [is_isotropic(v) for v in pairs]
+    assert flags == [is_isotropic_naive(v) for v in pairs]
+    assert any(flags) and not all(flags)
+    assert spec._tables is None
+
+    elements = enumerate_elements(spec)
+    assert spec._tables.norms is None  # enumerating alone builds no norm table
+    assert [is_isotropic(FieldVector((elements[1], c))) for c in elements] == flags
+    norms = spec._tables.norms
+    assert len(norms) == spec.order and norms[0] == 0
+    assert is_isotropic(FieldVector((elements[1], elements[flags.index(True)])))
+    assert spec._tables.norms is norms
+
+
+@pytest.mark.parametrize("p,k,dim", [(2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2),
+                                     (5, 1, 2), (7, 1, 2), (13, 1, 2), (5, 2, 2)])
+def test_degenerate_pair_matches_reference(p, k, dim):
+    space = AffineSpace(make_extension_field(p, k), dim)
+    assert find_degenerate_pair(space) == find_degenerate_pair_naive(space)
