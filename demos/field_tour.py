@@ -7,6 +7,7 @@ pairs x + iy, then shows why p = 5 refuses to cooperate.
 """
 
 from finiverse.fields import (
+    enumerate_elements,
     make_extension_field,
     make_gaussian_extension,
     make_prime_field,
@@ -17,8 +18,8 @@ from finiverse.errors import NotAFieldError
 
 # the integers mod 5 form a field: every nonzero element has an inverse
 e5 = make_prime_field(5)
-print("E5 elements:", ", ".join(str(e) for e in e5.elements()))
-for x in e5.elements():
+print("E5 elements:", ", ".join(str(e) for e in enumerate_elements(e5)))
+for x in enumerate_elements(e5):
     if not x.is_zero:
         print(f"  1/{x} = {x.inverse()}")
 

@@ -204,7 +204,7 @@ def _parse_vector(spec: fields.FieldSpec, text: str) -> fields.FieldVector:
 
 def _bracketed(vec: fields.FieldVector) -> str:
     """The hilbert commands' rendering of a vector: [a, b]."""
-    return "[" + ", ".join(str(c) for c in vec.coords) + "]"
+    return "[" + ", ".join(map(str, vec)) + "]"
 
 
 def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:

@@ -35,9 +35,10 @@ one int product per ``*``, which Rabin's irreducibility test shares, and
 On both paths ``a ** n`` takes n mod q-1, which the order of every
 nonzero element divides.
 
-``FieldVector`` is an n-tuple over one field: the point type of
-``geometry.AffineSpace`` and the vector type of
-``hilbert.FiniteHilbertSpace``.
+``FieldVector`` is the point type of ``geometry.AffineSpace`` and the
+vector type of ``hilbert.FiniteHilbertSpace``: a ``tuple`` subclass,
+one object per vector, equal to the plain tuple of its coordinates.
+Its constructor checks that they share one field; ``+`` adds vectors.
 
 ``verify_field_axioms`` checks the full field axiom list by exhaustive
 truth tables (associativity and distributivity by Light's test over
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     DimMismatchError,
@@ -600,9 +601,6 @@ class FieldSpec:
             raise InvalidInputError("prime fields have no adjoined generator")
         return self._at(self.p)
 
-    def elements(self) -> list["FieldElement"]:
-        return enumerate_elements(self)
-
     def __str__(self):
         if self.k == 1:
             return f"GF({self.p})"
@@ -770,90 +768,83 @@ def _new(spec: FieldSpec, n: int) -> FieldElement:
     return e
 
 
-class FieldVector:
+class FieldVector(tuple):
     """Coordinate n-tuple over one finite field, supporting +, - and
     scalar multiples.
 
     It is both a point (or displacement) of the affine space AG(n, q),
     measured by ``geometry.squared_distance``, and a state vector of the
-    finite Hilbert space, paired by ``hilbert.inner_product``.
+    finite Hilbert space, paired by ``hilbert.inner_product``.  It is the
+    tuple of its coordinates: it equals, hashes, indexes and iterates as
+    that plain tuple, a slice is a plain tuple, and ``coords`` is the
+    vector itself.  The constructor requires at least one coordinate and
+    one field for all of them.  ``+`` is vector addition; concatenation
+    and repetition (``(c,) + v``, ``v * 2``, ``2 * v``) raise TypeError.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ()
 
-    def __init__(self, coords: Sequence[FieldElement]):
-        coords = tuple(coords)
-        if not coords:
+    def __new__(cls, coords: Iterable[FieldElement]):
+        self = tuple.__new__(cls, coords)
+        if not self:
             raise InvalidInputError("a vector needs at least one coordinate")
-        spec = coords[0].spec
-        if any(c.spec != spec for c in coords[1:]):
+        spec = self[0].spec
+        if any(c.spec is not spec and c.spec != spec for c in self):
             raise SpecMismatchError("all coordinates must share one field")
-        object.__setattr__(self, "coords", coords)
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldVector is immutable")
+    @property
+    def coords(self) -> "FieldVector":
+        return self
 
     @property
     def spec(self) -> FieldSpec:
-        return self.coords[0].spec
+        return self[0].spec
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self)
 
     def _check(self, other: "FieldVector") -> "FieldVector":
         if not isinstance(other, FieldVector):
             raise SpecMismatchError(f"cannot combine vector with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatchError("vectors live over different fields")
-        if other.dim != self.dim:
-            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if len(other) != len(self):
+            raise DimMismatchError(f"dimension mismatch: {len(self)} vs {len(other)}")
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        return FieldVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return FieldVector(a + b for a, b in zip(self, self._check(other)))
 
     def __sub__(self, other):
-        other = self._check(other)
-        return FieldVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return FieldVector(a - b for a, b in zip(self, self._check(other)))
+
+    def _not_a_sequence(self, other):
+        raise TypeError("a FieldVector is not concatenated or repeated; use + and scale")
+
+    __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
     def scale(self, t: FieldElement) -> "FieldVector":
-        return FieldVector(tuple(t * c for c in self.coords))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
+        return FieldVector(t * c for c in self)
 
     def index_key(self) -> tuple[int, ...]:
         """Sort key matching coordinate enumeration order."""
-        return tuple(c._index for c in self.coords)
+        return tuple(c._index for c in self)
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(map(str, self)) + ")"
 
     def __repr__(self):
         return f"FieldVector{self}"
 
 
-_set_coords = FieldVector.coords.__set__
-
-
-def _vector(coords: tuple) -> FieldVector:
-    v = object.__new__(FieldVector)
-    _set_coords(v, coords)
-    return v
-
-
 def _vectors(spec: FieldSpec, dim: int) -> list[FieldVector]:
-    """Every dim-tuple over ``spec.elements()``, first coordinate varying
-    slowest.  The coordinates share one field by construction, so the
-    vectors are built without the constructor's check."""
-    return list(map(_vector, product(spec.elements(), repeat=dim)))
+    """Every dim-tuple over ``enumerate_elements(spec)``, first coordinate
+    varying slowest.  The coordinates share one field by construction, so
+    the vectors are built with ``tuple.__new__``, without the check."""
+    vectors = product(enumerate_elements(spec), repeat=dim)
+    return list(map(tuple.__new__, repeat(FieldVector), vectors))
 
 
 @dataclass(frozen=True)
@@ -873,7 +864,7 @@ class _Space:
             raise DimMismatchError(
                 f"expected {_printable(self.dim)} coordinates, got {len(values)}"
             )
-        return FieldVector(tuple(self.spec.element(v) for v in values))
+        return FieldVector(map(self.spec.element, values))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .fields import (
     _spread,
     _vectors,
     element_index,
+    enumerate_elements,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ def squared_distance(a: FieldVector, b: FieldVector) -> FieldElement:
     if not isinstance(a, FieldVector) or not isinstance(b, FieldVector):
         raise InvalidInputError("squared_distance expects two points")
     a._check(b)
-    diff = (x - y for x, y in zip(a.coords, b.coords))
+    diff = (x - y for x, y in zip(a, b))
     total = a.spec.zero
     for d in diff:
         total = total + d * d
@@ -224,7 +225,7 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     points = space.points()  # builds the field's tables, and so loads numpy
     import numpy as np
 
-    elems = spec.elements()
+    elems = enumerate_elements(spec)
     p, digits = spec.p, spec.k * dim
     # bases[c]: the ids whose coordinate c is index 0, ascending
     bases = [(np.arange(q**c)[:, None] * q ** (dim - c)
@@ -232,7 +233,7 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     lines: list[Line] = []
     for direction in _canonical_directions(points):
         pivot = next(c for c, n in enumerate(direction.index_key()) if n)
-        offsets = np.array([_point_id([t * c for c in direction.coords], q) for t in elems])
+        offsets = np.array([_point_id([t * c for c in direction], q) for t in elems])
         members = np.sort(_digitwise(bases[pivot][:, None], offsets[None, :], 1, p, digits),
                           axis=1)
         for ids in map(tuple, members.tolist()):

@@ -86,7 +86,7 @@ def inner_product(u: FieldVector, v: FieldVector) -> FieldElement:
         raise InvalidInputError("inner_product expects two vectors")
     u._check(v)
     total = u.spec.zero
-    for a, b in zip(u.coords, v.coords):
+    for a, b in zip(u, v):
         total = total + conjugate(a) * b
     return total
 
@@ -125,26 +125,17 @@ def is_isotropic(v: FieldVector) -> bool:
     is zero when every slot is 0 mod p.  A slot of a sum over N
     coordinates holds at most N(p-1), and a tabled field has p <= 2^20,
     so it cannot overflow below 2^44 coordinates.  On an untabled spec
-    each term is the element product, added digit-wise mod p."""
-    coords = v.coords
-    spec = coords[0].spec
+    the norm-square is ``norm_squared``."""
+    if not isinstance(v, FieldVector):
+        raise InvalidInputError("is_isotropic expects a vector")
+    spec = v[0].spec
     t = spec._tables
-    if t is not None:
-        norms = t.norms
-        if norms is None:
-            norms = t.norms = _norms(spec, t)
-        return _is_zero_sum(sum([norms[c._index] for c in coords]), spec.p) and any(
-            c._index for c in coords
-        )
-    p, k = spec.p, spec.k
-    nonzero, total = False, 0
-    for c in coords:
-        n = c._index
-        if n:
-            nonzero = True
-            term = (spec._at(_conjugate_index(spec, n)) * c)._index
-            total = _digitwise(total, term, 1, p, k)
-    return nonzero and total == 0
+    if t is None:
+        return any(c._index for c in v) and norm_squared(v).is_zero
+    norms = t.norms
+    if norms is None:
+        norms = t.norms = _norms(spec, t)
+    return _is_zero_sum(sum([norms[c._index] for c in v]), spec.p) and any(c._index for c in v)
 
 
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:

@@ -20,7 +20,7 @@ a metric by construction.
 import math
 from typing import Optional, Sequence
 
-from finiverse.fields import FieldVector
+from finiverse.fields import FieldVector, enumerate_elements
 from finiverse.geometry import (
     COLLINEAR,
     ORDINARY,
@@ -62,7 +62,7 @@ def enumerate_lines_naive(space: AffineSpace) -> list[Line]:
             f"{space.point_count} points exceed the line-enumeration cap {LINE_CAP}"
         )
     points = space.points()
-    elems = space.spec.elements()
+    elems = enumerate_elements(space.spec)
     q = len(elems)
     lines: list[Line] = []
     for direction in _canonical_directions(points):

@@ -11,7 +11,12 @@ from finiverse.errors import (
     SizeLimitError,
     SpecMismatchError,
 )
-from finiverse.fields import make_extension_field, make_gaussian_extension, make_prime_field
+from finiverse.fields import (
+    enumerate_elements,
+    make_extension_field,
+    make_gaussian_extension,
+    make_prime_field,
+)
 from finiverse.hilbert import (
     FiniteHilbertSpace,
     conjugate,
@@ -73,7 +78,7 @@ def test_conjugate_gaussian():
 
 def test_conjugate_is_involution_fixing_constants():
     for spec in (E3, F4, R3, make_extension_field(3, 3)):
-        for e in spec.elements():
+        for e in enumerate_elements(spec):
             assert conjugate(conjugate(e)) == e
         for c in range(spec.p):
             const = spec.element([c] + [0] * (spec.k - 1))
@@ -82,7 +87,7 @@ def test_conjugate_is_involution_fixing_constants():
 
 def test_conjugate_multiplicative_on_gaussian():
     # over the two-square extension, conjugation is a field automorphism
-    elems = R3.elements()
+    elems = enumerate_elements(R3)
     for a in elems:
         for b in elems:
             assert conjugate(a * b) == conjugate(a) * conjugate(b)
@@ -121,7 +126,7 @@ def test_inner_product_additive_exhaustive_dim1():
 def test_inner_product_sesquilinear_sampled():
     space = FiniteHilbertSpace(R3, 2)
     vectors = enumerate_vectors(space)
-    scalars = R3.elements()
+    scalars = enumerate_elements(R3)
     rng = random.Random(13)
     for _ in range(300):
         u, v = rng.choice(vectors), rng.choice(vectors)
@@ -172,6 +177,9 @@ def test_vector_errors():
         FiniteHilbertSpace(R3, 0)
     with pytest.raises(InvalidInputError):
         inner_product("u", "v")
+    for plain in ("v", (R3.one, R3.gen), tuple(enumerate_elements(E3)[1:3])):
+        with pytest.raises(InvalidInputError):
+            is_isotropic(plain)
     with pytest.raises(DimMismatchError):
         space2.vector([[1, 0]])
 
