@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -165,27 +166,20 @@ def _field_spec_from(args) -> fields.FieldSpec:
 
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
-    """GF(q) for a prime power q = p^k: the k-th root of q for k up to
-    log2 q is tested for primality, so q is never factored.  Every
-    caller enumerates at least q points, so q above the point cap is
-    refused first, before any primality test."""
+    """GF(q) for a prime power q = p^k: p is the smallest prime factor of
+    q, found by trial division up to sqrt(q), and k its multiplicity.
+    Every caller enumerates at least q points, so q above the point cap
+    is refused first, and at most 255 divisions run."""
     _integer(q, "field order", 2)
     _at_most(q, geometry.LINE_CAP, "field order {n} exceeds the point enumeration cap {cap}")
-    for k in range(1, q.bit_length()):
-        p = _integer_root(q, k)
-        if p**k == q and fields.is_prime(p):
-            return fields.make_extension_field(p, k)
-    raise InvalidInputError(f"{q} is not a prime power")
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise InvalidInputError(f"{q} is not a prime power")
+    return fields.make_extension_field(p, k)
 
 
 def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:

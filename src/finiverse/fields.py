@@ -16,6 +16,13 @@ for.  Equality and hashing compare indices, ``+`` and ``-`` add and
 subtract indices digit by digit mod p (for k = 1 just ``(a +- b) % p``,
 for p = 2 the bitwise XOR ``a ^ b``), and every operation is exact.
 
+Each operator has one path, chosen by k: for k = 1 ``*`` and ``**`` are
+int arithmetic mod p and ``inverse`` is ``a ** -1``; for k >= 2 ``*``
+and ``**`` run on the packed kernel ``_Packed``, one int product per
+``*``, which Rabin's irreducibility test shares, and ``inverse`` runs
+the extended Euclidean algorithm on the coefficients.  ``a ** n`` takes
+n mod q-1, which the order of every nonzero element divides.
+
 The first time a field is enumerated (``enumerate_elements`` and,
 through it, ``operation_tables``, ``AffineSpace.points`` and
 ``enumerate_vectors``), the spec builds log/antilog tables over element
@@ -25,15 +32,13 @@ numpy, imported by the first table build (or the Z/n axiom battery), so
 a process that never enumerates a field does not load numpy at all.
 The tables stay with the spec for its lifetime (copies and pickles do
 not carry them), together with one cached instance per index: O(q)
-memory.  From then on ``*``, ``/``, ``inverse`` and ``**`` are index
-arithmetic (``exp[(log a + log b) mod (q-1)]``) and every result is a
-cached instance.  A field that is never enumerated builds no tables, so
-huge fields cost no table memory: for k = 1 ``*`` and ``**`` are int
-arithmetic mod p; for k >= 2 they run on the packed kernel ``_Packed``,
-one int product per ``*``, which Rabin's irreducibility test shares, and
-``inverse`` runs the extended Euclidean algorithm on the coefficients.
-On both paths ``a ** n`` takes n mod q-1, which the order of every
-nonzero element divides.
+memory.  From then on every operator returns a cached instance, and
+``_Tables.mul`` multiplies whole numpy index arrays at once
+(``exp[(log a + log b) mod (q-1)]``) for the bulk builders: the
+multiplication table of ``operation_tables``, the line offsets of
+``geometry.enumerate_lines`` and the norm table of ``hilbert``.  A field
+that is never enumerated builds no tables, so huge fields cost no table
+memory.
 
 ``FieldVector`` is the point type of ``geometry.AffineSpace`` and the
 vector type of ``hilbert.FiniteHilbertSpace``: a ``tuple`` subclass,
@@ -72,7 +77,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ENUMERATION_CAP",
     "AXIOM_CHECK_CAP",
-    "is_prime",
     "FieldSpec",
     "FieldElement",
     "FieldVector",
@@ -100,11 +104,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: psi_13, the smallest strong pseudoprime to all of _MR_BASES (Sorenson &
 #: Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
 _MR_BOUND = 3317044064679887385961981
-#: is_prime's refusal, a template formatted only when it raises
+#: _is_prime's refusal, a template formatted only when it raises
 _MR_REFUSAL = f"primality is decided only below psi_13 = {_MR_BOUND}, got {{n}}"
 
 
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Exact primality of an int (False for anything else).
 
     This is Miller-Rabin with the prime bases 2..41, which is
@@ -138,7 +142,7 @@ def is_prime(n: int) -> bool:
 
 def _prime(p) -> None:
     """NotPrimeError unless ``p`` is a prime int."""
-    if not is_prime(p):
+    if not _is_prime(p):
         raise NotPrimeError(f"{_printable(p)} is not prime")
 
 
@@ -419,14 +423,14 @@ class _Tables:
 
     ``elements[n]`` is the cached element of index n, ``exp[i]`` the
     index of g**i for the primitive element g (0 <= i < q-1) and
-    ``log[n]`` the exponent of the nonzero element n (``log[0]`` is 0
-    and never read as a logarithm).  ``exp`` and ``log`` are memoryviews
-    of int64 arrays: 16 bytes per element, and indexing them gives plain
-    ints.  ``norms`` is None until ``hilbert.is_isotropic`` first needs
-    the spread norm of every element and keeps it here.
+    ``log[n]`` the exponent of the nonzero element n: two int64 arrays,
+    16 bytes per element, read only by ``mul``.  ``log[0]`` is 0; ``mul``
+    reads it like any other entry and then masks every product with a
+    zero factor.  ``norms`` is None until ``hilbert.is_isotropic`` first
+    needs the spread norm of every element and keeps it here.
     """
 
-    __slots__ = ("elements", "exp", "log", "period", "norms")
+    __slots__ = ("elements", "exp", "log", "norms")
 
     def __init__(self, spec: "FieldSpec"):
         import numpy as np
@@ -435,9 +439,8 @@ class _Tables:
         q = p**k
         period = q - 1
         # the primitive element of smallest index: g has order q-1 iff
-        # g**((q-1)/r) != 1 for every prime r dividing q-1; untabled, **
-        # is square-and-multiply on packed ints.  For k >= 2 the indices
-        # below p are the constants, whose order divides p-1.
+        # g**((q-1)/r) != 1 for every prime r dividing q-1.  For k >= 2
+        # the indices below p are the constants, whose order divides p-1.
         one = spec.one
         cofactors = [period // r for r in _prime_factors(period)]
         for g_index in range(p if k > 1 else 1, q):
@@ -493,11 +496,19 @@ class _Tables:
                 witness=(g.coeffs, period),
             )
         log[0] = 0
-        self.exp = memoryview(exp)
-        self.log = memoryview(log)
+        self.exp = exp
+        self.log = log
         self.elements = list(map(_new, repeat(spec), range(q)))
-        self.period = period
         self.norms = None
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The index of a*b, elementwise on broadcast numpy index arrays:
+        ``exp[(log a + log b) mod (q-1)]``, then 0 wherever a or b is 0."""
+        import numpy as np
+
+        log = self.log
+        product = self.exp[(log[a] + log[b]) % len(self.exp)]
+        return np.where((a == 0) | (b == 0), 0, product)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +558,10 @@ class FieldSpec:
 
     def _packed(self) -> tuple[_Packed, tuple[int, ...]]:
         """The packed layout and the modulus's reduction rows, built on the
-        first untabled product or power of an extension and kept like the
-        tables.  Both are set with ``object.__setattr__``: reading the
-        instance ``__dict__`` (as ``functools.cached_property`` does) would
-        slow every later attribute read on the spec."""
+        first product or power of an extension and kept like the tables.
+        Both are set with ``object.__setattr__``: reading the instance
+        ``__dict__`` (as ``functools.cached_property`` does) would slow
+        every later attribute read on the spec."""
         kernel = self._kernel
         if kernel is None:
             packed = _packing(self.p, self.k)
@@ -697,21 +708,16 @@ class FieldElement:
         other = self._check(other)
         spec = self.spec
         a, b = self._index, other._index
-        t = spec._tables
-        if t is not None:
-            if a == 0 or b == 0:
-                return t.elements[0]
-            return t.elements[t.exp[(t.log[a] + t.log[b]) % t.period]]
         if spec.k == 1:
-            return _new(spec, a * b % spec.p)
+            return spec._at(a * b % spec.p)
         packed, rows = spec._packed()
-        return _new(spec, packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
+        return spec._at(packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse: ``self ** -1`` on a tabled spec or a
-        prime field, otherwise the extended Euclidean algorithm."""
+        """Multiplicative inverse: ``self ** -1`` on a prime field,
+        otherwise the extended Euclidean algorithm on the coefficients."""
         spec = self.spec
-        if spec.k == 1 or spec._tables is not None:
+        if spec.k == 1:
             return self ** -1
         if self._index == 0:
             raise DivisionByZeroError(f"zero has no inverse in {spec}")
@@ -719,15 +725,15 @@ class FieldElement:
         g, u = _ext_gcd(_digits(self._index, p, spec.k), spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
-        return _new(spec, _index_of(u, p))
+        return spec._at(_index_of(u, p))
 
     def __truediv__(self, other):
         other = self._check(other)
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        """a**n, n mod q-1: exp[log a * n] on a tabled spec, otherwise a
-        modular power of the index (k = 1) or of the packed coefficients."""
+        """a**n, n mod q-1: a modular power of the index (k = 1) or
+        square-and-multiply on the packed coefficients (k >= 2)."""
         if not isinstance(n, int):
             raise InvalidInputError("exponent must be an integer")
         spec = self.spec
@@ -737,14 +743,10 @@ class FieldElement:
                 raise DivisionByZeroError(f"zero has no inverse in {spec}")
             return spec._at(0 if n else 1)
         n %= spec.order - 1
-        t = spec._tables
-        if t is not None:
-            return t.elements[t.exp[t.log[a] * n % t.period]]
-        p = spec.p
         if spec.k == 1:
-            return _new(spec, pow(a, n, p))
+            return spec._at(pow(a, n, spec.p))
         packed, rows = spec._packed()
-        return _new(spec, packed.index(packed.power(packed.pack(a), n, rows)))
+        return spec._at(packed.index(packed.power(packed.pack(a), n, rows)))
 
     # -- presentation -------------------------------------------------------
 
@@ -949,12 +951,7 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
     elements = enumerate_elements(spec)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)
-    # a*b = exp[(log a + log b) mod (q-1)], with zero absorbing
-    t = spec._tables
-    log, exp = np.asarray(t.log), np.asarray(t.exp)
-    mul_t = exp[(log[:, None] + log[None, :]) % t.period]
-    mul_t[0, :] = 0
-    mul_t[:, 0] = 0
+    mul_t = spec._tables.mul(idx[:, None], idx[None, :])
     return elements, add_t, mul_t
 
 

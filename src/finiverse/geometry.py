@@ -43,7 +43,6 @@ from .fields import (
     _spread,
     _vectors,
     element_index,
-    enumerate_elements,
 )
 
 __all__ = [
@@ -180,22 +179,6 @@ class Line:
         return f"line {self.base} + t*{self.direction}"
 
 
-def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
-    """One representative per parallel class: first nonzero coord is 1."""
-    return [pt for pt in points if next((n for n in pt.index_key() if n), 0) == 1]
-
-
-def _point_id(coords: Sequence[FieldElement], q: int) -> int:
-    """Position of a point in ``AffineSpace.points`` order: its coordinate
-    indices as base-q digits, first coordinate most significant.  Read
-    as k*dim base-p digits instead, the id adds digit-wise like the point,
-    so ``enumerate_lines`` builds every line as base id + offset ids."""
-    n = 0
-    for c in coords:
-        n = n * q + c._index
-    return n
-
-
 def enumerate_lines(space: AffineSpace) -> list[Line]:
     """Every affine line, grouped by parallel class.
 
@@ -205,15 +188,21 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     lines hold more than ``INCIDENCE_CAP`` points in all (q times the
     line count) is refused before anything is built.
 
-    Each class is built from a transversal on point ids (``_point_id``).
-    Let c be the pivot of the direction d, its first nonzero coordinate.
-    Along a line the coordinates before c are fixed and coordinate c
-    takes every value once, so the points whose coordinate c is zero
-    meet every line once, each as its enumeration-smallest point.  They
-    are the bases, in id order; the q offsets t*d are computed once as
-    ids, and a line's members are its base plus each offset, digit-wise,
-    sorted into enumeration order: one numpy array per class.  The lines
-    hold the points of ``space.points()`` and keep their sorted ids.
+    Everything is built on point ids.  A point's id is its position in
+    ``space.points()``: its coordinate indices as base-q digits, first
+    coordinate most significant.  Read as k*dim base-p digits instead,
+    ids add digit-wise like the points.  A direction d is canonical when
+    its first nonzero coordinate, its pivot c, is one: the ids from
+    q^(dim-1-c) to 2q^(dim-1-c) - 1, taken in ascending id order over all
+    pivots.  Along a line the coordinates before c are fixed and
+    coordinate c takes every value once, so the points whose coordinate
+    c is zero meet every line once, each as its enumeration-smallest
+    point.  They are the bases, in id order.  The q offsets t*d are one
+    ``_Tables.mul`` of every t against d's coordinate indices, read back
+    as ids, and a line's members are its base plus each offset,
+    digit-wise, sorted into enumeration order: one numpy array per class.
+    The lines hold the points of ``space.points()`` and keep their
+    sorted ids.
     """
     count = space.point_count
     _at_most(count, LINE_CAP, "{n} points exceed the line-enumeration cap {cap}")
@@ -225,22 +214,23 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     points = space.points()  # builds the field's tables, and so loads numpy
     import numpy as np
 
-    elems = enumerate_elements(spec)
+    mul = spec._tables.mul
     p, digits = spec.p, spec.k * dim
-    # bases[c]: the ids whose coordinate c is index 0, ascending
-    bases = [(np.arange(q**c)[:, None] * q ** (dim - c)
-              + np.arange(q ** (dim - 1 - c))).ravel() for c in range(dim)]
+    places = q ** np.arange(dim - 1, -1, -1)  # the id of each unit vector
+    scalars = np.arange(q)[:, None]
     lines: list[Line] = []
-    for direction in _canonical_directions(points):
-        pivot = next(c for c, n in enumerate(direction.index_key()) if n)
-        offsets = np.array([_point_id([t * c for c in direction], q) for t in elems])
-        members = np.sort(_digitwise(bases[pivot][:, None], offsets[None, :], 1, p, digits),
-                          axis=1)
-        for ids in map(tuple, members.tolist()):
-            line = Line(base=points[ids[0]], direction=direction,
-                        points=itemgetter(*ids)(points))
-            object.__setattr__(line, "_ids", ids)
-            lines.append(line)
+    for pivot in reversed(range(dim)):
+        first = q ** (dim - 1 - pivot)
+        # the ids whose coordinate `pivot` is index 0, ascending
+        bases = (np.arange(q**pivot)[:, None] * (q * first) + np.arange(first)).ravel()
+        for d in range(first, 2 * first):
+            offsets = mul(scalars, d // places % q) @ places
+            members = np.sort(_digitwise(bases[:, None], offsets[None, :], 1, p, digits), axis=1)
+            for ids in map(tuple, members.tolist()):
+                line = Line(base=points[ids[0]], direction=points[d],
+                            points=itemgetter(*ids)(points))
+                object.__setattr__(line, "_ids", ids)
+                lines.append(line)
     return lines
 
 

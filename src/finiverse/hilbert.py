@@ -98,17 +98,16 @@ def norm_squared(v: FieldVector) -> FieldElement:
 
 def _norms(spec: FieldSpec, t: _Tables) -> list[int]:
     """``norms[n]``, the norm conj(n) * n of every element n of a tabled
-    spec as a spread index (see ``fields._spread``), computed with numpy
-    as ``exp[(log conj + log n) mod (q-1)]`` one block of indices at a
-    time.  Elements of one norm share one int."""
+    spec as a spread index (see ``fields._spread``), computed with
+    ``_Tables.mul`` one block of indices at a time.  Elements of one norm
+    share one int."""
     import numpy as np
 
-    q, log, exp = spec.order, np.asarray(t.log), np.asarray(t.exp)
+    q = spec.order
     norm = np.empty(q, dtype=np.int64)
     for start in range(0, q, _TABLE_BLOCK):
         n = np.arange(start, min(start + _TABLE_BLOCK, q))
-        norm[start:start + len(n)] = exp[(log[_conjugate_index(spec, n)] + log[n]) % t.period]
-    norm[0] = 0
+        norm[start:start + len(n)] = t.mul(_conjugate_index(spec, n), n)
     values = np.flatnonzero(np.bincount(norm, minlength=q))
     spread = np.empty(q, dtype=object)
     spread[values] = _spread(values, spec.p, spec.k)

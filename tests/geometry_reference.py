@@ -20,7 +20,7 @@ a metric by construction.
 import math
 from typing import Optional, Sequence
 
-from finiverse.fields import FieldVector, enumerate_elements
+from finiverse.fields import FieldElement, FieldVector, element_index, enumerate_elements
 from finiverse.geometry import (
     COLLINEAR,
     ORDINARY,
@@ -31,13 +31,29 @@ from finiverse.geometry import (
     Line,
     OrdinaryLineResult,
     RationalPoint,
-    _canonical_directions,
-    _cross,
-    _point_id,
     squared_distance,
 )
 from finiverse.errors import InvalidInputError, SizeLimitError, TooFewPointsError
 from finiverse.hilbert import norm_squared
+
+
+def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
+    """One representative per parallel class: first nonzero coord is 1."""
+    return [pt for pt in points if next((n for n in pt.index_key() if n), 0) == 1]
+
+
+def _point_id(coords: Sequence[FieldElement], q: int) -> int:
+    """Position of a point in ``AffineSpace.points`` order: its coordinate
+    indices as base-q digits, first coordinate most significant."""
+    n = 0
+    for c in coords:
+        n = n * q + element_index(c)
+    return n
+
+
+def _cross(o: RationalPoint, a: RationalPoint, b: RationalPoint):
+    """Twice the signed area of the triangle o, a, b: zero iff collinear."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def find_degenerate_pair_naive(space: AffineSpace) -> Optional[tuple[FieldVector, FieldVector]]:

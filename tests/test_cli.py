@@ -9,7 +9,9 @@ import textwrap
 
 import pytest
 
-from finiverse.cli import dispatch, main, render_json, render_text
+from finiverse.cli import _field_spec_from_order, dispatch, main, render_json, render_text
+from finiverse.errors import InvalidInputError
+from finiverse.fields import make_extension_field
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -253,9 +255,27 @@ def test_cardinality_over_a_large_prime(capsys):
     assert doc["outputs"]["cardinality"]["value"] == p
 
 
+def test_field_order_is_split_like_factorint():
+    # every order in 2..4096 against sympy's factorisation: p^k with
+    # k <= 6 is GF(p^k), p^k with k >= 7 has no construction, and
+    # anything with two prime factors is no prime power
+    factorint = pytest.importorskip("sympy").factorint
+    for q in range(2, 4097):
+        factors = factorint(q)
+        if len(factors) > 1:
+            with pytest.raises(InvalidInputError, match=f"^{q} is not a prime power$"):
+                _field_spec_from_order(q)
+            continue
+        [(p, k)] = factors.items()
+        if k <= 6:
+            assert _field_spec_from_order(q) == make_extension_field(p, k)
+        else:
+            with pytest.raises(InvalidInputError, match=f"^extension degree .* got {k}$"):
+                _field_spec_from_order(q)
+
+
 def test_large_prime_order_is_not_factored(capsys):
-    # --q = 2^61 - 1 is recognised as prime by k-th roots and is_prime, not
-    # by trial division up to sqrt(q), and then hits the enumeration cap
+    # --q = 2^61 - 1 hits the enumeration cap before any trial division
     argv = ["geometry", "degenerate", "--q", str(2**61 - 1), "--dim", "2", "--format", "json"]
     assert main(argv) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -264,7 +284,7 @@ def test_large_prime_order_is_not_factored(capsys):
 
 @pytest.mark.parametrize("q", ["1000000000000000000000000000057", "1000000000000"])
 def test_order_above_the_point_cap_is_refused_before_primality(q, capsys):
-    # a prime above psi_13 is beyond is_prime, and 10^12 is no prime
+    # a prime above psi_13 is beyond the primality test, and 10^12 is no prime
     # power: both are refused by the point cap first
     argv = ["geometry", "degenerate", "--q", q, "--dim", "2", "--format", "json"]
     assert main(argv) == 1

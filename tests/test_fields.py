@@ -20,9 +20,9 @@ from finiverse.errors import (
 from finiverse.fields import (
     FieldElement,
     FieldSpec,
+    _is_prime,
     element_index,
     enumerate_elements,
-    is_prime,
     make_extension_field,
     make_gaussian_extension,
     make_prime_field,
@@ -42,31 +42,31 @@ R7 = make_gaussian_extension(7)
 
 
 def test_is_prime_small():
-    primes = [n for n in range(60) if is_prime(n)]
+    primes = [n for n in range(60) if _is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert not is_prime(-7) and not is_prime(1) and not is_prime(2.0)
+    assert not _is_prime(-7) and not _is_prime(1) and not _is_prime(2.0)
 
 
 def test_is_prime_large():
     # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 (psi_12, which
     # base 41 exposes); psi_13 itself is refused (below)
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(n)
-    assert is_prime(2**61 - 1)
-    assert not is_prime((2**31 - 1) * 1000000007)
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * 1000000007)
 
 
 def test_primality_from_psi_13_on_is_refused_at_once(deadline):
     # 2^89 - 1 is prime and beyond psi_13, where the bases decide nothing
     n = 2**89 - 1
-    for call in (is_prime, make_prime_field):
+    for call in (_is_prime, make_prime_field):
         with pytest.raises(SizeLimitError) as exc:
             call(n)
         assert exc.value.witness == {"requested": n, "cap": 3317044064679887385961980}
     with pytest.raises(SizeLimitError):
-        is_prime(3317044064679887385961981)
+        _is_prime(3317044064679887385961981)
     # a factor among the bases still answers first
-    assert not is_prime(2**90) and not is_prime(41 * n)
+    assert not _is_prime(2**90) and not _is_prime(41 * n)
 
 
 # -- construction ------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_gaussian_extension_failure_witnesses():
 def test_gaussian_pattern_matches_residue_oracle():
     # success iff -1 has no square root mod p, i.e. p % 4 == 3
     for p in range(2, 100):
-        if not is_prime(p):
+        if not _is_prime(p):
             continue
         has_root = any((r * r) % p == p - 1 for r in range(p))
         if has_root:

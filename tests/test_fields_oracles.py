@@ -22,7 +22,7 @@ from sympy.polys.galoistools import (  # noqa: E402
     gf_gcdex, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem)
 
 from finiverse import fields as fields_mod  # noqa: E402
-from finiverse.fields import enumerate_elements, is_prime, make_extension_field  # noqa: E402
+from finiverse.fields import _is_prime, enumerate_elements, make_extension_field  # noqa: E402
 
 
 def _sympy_poly(coeffs):
@@ -211,7 +211,7 @@ def test_is_prime_matches_sympy():
     windows = (range(20000), range(10**12 - 1000, 10**12 + 2000),
                range(10**18 - 1000, 10**18 + 2000))
     for window in windows:
-        assert [n for n in window if is_prime(n)] == [n for n in window if isprime(n)]
+        assert [n for n in window if _is_prime(n)] == [n for n in window if isprime(n)]
 
 
 # -- the axiom battery against the O(q^3) reference ---------------------------

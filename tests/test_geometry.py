@@ -17,7 +17,12 @@ from finiverse.errors import (
     SpecMismatchError,
     TooFewPointsError,
 )
-from finiverse.fields import is_prime, make_extension_field, make_gaussian_extension, make_prime_field
+from finiverse.fields import (
+    _is_prime,
+    make_extension_field,
+    make_gaussian_extension,
+    make_prime_field,
+)
 from finiverse.geometry import (
     COLLINEAR,
     ORDINARY,
@@ -38,7 +43,7 @@ from finiverse.geometry import (
 
 
 def space(q, dim=2):
-    if is_prime(q):
+    if _is_prime(q):
         return AffineSpace(make_prime_field(q), dim)
     for p in (2, 3, 5, 7):
         k = 1

@@ -2,7 +2,8 @@
 no module imports a name it never uses (``__init__.py`` is exempt: it
 re-exports each library module's ``__all__``), no module-level private
 name goes unread, every public name is read by something outside the
-library, and each module imports only the modules its layer allows."""
+library, each module imports only the modules its layer allows, and no
+reference oracle under ``tests/`` imports a private name of the package."""
 
 import ast
 import importlib
@@ -18,6 +19,9 @@ ROOT = pathlib.Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "finiverse"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+#: the independent oracles the kernels are checked against
+REFERENCES = sorted((ROOT / "tests").glob("*_reference.py"))
 
 #: the library modules, whose ``__all__`` lists are the public names
 LIBRARY = ("errors", "constants", "fields", "geometry", "hilbert", "regularization", "cosmology")
@@ -231,3 +235,23 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_module_imports_only_its_layer(module):
     assert package_imports(TREES[module]) <= LAYERS[module]
+
+
+def private_imports(tree) -> list[str]:
+    """The underscore names a module imports from the package."""
+    return [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "finiverse"
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_is_found():
+    tree = ast.parse("from finiverse.geometry import _cross, squared_distance\n"
+                     "from finiverse import _x\nfrom os import _exit\nfrom . import _y\n")
+    assert private_imports(tree) == ["finiverse.geometry._cross", "finiverse._x"]
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)
+def test_reference_imports_no_private_name(path):
+    """An oracle that borrows a kernel's helper would share its mistakes."""
+    assert private_imports(ast.parse(path.read_text())) == []

@@ -2,7 +2,8 @@
 that share none of their shortcuts:
 
 * the transversal line builder against ``enumerate_lines_naive`` on
-  spaces the benchmark does not run;
+  spaces the benchmark does not run, and its offsets without a single
+  ``FieldElement`` product;
 * ``is_isotropic`` on a tabled spec (one norm table, one ``sum`` per
   vector) against the same spec untabled (element products) and against
   ``is_isotropic_naive``;
@@ -24,7 +25,7 @@ from geometry_reference import (
 )
 
 from finiverse.errors import SizeLimitError
-from finiverse.fields import FieldVector, enumerate_elements, make_extension_field
+from finiverse.fields import FieldElement, FieldVector, enumerate_elements, make_extension_field
 from finiverse.geometry import (
     INCIDENCE_CAP,
     AffineSpace,
@@ -53,6 +54,26 @@ def test_transversal_lines_match_reference(p, k, dim):
         assert tuple(points[n] for n in ln._ids) == ln.points
     structure = incidence_structure(space)
     assert structure.lines == tuple(frozenset(ln._ids) for ln in lines)
+
+
+@pytest.mark.parametrize("p,k,dim,count", [(3, 2, 2, 90), (2, 2, 3, 336), (7, 1, 2, 56)],
+                         ids=["AG(2,9)", "AG(3,4)", "AG(2,7)"])
+def test_lines_make_no_element_products(p, k, dim, count, monkeypatch):
+    # the offsets t*d are index products on the tables, not FieldElement.__mul__
+    space = AffineSpace(make_extension_field(p, k), dim)
+    space.points()  # building the tables multiplies elements; the lines must not
+    calls = []
+    multiply = FieldElement.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    assert len(enumerate_lines(space)) == count
+    assert calls == []
+    one = space.spec.one
+    assert one * one == one and calls == [(one, one)]  # the count sees products
 
 
 def test_line_incidence_cap_is_checked_before_enumeration():

@@ -38,8 +38,8 @@ from finiverse.errors import (
 from finiverse.fields import (
     FieldElement,
     FieldSpec,
+    _is_prime,
     enumerate_elements,
-    is_prime,
     make_extension_field,
     make_gaussian_extension,
     make_prime_field,
@@ -136,7 +136,7 @@ def refuse_unprintable_output():
 
 
 SIZE_CAPS = {
-    "is_prime": (lambda: is_prime(PSI_13), PSI_13, PSI_13 - 1,
+    "is_prime": (lambda: _is_prime(PSI_13), PSI_13, PSI_13 - 1,
                  f"primality is decided only below psi_13 = {PSI_13}, got {PSI_13}"),
     "enumerate_elements": (lambda: enumerate_elements(make_extension_field(103, 3)),
                            103**3, 2**20, "field order 1092727 exceeds enumeration cap 1048576"),
