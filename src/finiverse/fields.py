@@ -23,22 +23,17 @@ and ``**`` run on the packed kernel ``_Packed``, one int product per
 the extended Euclidean algorithm on the coefficients.  ``a ** n`` takes
 n mod q-1, which the order of every nonzero element divides.
 
-The first time a field is enumerated (``enumerate_elements`` and,
-through it, ``operation_tables``, ``AffineSpace.points`` and
-``enumerate_vectors``), the spec builds log/antilog tables over element
-indices from a primitive element g: ``exp[i]`` is the index of g**i and
-``log`` its inverse.  The build is vectorised over all indices with
-numpy, imported by the first table build (or the Z/n axiom battery), so
-a process that never enumerates a field does not load numpy at all.
-The tables stay with the spec for its lifetime (copies and pickles do
-not carry them), together with one cached instance per index: O(q)
-memory.  From then on every operator returns a cached instance, and
-``_Tables.mul`` multiplies whole numpy index arrays at once
-(``exp[(log a + log b) mod (q-1)]``) for the bulk builders: the
-multiplication table of ``operation_tables``, the line offsets of
-``geometry.enumerate_lines`` and the norm table of ``hilbert``.  A field
-that is never enumerated builds no tables, so huge fields cost no table
-memory.
+Every operator, ``enumerate_elements`` included, builds a new element
+from its index, whatever the process computed before.  Two bulk
+builders, the multiplication table of ``operation_tables`` and the line
+offsets of ``geometry.enumerate_lines``, multiply whole numpy index
+arrays at once with ``_Tables.mul`` (``exp[(log a + log b) mod
+(q-1)]``) on log/antilog tables over element indices: ``exp[i]`` is the
+index of g**i for a primitive element g and ``log`` its inverse.  The
+spec builds them on the first such call, vectorised with numpy, and
+keeps them for its lifetime (copies and pickles do not carry them).
+numpy is imported by that first build (or the Z/n axiom battery), so a
+process that calls neither builder does not load it at all.
 
 ``FieldVector`` is the point type of ``geometry.AffineSpace`` and the
 vector type of ``hilbert.FiniteHilbertSpace``: a ``tuple`` subclass,
@@ -378,33 +373,30 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-#: indices per block of the multiply-by-g map in the table build and of
-#: the digit arrays in ``_spread``
+#: indices per block of the multiply-by-g map in the table build
 _TABLE_BLOCK = 2**16
 
 
-#: the bits of one digit slot of a spread index
-_SLOT_MASK = 2**64 - 1
+#: the bits of one digit slot of a spread index: every digit is below
+#: p < psi_13 < 2^82 (``_is_prime`` decides no larger p), so a sum of
+#: fewer than 2^46 digits stays below 2^128
+_SLOT_BITS = 128
+_SLOT_MASK = 2**_SLOT_BITS - 1
 
 
-def _spread(indices: Sequence[int], p: int, k: int) -> list[int]:
-    """The element indices, each with its k base-p digits spread into
-    64-bit slots (digit i in bits [64i, 64i + 64)), as ints.
+def _spread(n: int, p: int, k: int) -> int:
+    """The element index n with its k base-p digits spread into 128-bit
+    slots, digit i in bits [128i, 128i + 128).
 
     Adding spread indices adds their digits slot by slot, with no carry
-    from one slot into the next while each slot stays below 2^64: a sum
-    of N of them is exact for N(p-1) < 2^64, which a tabled field (p <=
-    2^20) keeps for N < 2^44.  ``_is_zero_sum`` tells whether such a sum
-    is the index of zero.
+    from one slot into the next while each slot stays below 2^128: a sum
+    of fewer than 2^46 of them is exact.  ``_is_zero_sum`` tells whether
+    such a sum is the index of zero.
     """
-    import numpy as np
-
-    n = np.asarray(indices, dtype=np.int64)
-    places = p ** np.arange(k, dtype=np.int64)
-    size, out = 8 * k, []
-    for start in range(0, len(n), _TABLE_BLOCK):  # no len(n) x k digit array is held
-        raw = (n[start:start + _TABLE_BLOCK, None] // places % p).astype("<u8").tobytes()
-        out += [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+    out = 0
+    for s in range(0, k * _SLOT_BITS, _SLOT_BITS):
+        out |= n % p << s
+        n //= p
     return out
 
 
@@ -414,23 +406,21 @@ def _is_zero_sum(total: int, p: int) -> bool:
     while total:
         if (total & _SLOT_MASK) % p:
             return False
-        total >>= 64
+        total >>= _SLOT_BITS
     return True
 
 
 class _Tables:
     """Log/antilog tables of one field over element indices.
 
-    ``elements[n]`` is the cached element of index n, ``exp[i]`` the
-    index of g**i for the primitive element g (0 <= i < q-1) and
-    ``log[n]`` the exponent of the nonzero element n: two int64 arrays,
-    16 bytes per element, read only by ``mul``.  ``log[0]`` is 0; ``mul``
-    reads it like any other entry and then masks every product with a
-    zero factor.  ``norms`` is None until ``hilbert.is_isotropic`` first
-    needs the spread norm of every element and keeps it here.
+    ``exp[i]`` is the index of g**i for the primitive element g (0 <= i
+    < q-1) and ``log[n]`` the exponent of the nonzero element n: two
+    int64 arrays, 16 bytes per element, read only by ``mul``.  ``log[0]``
+    is 0; ``mul`` reads it like any other entry and then masks every
+    product with a zero factor.
     """
 
-    __slots__ = ("elements", "exp", "log", "norms")
+    __slots__ = ("exp", "log")
 
     def __init__(self, spec: "FieldSpec"):
         import numpy as np
@@ -498,8 +488,6 @@ class _Tables:
         log[0] = 0
         self.exp = exp
         self.log = log
-        self.elements = list(map(_new, repeat(spec), range(q)))
-        self.norms = None
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The index of a*b, elementwise on broadcast numpy index arrays:
@@ -530,9 +518,10 @@ class FieldSpec:
     k: int
     modulus_poly: tuple[int, ...]
 
-    #: log/antilog tables, set on first enumeration, and the packed kernel,
-    #: set by ``_packed`` (neither is a dataclass field)
-    _tables = _kernel = None
+    #: log/antilog tables, set by ``_tabled``, the packed kernel, set by
+    #: ``_packed``, and the norm memo of ``hilbert.is_isotropic`` (none is
+    #: a dataclass field)
+    _tables = _kernel = _norm_memo = None
 
     def __post_init__(self):
         _prime(self.p)
@@ -549,7 +538,7 @@ class FieldSpec:
             )
 
     def __reduce__(self):
-        # copies and pickles carry the definition, not the tables
+        # copies and pickles carry the definition, not the tables or memo
         return (FieldSpec, (self.p, self.k, self.modulus_poly))
 
     @property
@@ -558,10 +547,10 @@ class FieldSpec:
 
     def _packed(self) -> tuple[_Packed, tuple[int, ...]]:
         """The packed layout and the modulus's reduction rows, built on the
-        first product or power of an extension and kept like the tables.
-        Both are set with ``object.__setattr__``: reading the instance
-        ``__dict__`` (as ``functools.cached_property`` does) would slow
-        every later attribute read on the spec."""
+        first product or power of an extension and kept for the spec's
+        lifetime.  Both are set with ``object.__setattr__``: reading the
+        instance ``__dict__`` (as ``functools.cached_property`` does)
+        would slow every later attribute read on the spec."""
         kernel = self._kernel
         if kernel is None:
             packed = _packing(self.p, self.k)
@@ -569,12 +558,15 @@ class FieldSpec:
             object.__setattr__(self, "_kernel", kernel)
         return kernel
 
-    def _at(self, n: int) -> "FieldElement":
-        """The element of index n: the cached instance once tabled."""
-        t = self._tables
-        if t is None:
-            return _new(self, n)
-        return t.elements[n]
+    def _tabled(self) -> _Tables:
+        """The log/antilog tables, built on the first call and kept like
+        the kernel; only the bulk builders ``operation_tables`` and
+        ``geometry.enumerate_lines`` read them."""
+        tables = self._tables
+        if tables is None:
+            tables = _Tables(self)
+            object.__setattr__(self, "_tables", tables)
+        return tables
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
@@ -586,31 +578,31 @@ class FieldSpec:
         p = self.p
         if isinstance(value, int):
             if self.k == 1:
-                return self._at(value % p)
+                return _new(self, value % p)
             if not 0 <= value < self.order:
                 raise InvalidInputError(
                     f"element index {_printable(value)} outside 0..{self.order - 1}"
                 )
-            return self._at(value)
+            return _new(self, value)
         coeffs = [int(c) % p for c in value]
         if len(coeffs) != self.k:
             raise DimMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return self._at(_index_of(coeffs, p))
+        return _new(self, _index_of(coeffs, p))
 
     @property
     def zero(self) -> "FieldElement":
-        return self._at(0)
+        return _new(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return self._at(1)
+        return _new(self, 1)
 
     @property
     def gen(self) -> "FieldElement":
         """The adjoined root (the class of x); only defined for k >= 2."""
         if self.k < 2:
             raise InvalidInputError("prime fields have no adjoined generator")
-        return self._at(self.p)
+        return _new(self, self.p)
 
     def __str__(self):
         if self.k == 1:
@@ -693,25 +685,25 @@ class FieldElement:
     def __add__(self, other):
         other = self._check(other)
         spec = self.spec
-        return spec._at(_digitwise(self._index, other._index, 1, spec.p, spec.k))
+        return _new(spec, _digitwise(self._index, other._index, 1, spec.p, spec.k))
 
     def __sub__(self, other):
         other = self._check(other)
         spec = self.spec
-        return spec._at(_digitwise(self._index, other._index, -1, spec.p, spec.k))
+        return _new(spec, _digitwise(self._index, other._index, -1, spec.p, spec.k))
 
     def __neg__(self):
         spec = self.spec
-        return spec._at(_digitwise(0, self._index, -1, spec.p, spec.k))
+        return _new(spec, _digitwise(0, self._index, -1, spec.p, spec.k))
 
     def __mul__(self, other):
         other = self._check(other)
         spec = self.spec
         a, b = self._index, other._index
         if spec.k == 1:
-            return spec._at(a * b % spec.p)
+            return _new(spec, a * b % spec.p)
         packed, rows = spec._packed()
-        return spec._at(packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
+        return _new(spec, packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: ``self ** -1`` on a prime field,
@@ -725,7 +717,7 @@ class FieldElement:
         g, u = _ext_gcd(_digits(self._index, p, spec.k), spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
-        return spec._at(_index_of(u, p))
+        return _new(spec, _index_of(u, p))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -741,12 +733,12 @@ class FieldElement:
         if a == 0:
             if n < 0:
                 raise DivisionByZeroError(f"zero has no inverse in {spec}")
-            return spec._at(0 if n else 1)
+            return _new(spec, 0 if n else 1)
         n %= spec.order - 1
         if spec.k == 1:
-            return spec._at(pow(a, n, spec.p))
+            return _new(spec, pow(a, n, spec.p))
         packed, rows = spec._packed()
-        return spec._at(packed.index(packed.power(packed.pack(a), n, rows)))
+        return _new(spec, packed.index(packed.power(packed.pack(a), n, rows)))
 
     # -- presentation -------------------------------------------------------
 
@@ -757,7 +749,7 @@ class FieldElement:
         return f"<{self} in {self.spec}>"
 
 
-# the slot setters, bound once: _new runs once per element of a tabled field
+# the slot setters, bound once: _new runs once per element an operator returns
 _set_spec = FieldElement.spec.__set__
 _set_index = FieldElement._index.__set__
 
@@ -829,10 +821,6 @@ class FieldVector(tuple):
 
     def scale(self, t: FieldElement) -> "FieldVector":
         return FieldVector(t * c for c in self)
-
-    def index_key(self) -> tuple[int, ...]:
-        """Sort key matching coordinate enumeration order."""
-        return tuple(c._index for c in self)
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
@@ -924,17 +912,9 @@ def make_extension_field(p: int, k: int) -> FieldSpec:
 
 def enumerate_elements(spec: FieldSpec) -> list[FieldElement]:
     """All field elements in base-p counting order (constant coefficient
-    least significant), so index 0 is zero and index 1 is one.
-
-    The first call on a spec builds its log/antilog tables; the list
-    holds the spec's cached instances.
-    """
+    least significant), so index 0 is zero and index 1 is one."""
     _at_most(spec.order, ENUMERATION_CAP, "field order {n} exceeds enumeration cap {cap}")
-    t = spec._tables
-    if t is None:
-        t = _Tables(spec)
-        object.__setattr__(spec, "_tables", t)
-    return list(t.elements)
+    return list(map(_new, repeat(spec), range(spec.order)))
 
 
 def element_index(a: FieldElement) -> int:
@@ -951,7 +931,7 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
     elements = enumerate_elements(spec)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)
-    mul_t = spec._tables.mul(idx[:, None], idx[None, :])
+    mul_t = spec._tabled().mul(idx[:, None], idx[None, :])
     return elements, add_t, mul_t
 
 
@@ -974,9 +954,6 @@ class AxiomReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks.values())
-
-    def failing(self) -> list[str]:
-        return [name for name, c in self.checks.items() if not c.passed]
 
 
 def _generators(table: np.ndarray) -> list[int]:

@@ -134,9 +134,9 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     q, dim = spec.order, space.dim
     origin = points[0]
     axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
-    sq = [squared_distance(origin, points[i * axis])._index for i in range(q)]
-    p = spec.p
-    term = _spread(sq, p, spec.k).__getitem__
+    p, k = spec.p, spec.k
+    term = [_spread(squared_distance(origin, points[i * axis])._index, p, k)
+            for i in range(q)].__getitem__
     coords = product(range(q), repeat=dim)
     next(coords)  # the origin itself
     for n, y in enumerate(coords, 1):
@@ -211,10 +211,10 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     incidences = count * (count - 1) // (q - 1)
     _at_most(incidences, INCIDENCE_CAP, "{lines} lines of {q} points hold {n} incidences, "
              "more than the line-enumeration cap {cap}", lines=incidences // q, q=q)
-    points = space.points()  # builds the field's tables, and so loads numpy
+    points = space.points()
     import numpy as np
 
-    mul = spec._tables.mul
+    mul = spec._tabled().mul
     p, digits = spec.p, spec.k * dim
     places = q ** np.arange(dim - 1, -1, -1)  # the id of each unit vector
     scalars = np.arange(q)[:, None]

@@ -5,12 +5,13 @@ vectors, each a ``fields.FieldVector``, the type that is also a point
 of the affine space in ``geometry``.  Conjugation negates every
 coefficient of the adjoined root (for the two-square extension this
 sends x + i*y to x - i*y); it is defined once, on element indices, by
-``_conjugate_index``, which both ``conjugate`` and ``is_isotropic`` use.
+``_conjugate_index``, which ``conjugate`` and so ``is_isotropic`` use.
 The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
 the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
-exist and are reported rather than forbidden.  On a tabled field
-``is_isotropic`` reads each coordinate's norm conj(c) * c from a table
-built once per field, so a vector's norm-square is one builtin ``sum``.
+exist and are reported rather than forbidden.  ``is_isotropic`` reads
+each coordinate's norm conj(c) * c from a memo kept on the field spec,
+filled one element at a time as coordinates are met, so a vector's
+norm-square is one builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .fields import (
     FieldSpec,
     FieldVector,
     _Space,
-    _TABLE_BLOCK,
-    _Tables,
     _digitwise,
     _is_zero_sum,
+    _new,
     _prime,
     _spread,
     _vectors,
@@ -55,7 +55,7 @@ def hilbert_cardinality(p: int, k: int, dim: int) -> int:
 
 def _conjugate_index(spec: FieldSpec, n):
     """Index of the conjugate of element n: its constant digit kept, every
-    other digit negated mod p.  Also elementwise on a numpy index array."""
+    other digit negated mod p."""
     constant = n % spec.p
     return constant + _digitwise(0, n - constant, -1, spec.p, spec.k)
 
@@ -66,7 +66,7 @@ def conjugate(a: FieldElement) -> FieldElement:
     Constants are fixed; in the two-square extension conj(x + i*y) is
     x - i*y.  Applying it twice is the identity.
     """
-    return a.spec._at(_conjugate_index(a.spec, a._index))
+    return _new(a.spec, _conjugate_index(a.spec, a._index))
 
 
 class FiniteHilbertSpace(_Space):
@@ -96,45 +96,30 @@ def norm_squared(v: FieldVector) -> FieldElement:
     return inner_product(v, v)
 
 
-def _norms(spec: FieldSpec, t: _Tables) -> list[int]:
-    """``norms[n]``, the norm conj(n) * n of every element n of a tabled
-    spec as a spread index (see ``fields._spread``), computed with
-    ``_Tables.mul`` one block of indices at a time.  Elements of one norm
-    share one int."""
-    import numpy as np
-
-    q = spec.order
-    norm = np.empty(q, dtype=np.int64)
-    for start in range(0, q, _TABLE_BLOCK):
-        n = np.arange(start, min(start + _TABLE_BLOCK, q))
-        norm[start:start + len(n)] = t.mul(_conjugate_index(spec, n), n)
-    values = np.flatnonzero(np.bincount(norm, minlength=q))
-    spread = np.empty(q, dtype=object)
-    spread[values] = _spread(values, spec.p, spec.k)
-    return spread[norm].tolist()
-
-
 def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes.
 
-    On a tabled spec the norm-square sum(conj(c) * c) is the builtin
-    ``sum`` of one table read per coordinate: the table, built on the
-    first call and kept with the spec's tables, holds each element's
-    norm with its k base-p digits spread into 64-bit slots, and the sum
-    is zero when every slot is 0 mod p.  A slot of a sum over N
-    coordinates holds at most N(p-1), and a tabled field has p <= 2^20,
-    so it cannot overflow below 2^44 coordinates.  On an untabled spec
-    the norm-square is ``norm_squared``."""
+    The norm-square sum(conj(c) * c) is the builtin ``sum`` of one memo
+    read per coordinate.  The memo, a dict kept on the spec (copies and
+    pickles do not carry it), maps each element index met so far to its
+    norm with its k base-p digits spread into 128-bit slots
+    (``fields._spread``), and the sum is zero when every slot is 0 mod p.
+    Below 2^46 coordinates no slot overflows, whatever the prime p."""
     if not isinstance(v, FieldVector):
         raise InvalidInputError("is_isotropic expects a vector")
     spec = v[0].spec
-    t = spec._tables
-    if t is None:
-        return any(c._index for c in v) and norm_squared(v).is_zero
-    norms = t.norms
+    norms = spec._norm_memo
     if norms is None:
-        norms = t.norms = _norms(spec, t)
-    return _is_zero_sum(sum([norms[c._index] for c in v]), spec.p) and any(c._index for c in v)
+        norms = {}
+        object.__setattr__(spec, "_norm_memo", norms)
+    try:
+        total = sum([norms[c._index] for c in v])
+    except KeyError:
+        for c in v:
+            if c._index not in norms:
+                norms[c._index] = _spread((conjugate(c) * c)._index, spec.p, spec.k)
+        total = sum([norms[c._index] for c in v])
+    return _is_zero_sum(total, spec.p) and any(c._index for c in v)
 
 
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:

@@ -37,9 +37,14 @@ from finiverse.errors import InvalidInputError, SizeLimitError, TooFewPointsErro
 from finiverse.hilbert import norm_squared
 
 
+def _index_key(point: FieldVector) -> tuple[int, ...]:
+    """The coordinate indices of a point: its sort key in enumeration order."""
+    return tuple(map(element_index, point))
+
+
 def _canonical_directions(points: list[FieldVector]) -> list[FieldVector]:
     """One representative per parallel class: first nonzero coord is 1."""
-    return [pt for pt in points if next((n for n in pt.index_key() if n), 0) == 1]
+    return [pt for pt in points if next((n for n in _index_key(pt) if n), 0) == 1]
 
 
 def _point_id(coords: Sequence[FieldElement], q: int) -> int:
@@ -89,7 +94,7 @@ def enumerate_lines_naive(space: AffineSpace) -> list[Line]:
             members = [base + direction.scale(t) for t in elems]
             for m in members:
                 assigned[_point_id(m.coords, q)] = 1
-            members.sort(key=FieldVector.index_key)
+            members.sort(key=_index_key)
             lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
     return lines
 

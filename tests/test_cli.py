@@ -415,8 +415,9 @@ def test_rational_point_too_long_to_print_ends_typed(points, message, deadline, 
 
 
 # numpy stays unloaded until a field's tables are built: importing the
-# package and running commands that never enumerate a field must not
-# load it, and geometry lines (which builds tables) still answers its golden
+# package, running commands and library calls that enumerate elements,
+# points or vectors (but build no operation or line table) must not load
+# it, and geometry lines (which builds tables) still answers its golden
 NUMPY_PROBE = textwrap.dedent("""
     import io
     import sys
@@ -430,13 +431,23 @@ NUMPY_PROBE = textwrap.dedent("""
     check("import finiverse.cli")
     for argv in (["cosmo", "rate"], ["regularize", "zeta", "--s", "1"],
                  ["field", "inverse", "--p", "3", "--k", "2", "--element", "1:1"],
-                 ["hilbert", "norm", "--p", "2", "--k", "2", "--vector", "1:0,1:0"]):
+                 ["hilbert", "norm", "--p", "2", "--k", "2", "--vector", "1:0,1:0"],
+                 ["geometry", "degenerate", "--q", "5"]):
         out, sys.stdout = sys.stdout, io.StringIO()
         try:
             assert cli.main(argv) == 0
         finally:
             sys.stdout = out
         check(" ".join(argv))
+    spec = finiverse.make_extension_field(3, 2)
+    assert len(finiverse.enumerate_elements(spec)) == 9
+    check("enumerate_elements")
+    points = finiverse.AffineSpace(spec, 2).points()
+    check("AffineSpace.points")
+    vectors = finiverse.enumerate_vectors(finiverse.FiniteHilbertSpace(spec, 2))
+    check("enumerate_vectors")
+    assert any(map(finiverse.is_isotropic, points + vectors))
+    check("is_isotropic")
     code = cli.main(["geometry", "lines", "--q", "4", "--format", "json"])
     assert code == 0 and "numpy" in sys.modules
 """)

@@ -30,6 +30,7 @@ from finiverse.fields import (
     verify_field_axioms,
     verify_modular_ring_axioms,
 )
+from finiverse.geometry import AffineSpace, enumerate_lines
 
 E2 = make_prime_field(2)
 E3 = make_prime_field(3)
@@ -308,7 +309,7 @@ def test_field_axioms_pass_for_fields():
                  make_gaussian_extension(11)):
         report = verify_field_axioms(spec)
         assert set(report.checks) == AXIOM_NAMES
-        assert report.all_pass, f"{spec}: {report.failing()}"
+        assert report.all_pass, f"{spec}: {[n for n, c in report.checks.items() if not c.passed]}"
         assert report.order == spec.order
 
 
@@ -321,7 +322,7 @@ def test_axiom_check_size_cap():
 def test_modular_ring_diagnostics():
     report6 = verify_modular_ring_axioms(6)
     assert not report6.all_pass
-    assert report6.failing() == ["inverses"]
+    assert [name for name, c in report6.checks.items() if not c.passed] == ["inverses"]
     assert report6.checks["inverses"].witness == ("2", "multiplicative")
     for name in AXIOM_NAMES - {"inverses"}:
         assert report6.checks[name].passed
@@ -435,16 +436,32 @@ def test_untabled_arithmetic_matches_reference(p, k):
     assert spec._tables is None
 
 
-def test_tabled_results_are_cached_indexed_instances():
+def test_results_do_not_depend_on_the_history_of_the_spec():
+    # every operator builds its result from the index, before and after
+    # the field is enumerated and its tables are built
     spec = make_extension_field(3, 3)
+
+    def results():
+        a, b = spec.element(5), spec.element(17)
+        return [a * b, a / b, a.inverse(), a ** 7, a + b, a - b, -a,
+                spec.element(list(a.coeffs))]
+
+    before = results()
     elements = enumerate_elements(spec)
-    a, b = elements[5], elements[17]
-    for result in (a * b, a / b, a.inverse(), a ** 7, a + b, a - b, -a):
-        assert result is elements[element_index(result)]
-    # an element built directly still works against the cached ones
-    fresh = FieldElement(spec, a.coeffs)
-    assert fresh * b is a * b
-    assert spec.element(5) is a and spec.element(list(a.coeffs)) is a
+    assert spec._tables is None  # enumerating builds no tables
+    after = [results()]
+    operation_tables(spec)
+    enumerate_lines(AffineSpace(spec, 2))
+    assert spec._tables is not None
+    after.append(results())
+    for results_after in after:
+        for x, y in zip(before, results_after, strict=True):
+            assert type(x) is type(y) is FieldElement
+            assert element_index(y) == element_index(x) and y == x
+            assert y == elements[element_index(y)]
+    # an element built directly still works against the enumerated ones
+    fresh = FieldElement(spec, elements[5].coeffs)
+    assert fresh * elements[17] == before[0] == elements[5] * elements[17]
 
 
 def test_table_build_rejects_a_ring():
@@ -453,7 +470,7 @@ def test_table_build_rejects_a_ring():
     for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1))):
         ring = fields_mod._proven_spec(p, 2, modulus)
         with pytest.raises(NotAFieldError) as exc:
-            enumerate_elements(ring)
+            operation_tables(ring)
         generator, steps = exc.value.witness
         assert 0 < steps < p * p - 1
 
@@ -477,7 +494,8 @@ def test_factory_proves_irreducibility_once(monkeypatch):
 
 def test_copies_and_pickles_of_a_tabled_field():
     spec = make_extension_field(5, 2)
-    a = enumerate_elements(spec)[7]
+    a = operation_tables(spec)[0][7]
+    assert spec._tables is not None
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2, a2 = clone(spec), clone(a)
         assert spec2 == spec and spec2._tables is None  # tables are not copied

@@ -19,6 +19,7 @@ from finiverse.errors import (
 )
 from finiverse.fields import (
     _is_prime,
+    element_index,
     make_extension_field,
     make_gaussian_extension,
     make_prime_field,
@@ -167,7 +168,7 @@ def test_lines_canonical_form():
     for line in enumerate_lines(sp):
         first_nonzero = next(c for c in line.direction.coords if not c.is_zero)
         assert first_nonzero == one
-        assert line.base == min(line.points, key=lambda pt: pt.index_key())
+        assert line.base == min(line.points, key=lambda pt: tuple(map(element_index, pt)))
         assert line.base in line.points
 
 
