@@ -159,12 +159,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _field_spec_from(args) -> fields.FieldSpec:
-    if args.gaussian:
-        return fields.make_gaussian_extension(args.p)
-    return fields.make_extension_field(args.p, args.k)
-
-
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
     """GF(q) for a prime power q = p^k: p is the smallest prime factor of
     q, found by trial division up to sqrt(q), and k its multiplicity.
@@ -255,7 +249,7 @@ _TABLE_RENDER_CAP = 64
 
 
 def _handle_field_table(args) -> RunReport:
-    spec = _field_spec_from(args)
+    spec = fields.make_extension_field(args.p, args.k)
     _at_most(spec.order, _TABLE_RENDER_CAP, "table rendering capped at order {cap}, got {n}")
     elements, add_t, mul_t = fields.operation_tables(spec)
     labels = [str(e) for e in elements]
@@ -294,7 +288,7 @@ def _handle_field_axioms(args) -> RunReport:
         report = fields.verify_modular_ring_axioms(args.ring)
         inputs = {"ring": f"Z/{args.ring}"}
     else:
-        spec = _field_spec_from(args)
+        spec = fields.make_extension_field(args.p, args.k)
         report = fields.verify_field_axioms(spec)
         inputs = {"p": spec.p, "k": spec.k}
     return RunReport(
@@ -305,7 +299,7 @@ def _handle_field_axioms(args) -> RunReport:
 
 
 def _handle_field_inverse(args) -> RunReport:
-    spec = _field_spec_from(args)
+    spec = fields.make_extension_field(args.p, args.k)
     element = _parse_element(spec, args.element)
     return RunReport(
         inputs={"p": spec.p, "k": spec.k, "element": str(element)},
@@ -390,7 +384,7 @@ def _handle_geometry_ordinary(args) -> RunReport:
 
 
 def _handle_hilbert_norm(args) -> RunReport:
-    spec = _field_spec_from(args)
+    spec = fields.make_extension_field(args.p, args.k)
     vec = _parse_vector(spec, args.vector)
     n2 = hilbert.norm_squared(vec)
     return RunReport(
@@ -404,7 +398,7 @@ def _handle_hilbert_norm(args) -> RunReport:
 
 
 def _handle_hilbert_inner(args) -> RunReport:
-    spec = _field_spec_from(args)
+    spec = fields.make_extension_field(args.p, args.k)
     u = _parse_vector(spec, args.u)
     v = _parse_vector(spec, args.v)
     return RunReport(
@@ -565,11 +559,10 @@ def _build_parser() -> _Parser:
         return p
 
     def field_action(sub, name, handler):
-        """An action on GF(p^k), or on the Gaussian field with --gaussian."""
+        """An action on GF(p^k), given by --p and --k."""
         p = action(sub, name, handler)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--gaussian", action="store_true")
         return p
 
     def cosmo_flags(p):
@@ -604,7 +597,6 @@ def _build_parser() -> _Parser:
     one.add_argument("--p", type=int)
     one.add_argument("--ring", type=int, help="check Z/n instead of a field")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gaussian", action="store_true")
     p = field_action(f, "inverse", _handle_field_inverse)
     p.add_argument("--element", required=True)
 

@@ -17,9 +17,9 @@ Core quantities, all plain SI floats:
     rhodot  = -3*(adot/a)*(rho + p/c**2)
 
 with classical fixed-step fourth-order Runge-Kutta.  One generator,
-``_integrate``, yields each state with its first-stage pressure and
-acceleration ratio; every sample is built by the checked ``FluidState``
-constructor and records the first-integral residual
+``_integrate``, yields each state with its first-stage pressure; every
+sample is built by the checked ``FluidState`` constructor and records
+the first-integral residual
 (adot/a)**2 - (8*pi*G/3)*rho + kappa*c**2/a**2 - Lambda*c**2/a**2, and a
 mandatory rerun at half step verifies the endpoint.
 
@@ -251,8 +251,7 @@ class FluidState:
 class ScaleFactorTrajectory:
     """Time-ordered integration output.
 
-    ``friedmann_residuals[i]`` is the first-integral defect at sample i
-    and ``acceleration_ratios[i]`` the instantaneous addot/a;
+    ``friedmann_residuals[i]`` is the first-integral defect at sample i;
     ``halving_rel_diff`` records how much the endpoint moved when the
     run was repeated at half step (always <= 1e-6, enforced).
     """
@@ -260,7 +259,6 @@ class ScaleFactorTrajectory:
     samples: tuple
     step: float
     friedmann_residuals: tuple = field(default=())
-    acceleration_ratios: tuple = field(default=())
     halving_rel_diff: float = 0.0
 
     def __post_init__(self):
@@ -305,9 +303,9 @@ def friedmann_hubble_rate(rho: float, lam: float = 0.0, kappa: int = 0,
 
 def _integrate(initial, eos, lam, t_end, step, constants):
     """Fixed-step classical RK4 from ``initial`` to ``t_end``; the last
-    step is cut at t_end.  Yields (t, a, a_dot, rho, p, addot/a) for the
-    initial state and after every step, p and addot/a being the first
-    stage's rates at that state."""
+    step is cut at t_end.  Yields (t, a, a_dot, rho, p) for the initial
+    state and after every step, p being the first stage's pressure at
+    that state."""
     c2 = constants.c**2
     g43 = -(4 * math.pi * constants.G / 3)
     lc2 = lam * c2
@@ -317,18 +315,18 @@ def _integrate(initial, eos, lam, t_end, step, constants):
             raise NonPositiveScaleFactorError(f"scale factor reached {a} during integration")
         p = eos(rho)
         accel = g43 * (rho + 3 * p / c2) + lc2 / a**2
-        return p, accel, a_dot, a * accel, -3 * (a_dot / a) * (rho + p / c2)
+        return p, a_dot, a * accel, -3 * (a_dot / a) * (rho + p / c2)
 
     a, a_dot, rho, t = initial.a, initial.a_dot, initial.rho, initial.t
     while True:
-        p, accel, a1, v1, r1 = rates(a, a_dot, rho)
-        yield t, a, a_dot, rho, p, accel
+        p, a1, v1, r1 = rates(a, a_dot, rho)
+        yield t, a, a_dot, rho, p
         if not t < t_end:
             return
         h = min(step, t_end - t)
-        _, _, a2, v2, r2 = rates(a + 0.5 * h * a1, a_dot + 0.5 * h * v1, rho + 0.5 * h * r1)
-        _, _, a3, v3, r3 = rates(a + 0.5 * h * a2, a_dot + 0.5 * h * v2, rho + 0.5 * h * r2)
-        _, _, a4, v4, r4 = rates(a + h * a3, a_dot + h * v3, rho + h * r3)
+        _, a2, v2, r2 = rates(a + 0.5 * h * a1, a_dot + 0.5 * h * v1, rho + 0.5 * h * r1)
+        _, a3, v3, r3 = rates(a + 0.5 * h * a2, a_dot + 0.5 * h * v2, rho + 0.5 * h * r2)
+        _, a4, v4, r4 = rates(a + h * a3, a_dot + h * v3, rho + h * r3)
         a += h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
         a_dot += h / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
         rho += h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
@@ -348,7 +346,7 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     above the float spacing of the times would never advance t, so it is
     refused with InvalidInputError before integrating.  Samples
     land on every full step plus the exact endpoint, each carrying the
-    monitored Friedmann residual and acceleration ratio.
+    monitored Friedmann residual.
     """
     _integer(kappa, "curvature sign", -1, 1)
     for name in ("a", "a_dot", "rho", "p", "t"):
@@ -372,14 +370,13 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
     c2 = constants.c**2
     g83 = 8 * math.pi * constants.G / 3
     lc2 = lam * c2
-    samples, residuals, accels = [], [], []
+    samples, residuals = [], []
     try:
         # read lazily, so an error is raised at the step that meets it
-        for t, a, a_dot, rho, p, accel in _integrate(initial, eos, lam, t_end, step, constants):
+        for t, a, a_dot, rho, p in _integrate(initial, eos, lam, t_end, step, constants):
             residuals.append((a_dot / a) ** 2 - g83 * rho + kappa * c2 / a**2 - lc2 / a**2)
-            accels.append(accel)
             samples.append(FluidState(a=a, a_dot=a_dot, rho=rho, p=p, t=t))
-        for _, a_half, _, _, _, _ in _integrate(initial, eos, lam, t_end, step / 2, constants):
+        for _, a_half, _, _, _ in _integrate(initial, eos, lam, t_end, step / 2, constants):
             pass
     except (OverflowError, ZeroDivisionError):
         raise InvalidInputError("the integration leaves the float range") from None
@@ -395,7 +392,6 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
         samples=tuple(samples),
         step=float(step),
         friedmann_residuals=tuple(residuals),
-        acceleration_ratios=tuple(accels),
         halving_rel_diff=rel,
     )
 
@@ -408,9 +404,9 @@ _CONSTANT_KEYS = ("hbar", "c", "G", "l_planck", "l_strong")
 _PARAM_KEYS = ("rho_vac", "L_U0", "H0", "kappa")
 
 
-def load_config(path, base_constants: Constants = CODATA2018,
-                base_params: CosmologyParams = OBSERVED) -> tuple[Constants, CosmologyParams]:
-    """Read a flat key=value config file overriding constants and params.
+def load_config(path) -> tuple[Constants, CosmologyParams]:
+    """Read a flat key=value config file overriding ``CODATA2018`` and
+    ``OBSERVED``.
 
     Recognized keys: hbar, c, G, l_planck, l_strong, rho_vac, L_U0, H0,
     kappa.  Blank lines and lines starting with '#' are skipped; any
@@ -421,8 +417,8 @@ def load_config(path, base_constants: Constants = CODATA2018,
         raise InvalidInputError(
             f"config path must be a str or os.PathLike, got {type(path).__name__}"
         )
-    consts = {k: getattr(base_constants, k) for k in _CONSTANT_KEYS}
-    pars = {k: getattr(base_params, k) for k in _PARAM_KEYS}
+    consts = {k: getattr(CODATA2018, k) for k in _CONSTANT_KEYS}
+    pars = {k: getattr(OBSERVED, k) for k in _PARAM_KEYS}
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:

@@ -49,6 +49,7 @@ diagnostic for composite moduli.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
@@ -570,13 +571,15 @@ class FieldSpec:
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
-        element index) or a coefficient sequence into a field element."""
+        element index) or a sequence of k integer coefficients (whatever
+        ``operator.index`` takes, reduced mod p) into a field element.  A
+        bool, a float, a string or anything else is InvalidInputError."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise SpecMismatchError("element belongs to a different field")
             return value
         p = self.p
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             if self.k == 1:
                 return _new(self, value % p)
             if not 0 <= value < self.order:
@@ -584,7 +587,11 @@ class FieldSpec:
                     f"element index {_printable(value)} outside 0..{self.order - 1}"
                 )
             return _new(self, value)
-        coeffs = [int(c) % p for c in value]
+        try:
+            coeffs = [_coefficient(c) % p for c in value]
+        except TypeError:
+            raise InvalidInputError(f"element {_printable(value)!r} is not an int or a "
+                                    "sequence of integer coefficients") from None
         if len(coeffs) != self.k:
             raise DimMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
         return _new(self, _index_of(coeffs, p))
@@ -608,6 +615,13 @@ class FieldSpec:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
+
+
+def _coefficient(c) -> int:
+    """``operator.index(c)``; a bool is a TypeError, like a float."""
+    if isinstance(c, bool):
+        raise TypeError("a bool is not a coefficient")
+    return operator.index(c)
 
 
 def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
@@ -763,8 +777,7 @@ def _new(spec: FieldSpec, n: int) -> FieldElement:
 
 
 class FieldVector(tuple):
-    """Coordinate n-tuple over one finite field, supporting +, - and
-    scalar multiples.
+    """Coordinate n-tuple over one finite field, supporting + and -.
 
     It is both a point (or displacement) of the affine space AG(n, q),
     measured by ``geometry.squared_distance``, and a state vector of the
@@ -815,12 +828,9 @@ class FieldVector(tuple):
         return FieldVector(a - b for a, b in zip(self, self._check(other)))
 
     def _not_a_sequence(self, other):
-        raise TypeError("a FieldVector is not concatenated or repeated; use + and scale")
+        raise TypeError("a FieldVector is not concatenated or repeated; use +")
 
     __radd__ = __mul__ = __rmul__ = _not_a_sequence
-
-    def scale(self, t: FieldElement) -> "FieldVector":
-        return FieldVector(t * c for c in self)
 
     def __str__(self):
         return "(" + ", ".join(map(str, self)) + ")"
@@ -947,7 +957,6 @@ class AxiomCheck:
 class AxiomReport:
     """Exhaustive axiom battery outcome for one finite structure."""
 
-    description: str
     order: int
     checks: dict = field(default_factory=dict)
 
@@ -1098,7 +1107,7 @@ def verify_field_axioms(spec: FieldSpec) -> AxiomReport:
     elements, add_t, mul_t = operation_tables(spec)
     labels = [str(e) for e in elements]
     checks = _check_tables(labels, add_t, mul_t, zero=0, one=1)
-    return AxiomReport(description=str(spec), order=spec.order, checks=checks)
+    return AxiomReport(order=spec.order, checks=checks)
 
 
 def verify_modular_ring_axioms(n: int) -> AxiomReport:
@@ -1116,4 +1125,4 @@ def verify_modular_ring_axioms(n: int) -> AxiomReport:
     mul_t = (idx[:, None] * idx[None, :]) % n
     labels = [str(i) for i in range(n)]
     checks = _check_tables(labels, add_t, mul_t, zero=0, one=1 % n)
-    return AxiomReport(description=f"Z/{n}", order=n, checks=checks)
+    return AxiomReport(order=n, checks=checks)

@@ -147,15 +147,12 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
 
 @dataclass(frozen=True, eq=False)
 class Line:
-    """An affine line: base point, canonical direction, and its points.
-
-    The direction is normalized so its first nonzero coordinate is one,
-    and the base is the enumeration-smallest point on the line.  Lines
-    compare equal iff they contain the same point set.
+    """An affine line: its points, in enumeration order, so the first is
+    the enumeration-smallest and the difference of the first two is the
+    line's direction with first nonzero coordinate one.  Lines compare
+    equal iff they contain the same point set.
     """
 
-    base: FieldVector
-    direction: FieldVector
     points: tuple[FieldVector, ...]
 
     #: sorted point ids of ``points``, set by enumerate_lines (not a dataclass field)
@@ -176,7 +173,7 @@ class Line:
         return len(self.points)
 
     def __str__(self):
-        return f"line {self.base} + t*{self.direction}"
+        return f"line through {self.points[0]} and {self.points[1]}"
 
 
 def enumerate_lines(space: AffineSpace) -> list[Line]:
@@ -201,8 +198,8 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     ``_Tables.mul`` of every t against d's coordinate indices, read back
     as ids, and a line's members are its base plus each offset,
     digit-wise, sorted into enumeration order: one numpy array per class.
-    The lines hold the points of ``space.points()`` and keep their
-    sorted ids.
+    Each line holds those points of ``space.points()``, its base first
+    and base + d second, and keeps their sorted ids.
     """
     count = space.point_count
     _at_most(count, LINE_CAP, "{n} points exceed the line-enumeration cap {cap}")
@@ -227,8 +224,7 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
             offsets = mul(scalars, d // places % q) @ places
             members = np.sort(_digitwise(bases[:, None], offsets[None, :], 1, p, digits), axis=1)
             for ids in map(tuple, members.tolist()):
-                line = Line(base=points[ids[0]], direction=points[d],
-                            points=itemgetter(*ids)(points))
+                line = Line(itemgetter(*ids)(points))
                 object.__setattr__(line, "_ids", ids)
                 lines.append(line)
     return lines
@@ -413,7 +409,11 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     points, M4 the triangle inequality.
 
     ``table`` maps ordered label pairs to real values; every ordered
-    pair must be present.  ``math.inf`` is a legal saturating distance.
+    pair must be present, and all are validated, in row-major label
+    order, before any axiom is checked, so a malformed entry is
+    MalformedTableError whatever the axioms find.  Each check then scans
+    in its own order and its witness is the first failing tuple.
+    ``math.inf`` is a legal saturating distance.
     Exact inputs (int, Fraction) are compared exactly; no tolerance is
     applied anywhere.
     """
@@ -432,57 +432,19 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
             raise MalformedTableError(f"NaN distance for ({_labels((x, y))})")
         return v
 
-    checks: dict[str, AxiomCheck] = {}
-
-    witness = None
-    for x in labels:
-        for y in labels:
-            if d(x, y) < 0:
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks["M1"] = AxiomCheck(witness is None, witness)
-
-    witness = None
-    for i, x in enumerate(labels):
-        for y in labels[i + 1 :]:
-            if d(x, y) != d(y, x):
-                witness = (x, y)
-                break
-        if witness:
-            break
-    checks["M2"] = AxiomCheck(witness is None, witness)
-
-    witness = None
-    for x in labels:
-        if d(x, x) != 0:
-            witness = (x, x)
-            break
-    if witness is None:
-        for i, x in enumerate(labels):
-            for y in labels[i + 1 :]:
-                if d(x, y) == 0:
-                    witness = (x, y)
-                    break
-            if witness:
-                break
-    checks["M3"] = AxiomCheck(witness is None, witness)
-
-    witness = None
-    for x in labels:
-        for y in labels:
-            for z in labels:
-                if d(x, z) > d(x, y) + d(y, z):
-                    witness = (x, y, z)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks["M4"] = AxiomCheck(witness is None, witness)
-
-    return AxiomReport(description="metric axioms", order=len(labels), checks=checks)
+    dist = [[d(x, y) for y in labels] for x in labels]
+    ix = range(len(labels))
+    found = {
+        "M1": next(((i, j) for i in ix for j in ix if dist[i][j] < 0), None),
+        "M2": next(((i, j) for i in ix for j in ix[i + 1:] if dist[i][j] != dist[j][i]), None),
+        "M3": next(((i, i) for i in ix if dist[i][i] != 0), None)
+        or next(((i, j) for i in ix for j in ix[i + 1:] if dist[i][j] == 0), None),
+        "M4": next(((i, j, k) for i in ix for j in ix for k in ix
+                    if dist[i][k] > dist[i][j] + dist[j][k]), None),
+    }
+    checks = {name: AxiomCheck(w is None, w and tuple(labels[i] for i in w))
+              for name, w in found.items()}
+    return AxiomReport(order=len(labels), checks=checks)
 
 
 def squared_distance_table(space: AffineSpace) -> tuple[list[int], dict]:

@@ -2,11 +2,12 @@
 
 The library integrates with one generator that hoists the constants,
 computes each rate from a closure and yields each state with its
-first-stage rates.  ``_derivatives`` and ``_integrate`` below are the
-direct version it replaced, kept unchanged: every stage calls
-``_derivatives``, and ``snap`` computes each sample's rates again.  ``evolve_reference`` is the part of
-``evolve_scale_factor`` after its input checks, on top of them.  The
-library must agree with it bit for bit, errors included.
+first-stage pressure.  ``_derivatives`` and ``_integrate`` below are the
+direct version it replaced: every stage calls ``_derivatives``, and
+``snap`` computes each sample's pressure and residual again.
+``evolve_reference`` is the part of ``evolve_scale_factor`` after its
+input checks, on top of them.  The library must agree with it bit for
+bit, errors included.
 """
 
 import math
@@ -31,8 +32,8 @@ def _derivatives(a, a_dot, rho, eos, lam, constants):
 def _integrate(initial, eos, lam, kappa, t_end, step, constants, record):
     """Fixed-step classical RK4 over [initial.t, t_end].
 
-    Returns (samples, residuals, accel_ratios) when ``record`` is true,
-    else just the endpoint triple (a, a_dot, rho).
+    Returns (samples, residuals) when ``record`` is true, else just the
+    endpoint triple (a, a_dot, rho).
     """
     c2 = constants.c**2
     g83 = 8 * math.pi * constants.G / 3
@@ -41,15 +42,12 @@ def _integrate(initial, eos, lam, kappa, t_end, step, constants, record):
 
     samples = []
     residuals = []
-    accels = []
 
     def snap():
         p = eos(rho)
-        accel = -(4 * math.pi * constants.G / 3) * (rho + 3 * p / c2) + lam * c2 / a**2
         residual = (a_dot / a) ** 2 - g83 * rho + kappa * c2 / a**2 - lam * c2 / a**2
         samples.append(FluidState(a=a, a_dot=a_dot, rho=rho, p=p, t=t))
         residuals.append(residual)
-        accels.append(accel)
 
     if record:
         snap()
@@ -71,14 +69,14 @@ def _integrate(initial, eos, lam, kappa, t_end, step, constants, record):
         if record:
             snap()
     if record:
-        return samples, residuals, accels
+        return samples, residuals
     return a, a_dot, rho
 
 
 def evolve_reference(initial, eos, lam, kappa, t_end, step, constants=CODATA2018):
     """``evolve_scale_factor`` on arguments that pass its input checks."""
     try:
-        samples, residuals, accels = _integrate(
+        samples, residuals = _integrate(
             initial, eos, lam, kappa, t_end, step, constants, record=True
         )
         a_half, _, _ = _integrate(
@@ -98,6 +96,5 @@ def evolve_reference(initial, eos, lam, kappa, t_end, step, constants=CODATA2018
         samples=tuple(samples),
         step=float(step),
         friedmann_residuals=tuple(residuals),
-        acceleration_ratios=tuple(accels),
         halving_rel_diff=rel,
     )

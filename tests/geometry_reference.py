@@ -91,11 +91,11 @@ def enumerate_lines_naive(space: AffineSpace) -> list[Line]:
         for i, base in enumerate(points):
             if assigned[i]:
                 continue
-            members = [base + direction.scale(t) for t in elems]
+            members = [base + FieldVector(t * c for c in direction) for t in elems]
             for m in members:
                 assigned[_point_id(m.coords, q)] = 1
             members.sort(key=_index_key)
-            lines.append(Line(base=members[0], direction=direction, points=tuple(members)))
+            lines.append(Line(points=tuple(members)))
     return lines
 
 

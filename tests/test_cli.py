@@ -176,7 +176,7 @@ def test_hilbert_norm_isotropic():
 
 def test_hilbert_inner_and_cardinality():
     _, doc = run_json(
-        ["hilbert", "inner", "--p", "3", "--gaussian", "--u", "1:0,0:1", "--v", "1:0,0:1"]
+        ["hilbert", "inner", "--p", "3", "--k", "2", "--u", "1:0,0:1", "--v", "1:0,0:1"]
     )
     assert doc["outputs"]["inner_product"]["value"] == "2"
     _, doc = run_json(["hilbert", "cardinality", "--p", "3", "--k", "2", "--dim", "2"])

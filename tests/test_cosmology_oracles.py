@@ -60,7 +60,6 @@ def _trajectory_bits(traj):
     return (
         [_bits(getattr(s, f) for f in fields) for s in traj.samples],
         _bits(traj.friedmann_residuals),
-        _bits(traj.acceleration_ratios),
         _bits((traj.halving_rel_diff, traj.step)),
     )
 

@@ -18,7 +18,9 @@ from finiverse.errors import (
     TooFewPointsError,
 )
 from finiverse.fields import (
+    FieldVector,
     _is_prime,
+    enumerate_elements,
     element_index,
     make_extension_field,
     make_gaussian_extension,
@@ -165,11 +167,13 @@ def test_line_counts_match_formula():
 def test_lines_canonical_form():
     sp = space(5)
     one = sp.spec.one
+    scalars = enumerate_elements(sp.spec)
     for line in enumerate_lines(sp):
-        first_nonzero = next(c for c in line.direction.coords if not c.is_zero)
-        assert first_nonzero == one
-        assert line.base == min(line.points, key=lambda pt: tuple(map(element_index, pt)))
-        assert line.base in line.points
+        base, second = line.points[:2]
+        assert list(line.points) == sorted(line.points, key=lambda v: [*map(element_index, v)])
+        direction = second - base
+        assert next(c for c in direction if not c.is_zero) == one
+        assert set(line.points) == {base + FieldVector(t * c for c in direction) for t in scalars}
 
 
 def test_every_pair_on_exactly_one_line():
@@ -188,7 +192,9 @@ def test_parallel_classes_partition_points():
     lines = enumerate_lines(sp)
     by_dir = {}
     for l in lines:
-        by_dir.setdefault(l.direction, []).append(l)
+        d = l.points[1] - l.points[0]
+        pivot = next(c for c in d if not c.is_zero)
+        by_dir.setdefault(FieldVector(c / pivot for c in d), []).append(l)
     assert len(by_dir) == 4  # (q^2-1)/(q-1) directions
     for members in by_dir.values():
         covered = [pt for l in members for pt in l.points]
@@ -356,6 +362,29 @@ def test_metric_axioms_malformed_tables():
         check_metric_axioms([0, 1], bad)
     with pytest.raises(MalformedTableError):
         check_metric_axioms([0, 0], {})
+
+
+def test_metric_axioms_validate_every_entry_before_any_check():
+    """d(a, a) = -1 is the first witness of M1, M3 and M4, so a lazy scan
+    would never read the entry (c, c)."""
+    labels = ["a", "b", "c"]
+    early = {(x, y): 0 if x == y else 1 for x in labels for y in labels}
+    early["a", "a"] = -1
+    report = check_metric_axioms(labels, early)
+    assert {name: check.witness for name, check in report.checks.items()} == {
+        "M1": ("a", "a"), "M2": None, "M3": ("a", "a"), "M4": ("a", "a", "a")}
+    missing = dict(early)
+    del missing["c", "c"]
+    for table, message in ((missing, "missing entry for pair ('c', 'c')"),
+                           ({**early, ("c", "c"): math.nan}, "NaN distance for ('c', 'c')"),
+                           ({**early, ("c", "c"): "x"}, "non-numeric distance 'x' for ('c', 'c')")):
+        with pytest.raises(MalformedTableError) as exc:
+            check_metric_axioms(labels, table)
+        assert str(exc.value) == message
+    # row-major label order: (a, c) is met before (b, a)
+    del missing["b", "a"]
+    with pytest.raises(MalformedTableError, match=r"NaN distance for \('a', 'c'\)"):
+        check_metric_axioms(labels, {**missing, ("a", "c"): math.nan})
 
 
 def test_squared_distance_tables_over_finite_fields():

@@ -1,11 +1,13 @@
 """Structure guards over the package source, with the stdlib ``ast`` only:
 no module imports a name it never uses (``__init__.py`` is exempt: it
 re-exports each library module's ``__all__``), no module-level private
-name goes unread, every public name is read by something outside the
-library, each module imports only the modules its layer allows, and no
-reference oracle under ``tests/`` imports a private name of the package."""
+name goes unread, every public name and every public attribute of an
+exported class is read by something outside the library, each module
+imports only the modules its layer allows, and no reference oracle under
+``tests/`` imports a private name of the package."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -52,6 +54,17 @@ UNREAD_ALLOWED = {
     "INCIDENCE_CAP": "the documented cap of enumerate_lines",
     "BERNOULLI_MAX": "the documented range of bernoulli",
     "LINEAR_GUARD": "the documented |H0*dt| bound of LinearityWarning",
+}
+
+#: public attributes of exported classes that no consumer needs to read,
+#: each with its reason
+ATTRIBUTES_ALLOWED = {
+    "Constants.G": "the formulas read it",
+    "Constants.hbar": "the formulas read it",
+    "Constants.l_strong": "a documented load_config key; without it accepted config files "
+                          "would be refused",
+    "FieldSpec.zero": "the additive identity the geometry and hilbert sums start from",
+    "FluidState.a_dot": "state that the integrator advances",
 }
 
 #: the package modules each module may import; a module imports only from below
@@ -221,6 +234,89 @@ def test_every_allowed_name_is_an_unread_export():
     listed = {name for module in LIBRARY for name in exports(TREES[module])}
     read = set().union(*map(read_by_name, CONSUMERS))
     assert set(UNREAD_ALLOWED) <= listed - read
+
+
+def exported_classes(modules) -> list[type]:
+    """The classes the modules' ``__all__`` lists, FiniverseError subclasses aside."""
+    values = (getattr(module, name) for module in modules for name in module.__all__)
+    return [v for v in values if isinstance(v, type) and not issubclass(v, FiniverseError)]
+
+
+#: the classes whose public attributes are guarded
+CLASSES = exported_classes(importlib.import_module(f"finiverse.{m}") for m in LIBRARY)
+
+
+def public_attributes(cls: type) -> list[str]:
+    """A class's public attributes: the names without a leading ``_`` of
+    its body and of its bases outside the builtins (methods, properties,
+    class assignments), and its dataclass fields, inherited ones too."""
+    names = {name for base in cls.__mro__ if base.__module__ != "builtins" for name in vars(base)}
+    if dataclasses.is_dataclass(cls):
+        names.update(f.name for f in dataclasses.fields(cls))
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def unread_attributes(classes, consumers: list[str], allowed) -> list[str]:
+    """``Class.name`` for each public attribute of ``classes`` that no
+    consumer reads by name and ``allowed`` does not list.  Reads inside
+    the library do not count."""
+    read = set().union(*map(read_by_name, consumers))
+    return [f"{cls.__name__}.{name}" for cls in classes for name in public_attributes(cls)
+            if name not in read and f"{cls.__name__}.{name}" not in allowed]
+
+
+SYNTHETIC = """
+import dataclasses
+from finiverse.errors import FiniverseError
+
+class _Base:
+    def inherited(self): pass
+
+@dataclasses.dataclass
+class Point(_Base):
+    x: int
+    planted_field: int
+    kind = "point"
+    excused = 0
+    def _private(self): pass
+    @property
+    def norm(self): pass
+    @property
+    def planted_property(self): pass
+    def planted_method(self): pass
+
+class Failure(FiniverseError):
+    def unread(self): pass
+
+def make(): pass
+
+__all__ = ["Point", "Failure", "make"]
+"""
+
+
+def test_unread_attribute_is_found():
+    module = ModuleType("synthetic")
+    exec(SYNTHETIC, vars(module))
+    classes = exported_classes([module])
+    assert classes == [module.Point]
+    assert public_attributes(module.Point) == [
+        "excused", "inherited", "kind", "norm", "planted_field", "planted_method",
+        "planted_property", "x"]
+    consumers = ["p = synthetic.Point(1, 2)\np.x, p.norm\n", "getattr(p, 'kind')\n",
+                 '"""Mentions planted_method in prose."""\n']
+    assert unread_attributes(classes, consumers, {"Point.excused": "a reason"}) == [
+        "Point.inherited", "Point.planted_field", "Point.planted_method",
+        "Point.planted_property"]
+
+
+def test_every_public_attribute_is_read_or_allowed():
+    assert unread_attributes(CLASSES, CONSUMERS, ATTRIBUTES_ALLOWED) == []
+
+
+def test_every_allowed_attribute_is_unread_and_has_a_reason():
+    """An allow-list entry that is gone, or that a consumer now reads, goes."""
+    assert set(ATTRIBUTES_ALLOWED) <= set(unread_attributes(CLASSES, CONSUMERS, {}))
+    assert all(reason.strip() for reason in ATTRIBUTES_ALLOWED.values())
 
 
 def test_package_imports_are_found():

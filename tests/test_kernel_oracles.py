@@ -50,7 +50,7 @@ def _bench_spaces(kind):
 
 
 def _line_data(lines):
-    return [(ln.base, ln.direction, ln.points) for ln in lines]
+    return [ln.points for ln in lines]
 
 
 # -- lines and the third-point property -----------------------------------------

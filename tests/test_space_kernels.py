@@ -46,7 +46,7 @@ from finiverse.hilbert import is_isotropic
 
 
 def _line_data(lines):
-    return [(ln.base, ln.direction, ln.points) for ln in lines]
+    return [ln.points for ln in lines]
 
 
 @pytest.mark.parametrize("p,k,dim", [(2, 1, 4), (3, 1, 3), (3, 2, 2), (2, 3, 2)],

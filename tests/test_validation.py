@@ -9,6 +9,7 @@ import contextlib
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from finiverse import cli
@@ -66,6 +67,7 @@ from finiverse.regularization import (
 )
 
 F3 = make_prime_field(3)
+F9 = make_extension_field(3, 2)
 STATE = FluidState(a=1.0, a_dot=0.0, rho=1.0)
 
 
@@ -88,6 +90,9 @@ BOUNDARIES = {
     "FluidState a": lambda x: evolve(FluidState(a=x, a_dot=0.0, rho=1.0)),
     "evolve_scale_factor step": lambda x: evolve(step=x),
     "AffineSpace dim": lambda x: AffineSpace(F3, x),
+    "AffineSpace.point coefficient": lambda x: AffineSpace(F9, 2).point([[x, 0], [0, 1]]),
+    "FieldSpec.element": F3.element,
+    "FieldSpec.element coefficient": lambda x: F9.element([1, x]),
     "FiniteHilbertSpace dim": lambda x: FiniteHilbertSpace(F3, x),
     "pointset_cardinality order": lambda x: pointset_cardinality(x, 2),
     "subspace_diameter step": lambda x: subspace_diameter(x, 5),
@@ -107,6 +112,21 @@ def test_boundary_rejects_non_numbers_and_non_finite(boundary, bad):
     with pytest.raises(InvalidInputError) as exc:
         BOUNDARIES[boundary](bad)
     assert exc.value.code == "InvalidInput"
+
+
+@pytest.mark.parametrize("value", [[1.7, 2], "12", [True, 0], (0, "1"), 1.0, np.int64(1), None,
+                                   [[1], 0]], ids=repr)
+def test_field_element_takes_only_integer_coefficients(value):
+    """No float is truncated and no string is read digit by digit; a
+    scalar is an int, and a coefficient whatever ``operator.index`` takes."""
+    with pytest.raises(InvalidInputError) as exc:
+        F9.element(value)
+    assert exc.value.code == "InvalidInput"
+
+
+def test_field_element_reduces_integer_coefficients_mod_p():
+    assert F9.element([np.int64(4), np.uint8(5)]) == F9.element([-2, -1]) == F9.element((1, 2))
+    assert F3.element(-1) == F3.element(2)
 
 
 def test_nonpositive_scale_factor_keeps_its_type():
@@ -163,7 +183,7 @@ SIZE_CAPS = {
     "cli field order": (lambda: cli._field_spec_from_order(65537), 65537, 2**16,
                         "field order 65537 exceeds the point enumeration cap 65536"),
     "cli field table": (
-        lambda: cli._handle_field_table(argparse.Namespace(p=67, k=1, gaussian=False)), 67, 64,
+        lambda: cli._handle_field_table(argparse.Namespace(p=67, k=1)), 67, 64,
         "table rendering capped at order 64, got 67"),
     "cli unprintable output": (refuse_unprintable_output, 5001, 4300,
                                "cardinality has 5001 decimal digits, more than the 4300 "
@@ -215,7 +235,6 @@ def test_capacity_overflow_carries_requested_and_cap_in_bits(site, deadline):
 
 
 HUGE = 10**5000  # 16610 bits, 5001 decimal digits
-F9 = make_extension_field(3, 2)
 
 #: a library call refusing an int too long for str: (call, sign, error type)
 TOO_LONG_TO_PRINT = {
@@ -225,6 +244,7 @@ TOO_LONG_TO_PRINT = {
     "make_extension_field k": (lambda x: make_extension_field(3, x), 1, InvalidInputError),
     "FieldSpec p": (lambda x: FieldSpec(x, 1, (0, 1)), -1, NotPrimeError),
     "FieldSpec.element": (F9.element, 1, InvalidInputError),
+    "FieldSpec.element coefficients": (lambda x: F9.element([x, 0.5]), 1, InvalidInputError),
     "FieldElement coefficient": (lambda x: FieldElement(F3, [x]), 1, InvalidInputError),
     "verify_modular_ring_axioms": (verify_modular_ring_axioms, 1, SizeLimitError),
     "verify_modular_ring_axioms low": (verify_modular_ring_axioms, -1, InvalidInputError),
