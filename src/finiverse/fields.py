@@ -27,13 +27,10 @@ Every operator, ``enumerate_elements`` included, builds a new element
 from its index, whatever the process computed before.  Two bulk
 builders, the multiplication table of ``operation_tables`` and the line
 offsets of ``geometry.enumerate_lines``, multiply whole numpy index
-arrays at once with ``_Tables.mul`` (``exp[(log a + log b) mod
-(q-1)]``) on log/antilog tables over element indices: ``exp[i]`` is the
-index of g**i for a primitive element g and ``log`` its inverse.  The
-spec builds them on the first such call, vectorised with numpy, and
-keeps them for its lifetime (copies and pickles do not carry them).
-numpy is imported by that first build (or the Z/n axiom battery), so a
-process that calls neither builder does not load it at all.
+arrays at once with ``_products``: the same rule as ``*``, on base-p
+digits, with the reduction rows of the packed kernel.  numpy is
+imported by those builders (and the Z/n axiom battery), so a process
+that calls none of them does not load it at all.
 
 ``FieldVector`` is the point type of ``geometry.AffineSpace`` and the
 vector type of ``hilbert.FiniteHilbertSpace``: a ``tuple`` subclass,
@@ -374,10 +371,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-#: indices per block of the multiply-by-g map in the table build
-_TABLE_BLOCK = 2**16
-
-
 #: the bits of one digit slot of a spread index: every digit is below
 #: p < psi_13 < 2^82 (``_is_prime`` decides no larger p), so a sum of
 #: fewer than 2^46 digits stays below 2^128
@@ -411,95 +404,6 @@ def _is_zero_sum(total: int, p: int) -> bool:
     return True
 
 
-class _Tables:
-    """Log/antilog tables of one field over element indices.
-
-    ``exp[i]`` is the index of g**i for the primitive element g (0 <= i
-    < q-1) and ``log[n]`` the exponent of the nonzero element n: two
-    int64 arrays, 16 bytes per element, read only by ``mul``.  ``log[0]``
-    is 0; ``mul`` reads it like any other entry and then masks every
-    product with a zero factor.
-    """
-
-    __slots__ = ("exp", "log")
-
-    def __init__(self, spec: "FieldSpec"):
-        import numpy as np
-
-        p, k = spec.p, spec.k
-        q = p**k
-        period = q - 1
-        # the primitive element of smallest index: g has order q-1 iff
-        # g**((q-1)/r) != 1 for every prime r dividing q-1.  For k >= 2
-        # the indices below p are the constants, whose order divides p-1.
-        one = spec.one
-        cofactors = [period // r for r in _prime_factors(period)]
-        for g_index in range(p if k > 1 else 1, q):
-            g = spec.element(g_index)
-            if all(g**e != one for e in cofactors):
-                break
-        else:
-            raise NotAFieldError(f"{spec} has no element of multiplicative order {period}")
-        # times_g[n] is the index of g * (element n): row j of the
-        # multiply-by-g matrix over GF(p) is g * x^j.  It is applied to
-        # the digits of one block of indices at a time, so no q x k digit
-        # array is ever held.
-        places = p ** np.arange(k, dtype=np.int64)
-        rows = np.array([(g * spec.element(p**j)).coeffs for j in range(k)], dtype=np.int64)
-        times_g = np.empty(q, dtype=np.int64)
-        for start in range(0, q, _TABLE_BLOCK):
-            block = np.arange(start, min(start + _TABLE_BLOCK, q), dtype=np.int64)
-            times_g[start:start + len(block)] = (block[:, None] // places % p) @ rows % p @ places
-        # exp[i] is the index of g**i, filled by doubling: while step maps
-        # each index to that of g**done times it, exp[done:2*done] =
-        # step[exp[:done]], and step[step] maps by g**(2*done).  Squaring
-        # alternates between times_g and one spare buffer.  Every index
-        # lies in 0..q-1, so the lookups skip the bounds check.
-        exp = np.empty(period, dtype=np.int64)
-        exp[0] = 1
-        step, spare, done = times_g, np.empty_like(times_g), 1
-        while done < period:
-            take = min(done, period - done)
-            np.take(step, exp[:take], out=exp[done:done + take], mode="clip")
-            done += take
-            np.take(step, step, out=spare, mode="clip")
-            step, spare = spare, step
-        del step, spare, times_g
-        # in a field the powers are distinct, never zero, and cover every
-        # nonzero element: log is then defined everywhere but at 0
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(period)
-        if log[0] != -1 or (log[1:] < 0).any():
-            seen = {0}
-            for i, n in enumerate(exp.tolist()):
-                if n in seen:
-                    break
-                seen.add(n)
-            raise NotAFieldError(
-                f"powers of {g.coeffs} repeat after {i} of {period} steps; "
-                f"{spec} is not a field",
-                witness=(g.coeffs, i),
-            )
-        # g**(q-1) == 1 makes every nonzero g**i invertible
-        if (g * spec.element(int(exp[-1])))._index != 1:
-            raise NotAFieldError(
-                f"powers of {g.coeffs} do not return to 1; {spec} is not a field",
-                witness=(g.coeffs, period),
-            )
-        log[0] = 0
-        self.exp = exp
-        self.log = log
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The index of a*b, elementwise on broadcast numpy index arrays:
-        ``exp[(log a + log b) mod (q-1)]``, then 0 wherever a or b is 0."""
-        import numpy as np
-
-        log = self.log
-        product = self.exp[(log[a] + log[b]) % len(self.exp)]
-        return np.where((a == 0) | (b == 0), 0, product)
-
-
 # ---------------------------------------------------------------------------
 # field specifications and elements
 # ---------------------------------------------------------------------------
@@ -519,10 +423,9 @@ class FieldSpec:
     k: int
     modulus_poly: tuple[int, ...]
 
-    #: log/antilog tables, set by ``_tabled``, the packed kernel, set by
-    #: ``_packed``, and the norm memo of ``hilbert.is_isotropic`` (none is
-    #: a dataclass field)
-    _tables = _kernel = _norm_memo = None
+    #: the packed kernel, set by ``_packed``, and the norm memo of
+    #: ``hilbert.is_isotropic`` (neither is a dataclass field)
+    _kernel = _norm_memo = None
 
     def __post_init__(self):
         _prime(self.p)
@@ -539,7 +442,7 @@ class FieldSpec:
             )
 
     def __reduce__(self):
-        # copies and pickles carry the definition, not the tables or memo
+        # copies and pickles carry the definition, not the kernel or memo
         return (FieldSpec, (self.p, self.k, self.modulus_poly))
 
     @property
@@ -548,26 +451,17 @@ class FieldSpec:
 
     def _packed(self) -> tuple[_Packed, tuple[int, ...]]:
         """The packed layout and the modulus's reduction rows, built on the
-        first product or power of an extension and kept for the spec's
-        lifetime.  Both are set with ``object.__setattr__``: reading the
-        instance ``__dict__`` (as ``functools.cached_property`` does)
-        would slow every later attribute read on the spec."""
+        first product or power of an extension (or the first ``_products``
+        call) and kept for the spec's lifetime.  Both are set with
+        ``object.__setattr__``: reading the instance ``__dict__`` (as
+        ``functools.cached_property`` does) would slow every later
+        attribute read on the spec."""
         kernel = self._kernel
         if kernel is None:
             packed = _packing(self.p, self.k)
             kernel = packed, packed.rows(self.modulus_poly)
             object.__setattr__(self, "_kernel", kernel)
         return kernel
-
-    def _tabled(self) -> _Tables:
-        """The log/antilog tables, built on the first call and kept like
-        the kernel; only the bulk builders ``operation_tables`` and
-        ``geometry.enumerate_lines`` read them."""
-        tables = self._tables
-        if tables is None:
-            tables = _Tables(self)
-            object.__setattr__(self, "_tables", tables)
-        return tables
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
@@ -932,6 +826,37 @@ def element_index(a: FieldElement) -> int:
     return a._index
 
 
+def _products(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The len(a) x len(b) table of the indices of a_i * b_j, for 1-D
+    numpy int64 index arrays a and b, on base-p digits.
+
+    Row m of ``powers`` holds the digits of x^m mod f: x^m itself for
+    m < k, then the reduction rows that ``*`` folds with.  So
+    ``db @ powers[i:i+k]`` is x^i * b, digit by digit before reduction
+    mod p; one matmul of the digits of a against the k of them side by
+    side sums a_i * x^i * b over i, and a single ``% p`` and a Horner
+    combine turn the sums into indices.
+    Every digit sum is below k^2 (p-1)^3, which fits int64 for q <= 2^16:
+    ``operation_tables`` caps q at 500 and ``enumerate_lines`` caps a
+    space at 2^16 points.  Nothing is kept on the spec but its kernel.
+    """
+    import numpy as np
+
+    p, k = spec.p, spec.k
+    packed, rows = spec._packed()
+    powers = np.array([[r >> s & packed.mask for s in packed.shifts]
+                       for r in [packed.pack(p**m) for m in range(k)] + list(rows)],
+                      dtype=np.int64)
+    places = p ** np.arange(k, dtype=np.int64)
+    da, db = a[:, None] // places % p, b[:, None] // places % p
+    stacked = np.stack([(db @ powers[i:i + k]).ravel() for i in range(k)])
+    digits = (da @ stacked % p).reshape(len(a), len(b), k)
+    out = digits[..., k - 1]
+    for c in range(k - 2, -1, -1):
+        out = out * p + digits[..., c]
+    return out
+
+
 def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, np.ndarray]:
     """Elements plus full q x q addition and multiplication index tables."""
     import numpy as np
@@ -941,8 +866,7 @@ def operation_tables(spec: FieldSpec) -> tuple[list[FieldElement], np.ndarray, n
     elements = enumerate_elements(spec)
     idx = np.arange(q, dtype=np.int64)
     add_t = _digitwise(idx[:, None], idx[None, :], 1, spec.p, spec.k)
-    mul_t = spec._tabled().mul(idx[:, None], idx[None, :])
-    return elements, add_t, mul_t
+    return elements, add_t, _products(spec, idx, idx)
 
 
 @dataclass(frozen=True)

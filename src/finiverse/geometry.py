@@ -40,6 +40,7 @@ from .fields import (
     _Space,
     _digitwise,
     _is_zero_sum,
+    _products,
     _spread,
     _vectors,
     element_index,
@@ -194,12 +195,13 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     pivots.  Along a line the coordinates before c are fixed and
     coordinate c takes every value once, so the points whose coordinate
     c is zero meet every line once, each as its enumeration-smallest
-    point.  They are the bases, in id order.  The q offsets t*d are one
-    ``_Tables.mul`` of every t against d's coordinate indices, read back
-    as ids, and a line's members are its base plus each offset,
-    digit-wise, sorted into enumeration order: one numpy array per class.
-    Each line holds those points of ``space.points()``, its base first
-    and base + d second, and keeps their sorted ids.
+    point.  They are the bases, in id order.  The offsets t*d of a whole
+    class are one ``fields._products`` of every t against the coordinate
+    indices of all its directions, read back as ids, and a line's members
+    are its base plus each offset, digit-wise, sorted into enumeration
+    order: one numpy array per class.  Each line holds those points of
+    ``space.points()``, its base first and base + d second, and keeps
+    their sorted ids.
     """
     count = space.point_count
     _at_most(count, LINE_CAP, "{n} points exceed the line-enumeration cap {cap}")
@@ -211,28 +213,42 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     points = space.points()
     import numpy as np
 
-    mul = spec._tabled().mul
     p, digits = spec.p, spec.k * dim
     places = q ** np.arange(dim - 1, -1, -1)  # the id of each unit vector
-    scalars = np.arange(q)[:, None]
+    scalars = np.arange(q)
     lines: list[Line] = []
     for pivot in reversed(range(dim)):
         first = q ** (dim - 1 - pivot)
         # the ids whose coordinate `pivot` is index 0, ascending
         bases = (np.arange(q**pivot)[:, None] * (q * first) + np.arange(first)).ravel()
-        for d in range(first, 2 * first):
-            offsets = mul(scalars, d // places % q) @ places
-            members = np.sort(_digitwise(bases[:, None], offsets[None, :], 1, p, digits), axis=1)
-            for ids in map(tuple, members.tolist()):
-                line = Line(itemgetter(*ids)(points))
-                object.__setattr__(line, "_ids", ids)
-                lines.append(line)
+        # offsets[j, t] is the id of t times the direction of id first + j
+        coords = (np.arange(first, 2 * first)[:, None] // places % q).ravel()
+        offsets = (_products(spec, scalars, coords).reshape(q, first, dim) @ places).T
+        members = _digitwise(bases[None, :, None], offsets[:, None, :], 1, p, digits)
+        for ids in map(tuple, np.sort(members, axis=2).reshape(-1, q).tolist()):
+            line = Line(itemgetter(*ids)(points))
+            object.__setattr__(line, "_ids", ids)
+            lines.append(line)
     return lines
 
 
 def _labels(labels) -> str:
     """Caller labels for a message, in input order, each through ``_printable``."""
     return ", ".join(repr(_printable(x)) for x in labels)
+
+
+def _label_set(labels, error, kind=set):
+    """``kind(labels)``, or ``error`` naming the first label that cannot be
+    hashed, in place of the TypeError."""
+    try:
+        return kind(labels)
+    except TypeError:
+        for x in labels:
+            try:
+                hash(x)
+            except TypeError:
+                raise error(f"label {_printable(x)!r} is not hashable") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -245,10 +261,10 @@ class IncidenceStructure:
     def __post_init__(self):
         pts = tuple(self.points)
         given = tuple(self.lines)
-        lns = tuple(map(frozenset, given))
+        seen = _label_set(pts, MalformedStructureError)
+        lns = tuple(_label_set(line, MalformedStructureError, frozenset) for line in given)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lines", lns)
-        seen = set(pts)
         if len(seen) != len(pts):
             raise MalformedStructureError("duplicate point identifiers")
         for line, ln in zip(given, lns):
@@ -418,7 +434,7 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     applied anywhere.
     """
     labels = list(labels)
-    if len(set(labels)) != len(labels):
+    if len(_label_set(labels, MalformedTableError)) != len(labels):
         raise MalformedTableError("duplicate labels")
 
     def d(x, y):

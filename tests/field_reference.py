@@ -2,11 +2,11 @@
 
 Schoolbook polynomial products reduced by long division, irreducibility
 by exhaustive trial division and an O(q^3) scan of the axiom battery,
-written apart from ``finiverse.fields`` so the library's log/antilog
-tables, its Rabin irreducibility test and its generating-set axiom proofs
-can be checked against an implementation that shares none of their
-code.  Coefficients are constant term first; indices are base-p digit
-values.
+written apart from ``finiverse.fields`` so the library's packed and
+bulk products, its Rabin irreducibility test and its generating-set
+axiom proofs can be checked against an implementation that shares none
+of their code.  Coefficients are constant term first; indices are
+base-p digit values.
 """
 
 

@@ -341,7 +341,7 @@ def test_modular_ring_diagnostics():
     assert exc.value.witness == {"requested": 501, "cap": 500}
 
 
-# -- log/antilog table core: differential checks -----------------------------
+# -- bulk products: differential checks ---------------------------------------
 
 #: every general field GF(p^k) of order <= 256 with 2 <= k <= 6
 GENERAL_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 7) if p**k <= 256]
@@ -369,14 +369,42 @@ def test_operation_tables_match_polynomial_reference(p, k, gaussian):
     assert [e.coeffs for e in elements] == [ref.digits(n, p, k) for n in range(p**k)]
 
 
+#: every (p, k) with p^k <= 27
+SMALL_ORDERS = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(1, 5)
+                if p**k <= 27]
+
+
+@pytest.mark.parametrize("p,k", SMALL_ORDERS, ids=[f"GF({p}^{k})" for p, k in SMALL_ORDERS])
+def test_operation_tables_match_reference_for_every_modulus(p, k):
+    # the bulk products read whichever reduction rows the spec has, so
+    # every monic irreducible f is checked, not only the factory's
+    moduli = [f for f in (ref.digits(n, p, k) + (1,) for n in range(p**k))
+              if ref.is_irreducible(f, p)]
+    assert len(moduli) >= (p if k == 1 else 1)
+    for f in moduli:
+        _, add_t, mul_t = operation_tables(FieldSpec(p, k, f))
+        assert (add_t.tolist(), mul_t.tolist()) == ref.tables(p, k, f), f
+
+
+def test_operation_tables_of_a_directly_built_gf256():
+    # GF(2^8) from x^8 + x^4 + x^3 + x + 1, beyond the factory's k <= 6
+    f = (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    _, _, mul_t = operation_tables(FieldSpec(2, 8, f))
+    rng = random.Random(256)
+    for _ in range(2000):
+        i, j = rng.randrange(256), rng.randrange(256)
+        expected = ref.mul(ref.digits(i, 2, 8), ref.digits(j, 2, 8), f, 2)
+        assert int(mul_t[i, j]) == ref.index(expected, 2), (i, j)
+
+
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (7, 1)])
-def test_tabled_and_untabled_specs_agree(p, k):
-    tabled = make_extension_field(p, k)
-    enumerate_elements(tabled)
+def test_enumerated_and_fresh_specs_agree(p, k):
+    used = make_extension_field(p, k)
+    enumerate_elements(used)
     plain = make_extension_field(p, k)
-    q = tabled.order
+    q = used.order
     for i in range(q):
-        a, pa = tabled.element(i), plain.element(i)
+        a, pa = used.element(i), plain.element(i)
         for n in (-q - 1, -3, -1, 0, 1, 2, 5, q - 1, q, 10**30, -10**30):
             if i == 0 and n < 0:
                 with pytest.raises(DivisionByZeroError):
@@ -389,7 +417,7 @@ def test_tabled_and_untabled_specs_agree(p, k):
             assert a.inverse().coeffs == pa.inverse().coeffs
         assert (-a).coeffs == (-pa).coeffs
         for j in range(q):
-            b, pb = tabled.element(j), plain.element(j)
+            b, pb = used.element(j), plain.element(j)
             assert (a * b).coeffs == (pa * pb).coeffs
             assert (a + b).coeffs == (pa + pb).coeffs
             assert (a - b).coeffs == (pa - pb).coeffs
@@ -398,15 +426,14 @@ def test_tabled_and_untabled_specs_agree(p, k):
             else:
                 with pytest.raises(DivisionByZeroError):
                     a / b
-    assert plain._tables is None  # arithmetic alone never builds tables
 
 
-#: fields of the benchmark's field_sweep kind, too large to tabulate
-UNTABLED_FIELDS = [(999_999_999_989, 1), (2003, 2), (47, 4)]
+#: fields of the benchmark's field_sweep kind, too large for operation tables
+LARGE_FIELDS = [(999_999_999_989, 1), (2003, 2), (47, 4)]
 
 
-@pytest.mark.parametrize("p,k", UNTABLED_FIELDS, ids=[f"GF({p}^{k})" for p, k in UNTABLED_FIELDS])
-def test_untabled_arithmetic_matches_reference(p, k):
+@pytest.mark.parametrize("p,k", LARGE_FIELDS, ids=[f"GF({p}^{k})" for p, k in LARGE_FIELDS])
+def test_large_field_arithmetic_matches_reference(p, k):
     spec = make_extension_field(p, k)
     q, modulus = p**k, spec.modulus_poly
     rng = random.Random(q)
@@ -433,12 +460,11 @@ def test_untabled_arithmetic_matches_reference(p, k):
             else:
                 with pytest.raises(DivisionByZeroError):
                     a ** n
-    assert spec._tables is None
 
 
 def test_results_do_not_depend_on_the_history_of_the_spec():
     # every operator builds its result from the index, before and after
-    # the field is enumerated and its tables are built
+    # the field is enumerated and its bulk products run
     spec = make_extension_field(3, 3)
 
     def results():
@@ -448,11 +474,9 @@ def test_results_do_not_depend_on_the_history_of_the_spec():
 
     before = results()
     elements = enumerate_elements(spec)
-    assert spec._tables is None  # enumerating builds no tables
     after = [results()]
     operation_tables(spec)
     enumerate_lines(AffineSpace(spec, 2))
-    assert spec._tables is not None
     after.append(results())
     for results_after in after:
         for x, y in zip(before, results_after, strict=True):
@@ -464,15 +488,21 @@ def test_results_do_not_depend_on_the_history_of_the_spec():
     assert fresh * elements[17] == before[0] == elements[5] * elements[17]
 
 
-def test_table_build_rejects_a_ring():
+def test_axioms_diagnose_a_ring():
     # x^2+1 = (x+1)^2 over GF(2) and x^2+2 = (x+1)(x+2) over GF(3): the
-    # quotients are rings, and the generator's powers repeat early
+    # quotients are rings, which no public constructor builds.  Their
+    # tables are the ring's own, and the battery names a+1 as the first
+    # element with no inverse, as the reference scan does.
     for p, modulus in ((2, (1, 0, 1)), (3, (2, 0, 1))):
         ring = fields_mod._proven_spec(p, 2, modulus)
-        with pytest.raises(NotAFieldError) as exc:
-            operation_tables(ring)
-        generator, steps = exc.value.witness
-        assert 0 < steps < p * p - 1
+        elements, add_t, mul_t = operation_tables(ring)
+        assert (add_t.tolist(), mul_t.tolist()) == ref.tables(p, 2, modulus)
+        labels = [str(e) for e in elements]
+        expected = ref.check_tables(labels, add_t.tolist(), mul_t.tolist(), 0, 1)
+        checks = verify_field_axioms(ring).checks
+        assert {name: (c.passed, c.witness) for name, c in checks.items()} == expected
+        assert checks["inverses"].witness == ("a+1", "multiplicative")
+        assert [name for name, c in checks.items() if not c.passed] == ["inverses"]
 
 
 def test_factory_proves_irreducibility_once(monkeypatch):
@@ -492,21 +522,20 @@ def test_factory_proves_irreducibility_once(monkeypatch):
     assert calls == [spec.modulus_poly]
 
 
-def test_copies_and_pickles_of_a_tabled_field():
+def test_copies_and_pickles_after_operation_tables():
     spec = make_extension_field(5, 2)
     a = operation_tables(spec)[0][7]
-    assert spec._tables is not None
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2, a2 = clone(spec), clone(a)
-        assert spec2 == spec and spec2._tables is None  # tables are not copied
+        assert spec2 == spec
         assert a2 == a and (a2 * a2).coeffs == (a * a).coeffs
 
 
-def test_copies_and_pickles_of_an_untabled_extension():
+def test_copies_and_pickles_of_a_large_extension():
     spec = make_extension_field(101, 4)
     a = spec.element(12345)
     square = a * a  # builds the packed kernel
-    assert spec._kernel is not None and spec._tables is None
+    assert spec._kernel is not None
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2 = clone(spec)
         assert spec2 == spec and spec2._kernel is None  # the kernel is not copied

@@ -1,6 +1,6 @@
 """Hypothesis properties of affine geometry over random small fields: the
 line count of AG(d, q) and translation invariance of the squared distance;
-and the tabled isotropy test against its element-level reference on
+and the isotropy test against its element-level reference on
 vectors of up to 40 coordinates.
 
 These need the test extras (``pip install -e .[test]``); without Hypothesis
@@ -48,13 +48,13 @@ def test_squared_distance_is_translation_invariant(pkd, data):
     assert squared_distance(x + t, y + t) == squared_distance(x, y)
 
 
-#: the fields of test_space_kernels.test_isotropy_agrees_tabled_and_untabled
+#: the fields of test_space_kernels.test_isotropy_matches_reference_before_and_after_enumeration
 ISOTROPY_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(pk=st.sampled_from(ISOTROPY_FIELDS), data=st.data())
-def test_tabled_isotropy_matches_reference(pk, data):
+def test_isotropy_matches_reference_on_long_vectors(pk, data):
     spec = make_extension_field(*pk)
     elements = enumerate_elements(spec)
     # p equal coordinates add zero to the norm-square, so runs of p make

@@ -6,7 +6,7 @@ that share none of their shortcuts:
   ``FieldElement`` product;
 * ``is_isotropic`` (one norm memo per spec, one ``sum`` per vector)
   against ``is_isotropic_naive``, before and after the field is
-  enumerated and tabled;
+  enumerated;
 * ``find_degenerate_pair`` (the same spread ``sum``) against
   ``find_degenerate_pair_naive``.
 
@@ -49,10 +49,22 @@ def _line_data(lines):
     return [ln.points for ln in lines]
 
 
-@pytest.mark.parametrize("p,k,dim", [(2, 1, 4), (3, 1, 3), (3, 2, 2), (2, 3, 2)],
-                         ids=["AG(4,2)", "AG(3,3)", "AG(2,9)", "AG(2,8)"])
-def test_transversal_lines_match_reference(p, k, dim):
-    space = AffineSpace(make_extension_field(p, k), dim)
+#: (field, dim); GF(9) from x^2 + 2x + 2, not the factory's x^2 + 1, because
+#: the offsets read the reduction rows of whichever modulus the spec has
+TRANSVERSAL_SPACES = {
+    "AG(4,2)": ((2, 1), 4),
+    "AG(3,3)": ((3, 1), 3),
+    "AG(2,9)": ((3, 2), 2),
+    "AG(2,8)": ((2, 3), 2),
+    "AG(2,9) mod x^2+2x+2": ((3, 2, (2, 2, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("name", TRANSVERSAL_SPACES)
+def test_transversal_lines_match_reference(name):
+    field, dim = TRANSVERSAL_SPACES[name]
+    spec = FieldSpec(*field) if len(field) == 3 else make_extension_field(*field)
+    space = AffineSpace(spec, dim)
     lines = enumerate_lines(space)
     assert _line_data(lines) == _line_data(enumerate_lines_naive(space))
     points = space.points()
@@ -66,9 +78,9 @@ def test_transversal_lines_match_reference(p, k, dim):
 @pytest.mark.parametrize("p,k,dim,count", [(3, 2, 2, 90), (2, 2, 3, 336), (7, 1, 2, 56)],
                          ids=["AG(2,9)", "AG(3,4)", "AG(2,7)"])
 def test_lines_make_no_element_products(p, k, dim, count, monkeypatch):
-    # the offsets t*d are index products on the tables, not FieldElement.__mul__
+    # the offsets t*d are index products on digits, not FieldElement.__mul__,
+    # from the first call on a fresh spec
     space = AffineSpace(make_extension_field(p, k), dim)
-    space.spec._tabled()  # building the tables multiplies elements; the lines must not
     calls = []
     multiply = FieldElement.__mul__
 
@@ -89,7 +101,6 @@ def test_line_incidence_cap_is_checked_before_enumeration():
     with pytest.raises(SizeLimitError) as exc:
         enumerate_lines(AffineSpace(spec, 2))
     assert exc.value.witness == {"requested": 81 * 6642, "cap": INCIDENCE_CAP}
-    assert spec._tables is None  # refused before the points were built
 
 
 # -- isotropy by the norm memo ------------------------------------------------------
@@ -105,19 +116,17 @@ def test_isotropy_matches_reference_before_and_after_enumeration(p, k, dim):
     vectors = [FieldVector(elements[n] for n in c) for c in coords]
     after = [is_isotropic(v) for v in vectors]
     assert before == after == [is_isotropic_naive(v) for v in vectors]
-    assert spec._tables is None  # neither isotropy nor enumeration builds tables
     assert not after[0]  # the zero vector is not isotropic
 
 
-def test_isotropy_flags_do_not_depend_on_the_tables():
-    tabled = make_extension_field(3, 2)
-    enumerate_lines(AffineSpace(tabled, 2))  # builds the tables
-    untabled = copy.deepcopy(tabled)  # copies carry the definition, not the tables
-    assert tabled._tables is not None and untabled._tables is None
+def test_isotropy_flags_do_not_depend_on_the_history_of_the_spec():
+    used = make_extension_field(3, 2)
+    enumerate_lines(AffineSpace(used, 2))  # runs the bulk products
+    fresh = copy.deepcopy(used)  # copies carry the definition, not the kernel
     for dim in (1, 2, 3):
         coords = list(itertools.product(range(9), repeat=dim))
-        flags = [is_isotropic(FieldVector(map(tabled.element, c))) for c in coords]
-        assert flags == [is_isotropic(FieldVector(map(untabled.element, c))) for c in coords]
+        flags = [is_isotropic(FieldVector(map(used.element, c))) for c in coords]
+        assert flags == [is_isotropic(FieldVector(map(fresh.element, c))) for c in coords]
     assert any(flags) and not all(flags)
 
 
@@ -157,7 +166,6 @@ def test_norm_memo_holds_only_the_indices_met():
     assert any(flags) and not all(flags)
     memo = spec._norm_memo
     assert sorted(memo) == sorted({1, *met}) and memo[0] == 0
-    assert spec._tables is None  # isotropy never builds tables
     # a vector of indices already met leaves the memo as it was
     assert [is_isotropic(v) for v in pairs] == flags
     assert spec._norm_memo is memo and sorted(memo) == sorted({1, *met})
@@ -178,7 +186,7 @@ def test_isotropy_on_a_large_directly_built_field(deadline):
     for v in (FieldVector((a, b, a + b)), FieldVector((a, b, spec.gen))):
         assert is_isotropic(v) is is_isotropic_naive(v)
     assert is_isotropic(FieldVector((a, b, a + b)))
-    assert spec._tables is None and len(spec._norm_memo) == 4
+    assert len(spec._norm_memo) == 4
 
 
 @pytest.mark.parametrize("p,k,dim", [(2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2),

@@ -129,6 +129,27 @@ def test_field_element_reduces_integer_coefficients_mod_p():
     assert F3.element(-1) == F3.element(2)
 
 
+#: a label that cannot be hashed, as a label or a point id: (call, error type)
+UNHASHABLE = {
+    "check_metric_axioms label": (lambda: check_metric_axioms([[1], 2], {}), MalformedTableError),
+    "check_metric_axioms tuple label": (lambda: check_metric_axioms([([1],), 2], {}),
+                                        MalformedTableError),
+    "IncidenceStructure points": (lambda: IncidenceStructure(points=([1], [2]), lines=[]),
+                                  MalformedStructureError),
+    "IncidenceStructure line": (lambda: IncidenceStructure(points=(1, 2), lines=[([1], 2)]),
+                                MalformedStructureError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNHASHABLE))
+def test_unhashable_label_is_refused_typed(site):
+    call, error = UNHASHABLE[site]
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.code == error.code
+    assert "[1]" in str(exc.value) and "not hashable" in str(exc.value)
+
+
 def test_nonpositive_scale_factor_keeps_its_type():
     with pytest.raises(NonPositiveScaleFactorError) as exc:
         FluidState(a=0.0, a_dot=1.0, rho=1.0)
@@ -261,6 +282,11 @@ TOO_LONG_TO_PRINT = {
         MalformedStructureError),
     "IncidenceStructure short line": (lambda x: IncidenceStructure(points=(x,), lines=[(x,)]),
                                       1, MalformedStructureError),
+    "check_metric_axioms unhashable label": (lambda x: check_metric_axioms([[x], 1], {}), 1,
+                                             MalformedTableError),
+    "IncidenceStructure unhashable point": (
+        lambda x: IncidenceStructure(points=(1, 2), lines=[([x], 2)]), 1,
+        MalformedStructureError),
     "pointset_cardinality order": (lambda x: pointset_cardinality(x, 2), -1, InvalidInputError),
     "pointset_cardinality dim": (lambda x: pointset_cardinality(3, x), 1, CapacityOverflowError),
     "hilbert_cardinality p": (lambda x: hilbert_cardinality(x, 1, 2), 1, NotPrimeError),
