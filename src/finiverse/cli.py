@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -160,19 +159,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _field_spec_from_order(q: int) -> fields.FieldSpec:
-    """GF(q) for a prime power q = p^k: p is the smallest prime factor of
-    q, found by trial division up to sqrt(q), and k its multiplicity.
-    Every caller enumerates at least q points, so q above the point cap
-    is refused first, and at most 255 divisions run."""
+    """GF(q) for a prime power q = p^k: p is the one prime factor of q,
+    found by ``fields._prime_factors``, and k its multiplicity.  Every
+    caller enumerates at least q points, so q above the point cap is
+    refused first, and the trial division stops below 256."""
     _integer(q, "field order", 2)
     _at_most(q, geometry.LINE_CAP, "field order {n} exceeds the point enumeration cap {cap}")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    k, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
+    primes = fields._prime_factors(q)
+    if len(primes) != 1:
         raise InvalidInputError(f"{q} is not a prime power")
+    [p] = primes
+    k = next(k for k in range(1, q.bit_length()) if p**k == q)
     return fields.make_extension_field(p, k)
 
 

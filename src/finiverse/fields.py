@@ -18,10 +18,12 @@ for p = 2 the bitwise XOR ``a ^ b``), and every operation is exact.
 
 Each operator has one path, chosen by k: for k = 1 ``*`` and ``**`` are
 int arithmetic mod p and ``inverse`` is ``a ** -1``; for k >= 2 ``*``
-and ``**`` run on the packed kernel ``_Packed``, one int product per
-``*``, which Rabin's irreducibility test shares, and ``inverse`` runs
-the extended Euclidean algorithm on the coefficients.  ``a ** n`` takes
-n mod q-1, which the order of every nonzero element divides.
+and ``**`` run on the spec's packed kernel ``_Packed``, one int product
+per ``*``, and ``inverse`` runs the extended Euclidean algorithm on the
+coefficients.  A kernel belongs to one modulus: it holds the slot
+layout and the reduction rows of that modulus, and Rabin's
+irreducibility test builds one for each candidate it tries.  ``a ** n``
+takes n mod q-1, which the order of every nonzero element divides.
 
 Every operator, ``enumerate_elements`` included, builds a new element
 from its index, whatever the process computed before.  Two bulk
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product, repeat
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -145,28 +146,39 @@ def _prime(p) -> None:
 
 
 class _Packed:
-    """Polynomials of degree < k over GF(p) packed into one int, B bits
-    per coefficient (Kronecker substitution; von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, section 8.4).
+    """The packed kernel of one monic modulus f of degree k over GF(p):
+    polynomials of degree < k packed into one int, B bits per coefficient
+    (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, section 8.4).
 
     Coefficient i sits in bits [i*B, (i+1)*B), so the product of two
     polynomials is one int product.  B is the bit length of
     (2k-1)(p-1)^2: a low slot of a product of reduced operands holds at
     most k(p-1)^2, and folding the k-1 high slots back in, each taken mod
     p, through the rows x^(k+j) mod f adds at most (k-1)(p-1)^2 more.  A
-    packed int is *reduced* when every slot lies in 0..p-1.  One layout
-    serves every monic modulus f of degree k; ``rows(f)`` gives f's.
+    packed int is *reduced* when every slot lies in 0..p-1.  ``rows``
+    holds those k-1 reduction rows, packed, computed once with the layout.
     """
 
-    __slots__ = ("p", "width", "mask", "shifts", "high", "low")
+    __slots__ = ("p", "width", "mask", "shifts", "high", "low", "rows")
 
-    def __init__(self, p: int, k: int):
+    def __init__(self, p: int, f: Sequence[int]):
+        k = len(f) - 1
         self.p = p
-        self.width = ((2 * k - 1) * (p - 1) ** 2).bit_length()
-        self.mask = (1 << self.width) - 1
-        self.shifts = tuple(range(0, k * self.width, self.width))
-        self.high = k * self.width  # the shift of the first high slot
+        width = self.width = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(range(0, k * width, width))
+        self.high = k * width  # the shift of the first high slot
         self.low = (1 << self.high) - 1
+        # each row is x times the one before: a shift by one slot, whose
+        # top slot is folded back in through x^k mod f
+        base = sum(-c % p << s for c, s in zip(f, self.shifts))  # x^k mod f
+        row, rows = base, []
+        for _ in range(k - 1):
+            rows.append(row)
+            row <<= width
+            row = self.reduce((row & self.low) + (row >> self.high) * base)
+        self.rows = tuple(rows)
 
     def pack(self, n: int) -> int:
         """The reduced packed int of the element index n."""
@@ -176,26 +188,13 @@ class _Packed:
             n //= p
         return out
 
-    def rows(self, f: Sequence[int]) -> tuple[int, ...]:
-        """x^(k+j) mod the monic f of degree k, packed, for j < k-1.  Each
-        row is x times the one before: a shift by one slot, whose top slot
-        is folded back in through x^k mod f."""
-        p, width = self.p, self.width
-        base = sum(-c % p << s for c, s in zip(f, self.shifts))  # x^k mod f
-        row, out = base, []
-        for _ in range(len(self.shifts) - 1):
-            out.append(row)
-            row <<= width
-            row = self.reduce((row & self.low) + (row >> self.high) * base)
-        return tuple(out)
-
-    def fold(self, c: int, rows: tuple[int, ...]) -> int:
+    def fold(self, c: int) -> int:
         """The product c of two reduced packed ints, with its high slots
         taken mod p and added back through ``rows``: slots not yet mod p."""
         p, width, mask = self.p, self.width, self.mask
         top = c >> self.high
         c &= self.low
-        for row in rows:
+        for row in self.rows:
             c += (top & mask) % p * row
             top >>= width
         return c
@@ -215,7 +214,7 @@ class _Packed:
             n = n * p + (c >> s & mask) % p
         return n
 
-    def power(self, a: int, n: int, rows: tuple[int, ...]) -> int:
+    def power(self, a: int, n: int) -> int:
         """a^n mod f for a reduced packed a and n >= 0, by square-and-multiply
         from the top bit down; the result is reduced."""
         fold, reduce = self.fold, self.reduce
@@ -223,17 +222,10 @@ class _Packed:
             return 1
         result = a
         for bit in bin(n)[3:]:
-            result = reduce(fold(result * result, rows))
+            result = reduce(fold(result * result))
             if bit == "1":
-                result = reduce(fold(result * a, rows))
+                result = reduce(fold(result * a))
         return result
-
-
-@lru_cache(maxsize=64)
-def _packing(p: int, k: int) -> _Packed:
-    """The slot layout of GF(p^k), built once per (p, k) while cached: the
-    irreducible search tests many candidate moduli on one layout."""
-    return _Packed(p, k)
 
 
 def _ext_gcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
@@ -284,11 +276,10 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     if k == 1:
         return True
     gcd_at = {k // r for r in _prime_factors(k)}
-    packed = _packing(p, k)
-    rows = packed.rows(poly)
+    packed = _Packed(p, poly)
     x = h = packed.pack(p)  # x^(p^i) mod f, for i = 0 .. k
     for i in range(1, k + 1):
-        h = packed.power(h, p, rows)
+        h = packed.power(h, p)
         if i in gcd_at:
             h_minus_x = [h >> s & packed.mask for s in packed.shifts]
             h_minus_x[1] = (h_minus_x[1] - 1) % p
@@ -359,6 +350,8 @@ def _index_of(coeffs: Sequence[int], p: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 2, in increasing order, by trial
+    division up to the square root of what is left of n."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -423,8 +416,8 @@ class FieldSpec:
     k: int
     modulus_poly: tuple[int, ...]
 
-    #: the packed kernel, set by ``_packed``, and the norm memo of
-    #: ``hilbert.is_isotropic`` (neither is a dataclass field)
+    #: the packed kernel of the modulus, set by ``_packed``, and the norm
+    #: memo of ``hilbert.is_isotropic`` (neither is a dataclass field)
     _kernel = _norm_memo = None
 
     def __post_init__(self):
@@ -449,17 +442,15 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
-    def _packed(self) -> tuple[_Packed, tuple[int, ...]]:
-        """The packed layout and the modulus's reduction rows, built on the
-        first product or power of an extension (or the first ``_products``
-        call) and kept for the spec's lifetime.  Both are set with
-        ``object.__setattr__``: reading the instance ``__dict__`` (as
-        ``functools.cached_property`` does) would slow every later
-        attribute read on the spec."""
+    def _packed(self) -> _Packed:
+        """The packed kernel of the modulus, built on the first product or
+        power of an extension (or the first ``_products`` call) and kept
+        for the spec's lifetime.  It is set with ``object.__setattr__``:
+        reading the instance ``__dict__`` (as ``functools.cached_property``
+        does) would slow every later attribute read on the spec."""
         kernel = self._kernel
         if kernel is None:
-            packed = _packing(self.p, self.k)
-            kernel = packed, packed.rows(self.modulus_poly)
+            kernel = _Packed(self.p, self.modulus_poly)
             object.__setattr__(self, "_kernel", kernel)
         return kernel
 
@@ -481,14 +472,7 @@ class FieldSpec:
                     f"element index {_printable(value)} outside 0..{self.order - 1}"
                 )
             return _new(self, value)
-        try:
-            coeffs = [_coefficient(c) % p for c in value]
-        except TypeError:
-            raise InvalidInputError(f"element {_printable(value)!r} is not an int or a "
-                                    "sequence of integer coefficients") from None
-        if len(coeffs) != self.k:
-            raise DimMismatchError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return _new(self, _index_of(coeffs, p))
+        return _new(self, _index_of([c % p for c in _coefficients(self, value)], p))
 
     @property
     def zero(self) -> "FieldElement":
@@ -518,6 +502,20 @@ def _coefficient(c) -> int:
     return operator.index(c)
 
 
+def _coefficients(spec: FieldSpec, value) -> list[int]:
+    """The k coefficients of ``value`` as ints, each read by ``_coefficient``:
+    InvalidInputError unless ``value`` is a sequence of integers,
+    DimMismatchError unless it holds k of them."""
+    try:
+        coeffs = [_coefficient(c) for c in value]
+    except TypeError:
+        raise InvalidInputError(f"element {_printable(value)!r} is not an int or a "
+                                "sequence of integer coefficients") from None
+    if len(coeffs) != spec.k:
+        raise DimMismatchError(f"expected {spec.k} coefficients, got {len(coeffs)}")
+    return coeffs
+
+
 def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
     """A FieldSpec for a factory that has itself proven p prime and the
     modulus irreducible, so that __post_init__ does not repeat the proof."""
@@ -531,22 +529,21 @@ def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
 class FieldElement:
     """One element of a finite field: its spec and its index, nothing else.
 
-    The constructor takes and validates reduced coefficients; ``coeffs``
-    derives them back from the index.  Instances are immutable, hashable
-    and support +, -, *, /, unary minus and integer powers.  Equality,
-    hashing and ``is_zero`` compare indices.  Mixing elements of two
-    different field specs raises SpecMismatchError.
+    The constructor takes k coefficients, each read as
+    ``FieldSpec.element`` reads one and required to lie in 0..p-1;
+    ``coeffs`` derives them back from the index.  Instances are
+    immutable, hashable and support +, -, *, /, unary minus and integer
+    powers.  Equality, hashing and ``is_zero`` compare indices.  Mixing
+    elements of two different field specs raises SpecMismatchError.
     """
 
     __slots__ = ("spec", "_index")
 
     def __init__(self, spec: FieldSpec, coeffs: Sequence[int]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != spec.k:
-            raise DimMismatchError(f"expected {spec.k} coefficients, got {len(coeffs)}")
+        coeffs = _coefficients(spec, coeffs)
         p = spec.p
         for c in coeffs:
-            if not (isinstance(c, int) and 0 <= c < p):
+            if not 0 <= c < p:
                 raise InvalidInputError(f"coefficient {_printable(c)!r} not reduced mod {p}")
         _set_spec(self, spec)
         _set_index(self, _index_of(coeffs, p))
@@ -610,8 +607,8 @@ class FieldElement:
         a, b = self._index, other._index
         if spec.k == 1:
             return _new(spec, a * b % spec.p)
-        packed, rows = spec._packed()
-        return _new(spec, packed.index(packed.fold(packed.pack(a) * packed.pack(b), rows)))
+        kernel = spec._packed()
+        return _new(spec, kernel.index(kernel.fold(kernel.pack(a) * kernel.pack(b))))
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse: ``self ** -1`` on a prime field,
@@ -645,8 +642,8 @@ class FieldElement:
         n %= spec.order - 1
         if spec.k == 1:
             return _new(spec, pow(a, n, spec.p))
-        packed, rows = spec._packed()
-        return _new(spec, packed.index(packed.power(packed.pack(a), n, rows)))
+        kernel = spec._packed()
+        return _new(spec, kernel.index(kernel.power(kernel.pack(a), n)))
 
     # -- presentation -------------------------------------------------------
 
@@ -775,10 +772,12 @@ def make_gaussian_extension(p: int) -> FieldSpec:
     """Adjoin a square root of -1 to GF(p): pairs x + i*y mod p.
 
     The quotient by x^2 + 1 is a field exactly when -1 is a non-square
-    mod p, i.e. when p mod 4 == 3.  For p == 2 and p mod 4 == 1 the
-    construction collapses to a ring with zero divisors and
-    NotAFieldError is raised carrying an explicit witness pair
-    (r + i, (p - r) + i) whose product is zero, where r*r = -1 mod p.
+    mod p, i.e. when p mod 4 == 3, so the factory decides by p mod 4.
+    For p == 2 and p mod 4 == 1 the construction collapses to a ring
+    with zero divisors and NotAFieldError is raised carrying an explicit
+    witness pair (r + i, (p - r) + i) whose product is zero, where r is
+    the smaller root of r*r = -1 mod p: r = +-c^((p-1)/4) for the least
+    quadratic non-residue c, found by Euler's criterion.
     """
     _prime(p)
     if p == 2:
@@ -787,17 +786,20 @@ def make_gaussian_extension(p: int) -> FieldSpec:
             "adjoining i to GF(2) fails: x^2+1 = (x+1)^2, witness (1+i)*(1+i) = 0",
             witness=((1, 1), (1, 1)),
         )
-    root = next((r for r in range(2, p) if (r * r) % p == p - 1), None)
-    if root is not None:
-        # (r + i) * ((p - r) + i) = -(r^2 + 1) + 0*i = 0 although neither
-        # factor is zero, so the ring has zero divisors.
-        raise NotAFieldError(
-            f"adjoining i to GF({p}) fails: {root}^2 = -1 mod {p}, "
-            f"witness ({root}+i)*({p - root}+i) = 0",
-            witness=((root, 1), (p - root, 1)),
-        )
-    # no root of x^2 + 1 in GF(p), so the quadratic is irreducible
-    return _proven_spec(p, 2, (1, 0, 1))
+    if p % 4 == 3:
+        # no root of x^2 + 1 in GF(p), so the quadratic is irreducible
+        return _proven_spec(p, 2, (1, 0, 1))
+    # c^((p-1)/2) = -1 for a non-residue c, so c^((p-1)/4) squares to -1
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    r = pow(c, (p - 1) // 4, p)
+    root = min(r, p - r)
+    # (r + i) * ((p - r) + i) = -(r^2 + 1) + 0*i = 0 although neither
+    # factor is zero, so the ring has zero divisors.
+    raise NotAFieldError(
+        f"adjoining i to GF({p}) fails: {root}^2 = -1 mod {p}, "
+        f"witness ({root}+i)*({p - root}+i) = 0",
+        witness=((root, 1), (p - root, 1)),
+    )
 
 
 def make_extension_field(p: int, k: int) -> FieldSpec:
@@ -843,9 +845,9 @@ def _products(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     import numpy as np
 
     p, k = spec.p, spec.k
-    packed, rows = spec._packed()
-    powers = np.array([[r >> s & packed.mask for s in packed.shifts]
-                       for r in [packed.pack(p**m) for m in range(k)] + list(rows)],
+    kernel = spec._packed()
+    powers = np.array([[r >> s & kernel.mask for s in kernel.shifts]
+                       for r in [kernel.pack(p**m) for m in range(k)] + list(kernel.rows)],
                       dtype=np.int64)
     places = p ** np.arange(k, dtype=np.int64)
     da, db = a[:, None] // places % p, b[:, None] // places % p

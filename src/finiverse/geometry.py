@@ -238,11 +238,16 @@ def _labels(labels) -> str:
 
 
 def _label_set(labels, error, kind=set):
-    """``kind(labels)``, or ``error`` naming the first label that cannot be
-    hashed, in place of the TypeError."""
+    """``kind(labels)``, or ``error`` naming ``labels`` if it is not
+    iterable, or else the first label that cannot be hashed, in place of
+    the TypeError."""
     try:
         return kind(labels)
     except TypeError:
+        try:
+            labels = iter(labels)
+        except TypeError:
+            raise error(f"{_printable(labels)!r} is not iterable") from None
         for x in labels:
             try:
                 hash(x)
@@ -259,8 +264,8 @@ class IncidenceStructure:
     lines: tuple
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        given = tuple(self.lines)
+        pts = _label_set(self.points, MalformedStructureError, tuple)
+        given = _label_set(self.lines, MalformedStructureError, tuple)
         seen = _label_set(pts, MalformedStructureError)
         lns = tuple(_label_set(line, MalformedStructureError, frozenset) for line in given)
         object.__setattr__(self, "points", pts)
@@ -433,7 +438,7 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     Exact inputs (int, Fraction) are compared exactly; no tolerance is
     applied anywhere.
     """
-    labels = list(labels)
+    labels = _label_set(labels, MalformedTableError, list)
     if len(_label_set(labels, MalformedTableError)) != len(labels):
         raise MalformedTableError("duplicate labels")
 

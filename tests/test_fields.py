@@ -158,6 +158,27 @@ def test_gaussian_pattern_matches_residue_oracle():
             assert make_gaussian_extension(p).order == p * p
 
 
+def test_gaussian_extension_decides_by_p_mod_4(deadline):
+    # a prime near 10^12 is decided at once, with no scan for a root of -1
+    assert make_gaussian_extension(1000000000039).order == 1000000000039**2  # 3 mod 4
+    p = 1000000000061  # 1 mod 4
+    with pytest.raises(NotAFieldError) as exc:
+        make_gaussian_extension(p)
+    (x1, y1), (x2, y2) = exc.value.witness
+    assert (x1 * x2 - y1 * y2) % p == 0 and (x1 * y2 + y1 * x2) % p == 0
+    # the root from Euler's criterion is the least r with r^2 = -1 mod p
+    for p in range(3, 2000):
+        if not _is_prime(p):
+            continue
+        root = next((r for r in range(2, p) if r * r % p == p - 1), None)
+        if root is None:
+            assert make_gaussian_extension(p).order == p * p
+        else:
+            with pytest.raises(NotAFieldError) as exc:
+                make_gaussian_extension(p)
+            assert exc.value.witness == ((root, 1), (p - root, 1))
+
+
 # -- element arithmetic ------------------------------------------------------
 
 

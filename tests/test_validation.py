@@ -93,6 +93,7 @@ BOUNDARIES = {
     "AffineSpace.point coefficient": lambda x: AffineSpace(F9, 2).point([[x, 0], [0, 1]]),
     "FieldSpec.element": F3.element,
     "FieldSpec.element coefficient": lambda x: F9.element([1, x]),
+    "FieldElement coefficient": lambda x: FieldElement(F3, [x]),
     "FiniteHilbertSpace dim": lambda x: FiniteHilbertSpace(F3, x),
     "pointset_cardinality order": lambda x: pointset_cardinality(x, 2),
     "subspace_diameter step": lambda x: subspace_diameter(x, 5),
@@ -129,25 +130,48 @@ def test_field_element_reduces_integer_coefficients_mod_p():
     assert F3.element(-1) == F3.element(2)
 
 
-#: a label that cannot be hashed, as a label or a point id: (call, error type)
+#: reduced coefficients of numpy integer types, read as ints: (field, coefficients)
+NUMPY_COEFFICIENTS = {
+    "GF(3) int64": (F3, [np.int64(1)]),
+    "GF(9) uint8 and int32": (F9, [np.uint8(2), np.int32(1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_COEFFICIENTS))
+def test_field_element_constructor_reads_numpy_coefficients(case):
+    spec, coeffs = NUMPY_COEFFICIENTS[case]
+    element = FieldElement(spec, coeffs)
+    assert element == spec.element(coeffs)
+    assert element.coeffs == tuple(map(int, coeffs))
+
+
+#: a label that cannot be hashed, as a label or a point id, or a collection
+#: of labels that is not iterable: (call, error type, named value, reason)
 UNHASHABLE = {
-    "check_metric_axioms label": (lambda: check_metric_axioms([[1], 2], {}), MalformedTableError),
+    "check_metric_axioms label": (lambda: check_metric_axioms([[1], 2], {}), MalformedTableError,
+                                  "[1]", "not hashable"),
     "check_metric_axioms tuple label": (lambda: check_metric_axioms([([1],), 2], {}),
-                                        MalformedTableError),
+                                        MalformedTableError, "[1]", "not hashable"),
     "IncidenceStructure points": (lambda: IncidenceStructure(points=([1], [2]), lines=[]),
-                                  MalformedStructureError),
+                                  MalformedStructureError, "[1]", "not hashable"),
     "IncidenceStructure line": (lambda: IncidenceStructure(points=(1, 2), lines=[([1], 2)]),
-                                MalformedStructureError),
+                                MalformedStructureError, "[1]", "not hashable"),
+    "check_metric_axioms non-iterable labels": (lambda: check_metric_axioms(5, {}),
+                                                MalformedTableError, "5", "not iterable"),
+    "IncidenceStructure non-iterable points": (lambda: IncidenceStructure(points=5, lines=[]),
+                                               MalformedStructureError, "5", "not iterable"),
+    "IncidenceStructure non-iterable line": (lambda: IncidenceStructure(points=(1, 2), lines=[5]),
+                                             MalformedStructureError, "5", "not iterable"),
 }
 
 
 @pytest.mark.parametrize("site", sorted(UNHASHABLE))
 def test_unhashable_label_is_refused_typed(site):
-    call, error = UNHASHABLE[site]
+    call, error, value, reason = UNHASHABLE[site]
     with pytest.raises(error) as exc:
         call()
     assert exc.value.code == error.code
-    assert "[1]" in str(exc.value) and "not hashable" in str(exc.value)
+    assert value in str(exc.value) and reason in str(exc.value)
 
 
 def test_nonpositive_scale_factor_keeps_its_type():
@@ -287,6 +311,8 @@ TOO_LONG_TO_PRINT = {
     "IncidenceStructure unhashable point": (
         lambda x: IncidenceStructure(points=(1, 2), lines=[([x], 2)]), 1,
         MalformedStructureError),
+    "IncidenceStructure non-iterable points": (lambda x: IncidenceStructure(points=x, lines=[]),
+                                               1, MalformedStructureError),
     "pointset_cardinality order": (lambda x: pointset_cardinality(x, 2), -1, InvalidInputError),
     "pointset_cardinality dim": (lambda x: pointset_cardinality(3, x), 1, CapacityOverflowError),
     "hilbert_cardinality p": (lambda x: hilbert_cardinality(x, 1, 2), 1, NotPrimeError),
