@@ -17,7 +17,7 @@ subtract indices digit by digit mod p (for k = 1 just ``(a +- b) % p``,
 for p = 2 the bitwise XOR ``a ^ b``), and every operation is exact.
 
 Each operator has one path, chosen by k: for k = 1 ``*`` and ``**`` are
-int arithmetic mod p and ``inverse`` is ``a ** -1``; for k >= 2 ``*``
+int arithmetic mod p and ``inverse`` is ``pow(a, -1, p)``; for k >= 2 ``*``
 and ``**`` run on the spec's packed kernel ``_Packed``, one int product
 per ``*``, and ``inverse`` runs the extended Euclidean algorithm on the
 coefficients.  A kernel belongs to one modulus: it holds the slot
@@ -611,14 +611,14 @@ class FieldElement:
         return _new(spec, kernel.index(kernel.fold(kernel.pack(a) * kernel.pack(b))))
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse: ``self ** -1`` on a prime field,
+        """Multiplicative inverse: ``pow(a, -1, p)`` on a prime field,
         otherwise the extended Euclidean algorithm on the coefficients."""
         spec = self.spec
-        if spec.k == 1:
-            return self ** -1
         if self._index == 0:
             raise DivisionByZeroError(f"zero has no inverse in {spec}")
         p = spec.p
+        if spec.k == 1:
+            return _new(spec, pow(self._index, -1, p))
         g, u = _ext_gcd(_digits(self._index, p, spec.k), spec.modulus_poly, p)
         if g != [1]:  # cannot happen for an irreducible modulus
             raise NotAFieldError(f"gcd with modulus is {g}, element not invertible")
@@ -891,19 +891,23 @@ class AxiomReport:
         return all(c.passed for c in self.checks.values())
 
 
-def _generators(table: np.ndarray) -> list[int]:
-    """A generating set of the magma ``table``, chosen greedily in index order.
+def _generators(table: np.ndarray, last: tuple = ()) -> list[int]:
+    """A generating set of the magma ``table``, chosen greedily.
 
-    Each generator is the least index outside the closure of the ones
-    before it.  The closure grows semi-naively: only the members added
-    last are multiplied against all members, both ways, so the whole
-    pass makes O(q^2) table lookups.
+    The candidates are every index in increasing order, except that the
+    indices in ``last`` come after all others, in the order given.  Each
+    generator is the first candidate outside the closure of the ones
+    before it.  The closure grows semi-naively: each round multiplies
+    only the members added last against all members, both ways, and
+    scatters the products into a fresh q-long boolean mask, so the whole
+    pass makes O(q^2) table lookups and sorts nothing.
     """
     import numpy as np
 
-    inside = np.zeros(len(table), dtype=bool)
+    q = len(table)
+    inside = np.zeros(q, dtype=bool)
     gens = []
-    for g in range(len(table)):
+    for g in [i for i in range(q) if i not in last] + list(last):
         if inside[g]:
             continue
         gens.append(g)
@@ -911,18 +915,20 @@ def _generators(table: np.ndarray) -> list[int]:
         new = np.array([g])
         while new.size:
             members = np.flatnonzero(inside)
-            prods = np.concatenate((table[np.ix_(new, members)].ravel(),
-                                    table[np.ix_(members, new)].ravel()))
-            new = np.unique(prods[~inside[prods]])
+            hit = np.zeros(q, dtype=bool)
+            hit[table[np.ix_(new, members)]] = True
+            hit[table[np.ix_(members, new)]] = True
+            new = np.flatnonzero(hit & ~inside)
             inside[new] = True
     return gens
 
 
-def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: int) -> dict:
+def _check_tables(label, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: int) -> dict:
     """Run the full axiom battery on explicit operation tables.
 
-    ``labels`` renders witness indices; ``zero`` and ``one`` are the
-    candidate identity positions.  Returns {axiom name: AxiomCheck}.
+    ``label`` maps an element index to its name and is called only for
+    the indices of a witness; ``zero`` and ``one`` are the candidate
+    identity positions.  Returns {axiom name: AxiomCheck}.
 
     Associativity and distributivity are proved over generating sets
     (Light's test; Clifford & Preston, The Algebraic Theory of Semigroups
@@ -930,14 +936,19 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
     (x o s) o y = x o (s o y) for all x, y form a submagma, so checking the
     generators S of the table checks every s; with + associative, the
     elements c for which a*(b+c) = a*b + a*c (or (b+c)*a = b*a + c*a)
-    for all a, b are closed under +.  The generators are found by closing
-    the very table under test, so the proof is still exhaustive, not a
-    sample.  When a reduced check fails, the full row scan runs and
-    supplies the first witness.
+    for all a, b are closed under +.  Any generating set serves, so the
+    identity candidates are tried last: ``zero`` when closing (M, +),
+    ``one`` then ``zero`` when closing (M, *).  In a finite group the
+    powers of any element reach the identity, so neither identity costs a
+    generator there; zero stays a generator of (M, *), as nonzero products
+    in a field are nonzero.  The generators are found by closing the very
+    table under test, so the proof is still exhaustive, not a sample.
+    When a reduced check fails, the full row scan runs and supplies the
+    first witness.
     """
     import numpy as np
 
-    q = len(labels)
+    q = len(add_t)
     checks: dict[str, AxiomCheck] = {}
 
     def first_bad(mask_a, mask_b):
@@ -949,15 +960,15 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
     for table in (add_t, mul_t):
         if not np.array_equal(table, table.T):
             i, j = first_bad(table, table.T)
-            witness = (labels[i], labels[j])
+            witness = (label(i), label(j))
             break
     checks["commutativity"] = AxiomCheck(witness is None, witness)
 
     # associativity: (x o s) o y == x o (s o y) for each generator s
-    add_gens = _generators(add_t)
+    add_gens = _generators(add_t, last=(zero,))
     associative = all(
         np.array_equal(table[table[:, s], :], table[:, table[s, :]])
-        for table, gens in ((add_t, add_gens), (mul_t, _generators(mul_t)))
+        for table, gens in ((add_t, add_gens), (mul_t, _generators(mul_t, last=(one, zero))))
         for s in gens
     )
     witness = None
@@ -968,7 +979,7 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
                 rhs = table[a, table]
                 if not np.array_equal(lhs, rhs):
                     b, c = first_bad(lhs, rhs)
-                    witness = (labels[a], labels[b], labels[c])
+                    witness = (label(a), label(b), label(c))
                     break
             if witness:
                 break
@@ -978,21 +989,21 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
     ident = np.arange(q)
     witness = None
     if not np.array_equal(add_t[zero], ident):
-        witness = (labels[int(np.argwhere(add_t[zero] != ident)[0][0])], "additive")
+        witness = (label(int(np.argwhere(add_t[zero] != ident)[0][0])), "additive")
     elif not np.array_equal(mul_t[one], ident):
-        witness = (labels[int(np.argwhere(mul_t[one] != ident)[0][0])], "multiplicative")
+        witness = (label(int(np.argwhere(mul_t[one] != ident)[0][0])), "multiplicative")
     checks["identities"] = AxiomCheck(witness is None, witness)
 
     # additive inverses everywhere, multiplicative inverses off zero
     witness = None
     has_neg = (add_t == zero).any(axis=1)
     if not has_neg.all():
-        witness = (labels[int(np.argwhere(~has_neg)[0][0])], "additive")
+        witness = (label(int(np.argwhere(~has_neg)[0][0])), "additive")
     else:
         has_inv = (mul_t == one).any(axis=1)
         has_inv[zero] = True
         if not has_inv.all():
-            witness = (labels[int(np.argwhere(~has_inv)[0][0])], "multiplicative")
+            witness = (label(int(np.argwhere(~has_inv)[0][0])), "multiplicative")
     checks["inverses"] = AxiomCheck(witness is None, witness)
 
     # left and right distributivity for each generator c of (M, +)
@@ -1008,13 +1019,13 @@ def _check_tables(labels, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: 
             right = add_t[mul_t[a][:, None], mul_t[a][None, :]]  # a*b + a*c
             if not np.array_equal(left, right):
                 b, c = first_bad(left, right)
-                witness = (labels[a], labels[b], labels[c], "left")
+                witness = (label(a), label(b), label(c), "left")
                 break
             left_r = mul_t[add_t, a]  # (b+c)*a
             right_r = add_t[mul_t[:, a][:, None], mul_t[:, a][None, :]]
             if not np.array_equal(left_r, right_r):
                 b, c = first_bad(left_r, right_r)
-                witness = (labels[b], labels[c], labels[a], "right")
+                witness = (label(b), label(c), label(a), "right")
                 break
     checks["distributivity"] = AxiomCheck(witness is None, witness)
 
@@ -1028,11 +1039,13 @@ def verify_field_axioms(spec: FieldSpec) -> AxiomReport:
     checked against the full operation tables, not sampled.
     Associativity and distributivity use Light's test over generating
     sets (see ``_check_tables``): the generators come from closing the
-    tables themselves, so the result is still a proof for every triple.
+    tables themselves, and the laws that hold for every generator hold
+    for everything they generate, so any generating set (the identities
+    tried last) gives a proof for every triple.  Element names are
+    rendered only for the witnesses of a failed check.
     """
     elements, add_t, mul_t = operation_tables(spec)
-    labels = [str(e) for e in elements]
-    checks = _check_tables(labels, add_t, mul_t, zero=0, one=1)
+    checks = _check_tables(lambda i: str(elements[i]), add_t, mul_t, zero=0, one=1)
     return AxiomReport(order=spec.order, checks=checks)
 
 
@@ -1049,6 +1062,5 @@ def verify_modular_ring_axioms(n: int) -> AxiomReport:
     idx = np.arange(n)
     add_t = (idx[:, None] + idx[None, :]) % n
     mul_t = (idx[:, None] * idx[None, :]) % n
-    labels = [str(i) for i in range(n)]
-    checks = _check_tables(labels, add_t, mul_t, zero=0, one=1 % n)
+    checks = _check_tables(str, add_t, mul_t, zero=0, one=1 % n)
     return AxiomReport(order=n, checks=checks)

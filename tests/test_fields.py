@@ -227,6 +227,19 @@ def test_inverse_of_zero_raises():
             spec.one / spec.zero
 
 
+def test_prime_field_inverse_is_the_modular_inverse():
+    p = 999999999989
+    spec = make_prime_field(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        x = rng.randrange(1, p)
+        assert element_index(spec.element(x).inverse()) == pow(x, -1, p)
+    for s in (spec, E7, F4, R3):
+        with pytest.raises(DivisionByZeroError) as caught:
+            s.zero.inverse()
+        assert str(caught.value) == f"zero has no inverse in {s}"
+
+
 def test_spec_mismatch_rejected():
     with pytest.raises(SpecMismatchError):
         E2.one + E3.one

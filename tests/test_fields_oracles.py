@@ -276,7 +276,8 @@ def _variants(name):
 
 
 def _library_report(labels, add_t, mul_t, zero, one):
-    checks = fields_mod._check_tables(labels, np.array(add_t), np.array(mul_t), zero=zero, one=one)
+    checks = fields_mod._check_tables(labels.__getitem__, np.array(add_t), np.array(mul_t),
+                                      zero=zero, one=one)
     return {name: (c.passed, c.witness) for name, c in checks.items()}
 
 
@@ -304,10 +305,62 @@ def _closure(table, seeds):
 
 @pytest.mark.parametrize("name", BATTERY_NAMES)
 def test_generators_are_greedy_and_generate(name):
-    for _, add_t, mul_t, _, _ in _variants(name):
-        for table in (add_t, mul_t):
-            gens = fields_mod._generators(np.array(table))
+    # the battery's candidate order: every index ascending, then the
+    # identity candidates, zero last for + and one then zero last for *
+    for _, add_t, mul_t, zero, one in _variants(name):
+        for table, last in ((add_t, (zero,)), (mul_t, (one, zero))):
+            gens = fields_mod._generators(np.array(table), last)
             q = len(table)
+            order = [i for i in range(q) if i not in last] + list(last)
             assert _closure(table, gens) == set(range(q))
             for i, g in enumerate(gens):
-                assert g == min(set(range(q)) - _closure(table, gens[:i]))
+                outside = set(range(q)) - _closure(table, gens[:i])
+                assert g == next(c for c in order if c in outside)
+
+
+#: generators of (M, +) and (M, *) in plain index order and identities last
+GENERATOR_COUNTS = {"GF(13^2)": (3, 2, 5, 4), "GF(199^1)": (2, 1, 4, 3), "Z/211": (2, 1, 3, 2)}
+
+
+@pytest.mark.parametrize("name", GENERATOR_COUNTS)
+def test_identities_last_saves_generators(name):
+    _, add_t, mul_t, zero, one = _structure(name)
+    add_t, mul_t = np.array(add_t), np.array(mul_t)
+    assert (len(fields_mod._generators(add_t)), len(fields_mod._generators(add_t, (zero,))),
+            len(fields_mod._generators(mul_t)),
+            len(fields_mod._generators(mul_t, (one, zero)))) == GENERATOR_COUNTS[name]
+
+
+def _counted_report(structure):
+    """The library's report, with the indices its label function was asked for."""
+    labels, add_t, mul_t, zero, one = structure
+    asked = []
+
+    def label(i):
+        asked.append(i)
+        return labels[i]
+
+    checks = fields_mod._check_tables(label, np.array(add_t), np.array(mul_t), zero=zero, one=one)
+    return {name: (c.passed, c.witness) for name, c in checks.items()}, asked
+
+
+@pytest.mark.parametrize("name", ["GF(13^2)", "Z/211"])
+def test_a_passing_battery_renders_no_label(name):
+    report, asked = _counted_report(_structure(name))
+    assert all(passed for passed, _ in report.values())
+    assert asked == []
+
+
+def test_a_failing_battery_renders_only_its_witnesses():
+    rng = random.Random("labels")
+    base = _structure("GF(3^2)")
+    structures = [_structure("Z/6"), _structure("Z/4")] + [
+        _corrupted(base, rng, diagonal=d % 2 == 0) for d in range(6)]
+    for structure in structures:
+        labels = structure[0]
+        report, asked = _counted_report(structure)
+        assert report == ref.check_tables(*structure)
+        named = [w for _, witness in report.values() if witness for w in witness
+                 if w not in ("additive", "multiplicative", "left", "right")]
+        assert named and [labels[i] for i in asked] == named
+    assert _counted_report(structures[0])[1] == [2]  # Z/6: 2 has no inverse
