@@ -423,7 +423,11 @@ class FieldSpec:
     def __post_init__(self):
         _prime(self.p)
         _integer(self.k, "extension degree", 1)
-        m = tuple(self.modulus_poly)
+        try:
+            m = tuple(self.modulus_poly)
+        except TypeError:
+            raise InvalidInputError(
+                f"modulus {_printable(self.modulus_poly)!r} is not iterable") from None
         object.__setattr__(self, "modulus_poly", m)
         if len(m) != self.k + 1 or m[-1] != 1:
             raise InvalidInputError("modulus must be monic of degree k")
@@ -750,11 +754,15 @@ class _Space:
         _integer(self.dim, "dimension", 1)
 
     def _coordinates(self, values: Sequence) -> FieldVector:
-        """``values`` as a vector over ``spec``; DimMismatchError unless ``dim`` long."""
-        if len(values) != self.dim:
-            raise DimMismatchError(
-                f"expected {_printable(self.dim)} coordinates, got {len(values)}"
-            )
+        """``values`` as a vector over ``spec``; InvalidInputError unless it is
+        a sequence, DimMismatchError unless it is ``dim`` long."""
+        try:
+            count = len(values)
+        except TypeError:
+            raise InvalidInputError(
+                f"coordinates {_printable(values)!r} are not a sequence") from None
+        if count != self.dim:
+            raise DimMismatchError(f"expected {_printable(self.dim)} coordinates, got {count}")
         return FieldVector(map(self.spec.element, values))
 
 

@@ -313,33 +313,34 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
     """Does every point pair lie on a line with at least three points?
 
     Pairs are taken in ``points`` order, and the witness is the first
-    failing pair.  For each point x, the positions that share a line of
-    three or more points with x are collected; only when some later
-    point is missing are the pairs (x, y), y after x, scanned for it.
-    That is O(n + sum of |L|^2) time over the lines L and O(n + sum |L|)
+    failing pair.  Each point x keeps two n-bit int masks over the point
+    positions (the big-int-as-vector idiom of ``fields._spread``):
+    ``rich[x]``, the OR of the masks of the lines of three or more points
+    through x, and ``poor[x]``, the same for the two-point lines.  The
+    first failing partner of the point at position i is the lowest set
+    bit of ``~rich[x]`` above i; the pair shares a two-point line when
+    that bit is set in ``poor[x]``, and no line at all otherwise.  That
+    is O(sum of |L|) ORs of n-bit masks over the lines L, and 2n masks of
     memory, with no table of all pairs.
     """
     pts = structure.points
     n = len(pts)
     position = {p: i for i, p in enumerate(pts)}
-    through: list[list[list[int]]] = [[] for _ in pts]
+    rich, poor = dict.fromkeys(pts, 0), dict.fromkeys(pts, 0)
     for ln in structure.lines:
-        members = [position[p] for p in ln]
-        for i in members:
-            through[i].append(members)
+        mask = 0
+        for p in ln:
+            mask |= 1 << position[p]
+        masks = rich if len(ln) >= 3 else poor
+        for p in ln:
+            masks[p] |= mask
     for i, x in enumerate(pts):
-        rich: set[int] = set()
-        for members in through[i]:
-            if len(members) >= 3:
-                rich.update(members)
-        if len(rich) == n or sum(j > i for j in rich) == n - 1 - i:
-            continue
-        shared = {j for members in through[i] for j in members}
-        for j in range(i + 1, n):
-            if j not in shared:
-                return HesseCheck(False, (x, pts[j]), "no line through the pair")
-            if j not in rich:
-                return HesseCheck(False, (x, pts[j]), "every common line has only two points")
+        missing = ~rich[x] >> (i + 1)
+        j = i + (missing & -missing).bit_length()  # n or more when none is missing
+        if j < n:
+            detail = ("every common line has only two points" if poor[x] >> j & 1
+                      else "no line through the pair")
+            return HesseCheck(False, (x, pts[j]), detail)
     return HesseCheck(True)
 
 
@@ -360,7 +361,12 @@ class RationalPoint:
             v = getattr(self, name)
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
-            object.__setattr__(self, name, Fraction(v))
+            try:
+                v = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise InvalidInputError(
+                    f"coordinate {name} = {_printable(v)!r} is not an exact rational") from None
+            object.__setattr__(self, name, v)
 
     def __str__(self):
         return f"({self.x}, {self.y})"
@@ -398,7 +404,7 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     returned: O(n^2) in the worst case.  For a non-collinear set an
     ordinary line always exists, so the scan cannot come back empty.
     """
-    pts = list(points)
+    pts = _label_set(points, InvalidInputError, list)
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 points, got {len(pts)}")
     if len(set(pts)) != len(pts):
@@ -424,6 +430,14 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
 # ---------------------------------------------------------------------------
 
 
+def _total(a, b):
+    """``a + b`` for exact values and infinite floats: an infinity beside an
+    exact value is the sum, so no int too large for a float meets one."""
+    if isinstance(a, float) is isinstance(b, float):
+        return a + b
+    return a if isinstance(a, float) else b
+
+
 def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomReport:
     """Check the four metric axioms on an explicit distance table: M1
     non-negativity, M2 symmetry, M3 zero distance only for identical
@@ -434,9 +448,9 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     order, before any axiom is checked, so a malformed entry is
     MalformedTableError whatever the axioms find.  Each check then scans
     in its own order and its witness is the first failing tuple.
-    ``math.inf`` is a legal saturating distance.
-    Exact inputs (int, Fraction) are compared exactly; no tolerance is
-    applied anywhere.
+    ``math.inf`` is a legal saturating distance, above every finite one.
+    Every finite value, a float included, is compared and summed exactly
+    as the rational it is; no tolerance is applied anywhere.
     """
     labels = _label_set(labels, MalformedTableError, list)
     if len(_label_set(labels, MalformedTableError)) != len(labels):
@@ -451,7 +465,8 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
             raise MalformedTableError(f"non-numeric distance {v!r} for ({_labels((x, y))})")
         if isinstance(v, float) and math.isnan(v):
             raise MalformedTableError(f"NaN distance for ({_labels((x, y))})")
-        return v
+        # a finite float as the rational it is, so that sums stay exact
+        return Fraction(v) if isinstance(v, float) and not math.isinf(v) else v
 
     dist = [[d(x, y) for y in labels] for x in labels]
     ix = range(len(labels))
@@ -461,7 +476,7 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
         "M3": next(((i, i) for i in ix if dist[i][i] != 0), None)
         or next(((i, j) for i in ix for j in ix[i + 1:] if dist[i][j] == 0), None),
         "M4": next(((i, j, k) for i in ix for j in ix for k in ix
-                    if dist[i][k] > dist[i][j] + dist[j][k]), None),
+                    if dist[i][k] > _total(dist[i][j], dist[j][k])), None),
     }
     checks = {name: AxiomCheck(w is None, w and tuple(labels[i] for i in w))
               for name, w in found.items()}

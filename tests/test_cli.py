@@ -305,6 +305,12 @@ def test_primality_beyond_psi_13_is_refused(deadline, capsys):
         assert doc["witness"] == {"requested": p, "cap": 3317044064679887385961980}
 
 
+def test_hesse_near_the_incidence_cap_holds(deadline):
+    # AG(2, 79): 6320 lines of 79 points, just under the incidence cap
+    _, doc = run_json(["geometry", "hesse", "--q", "79"])
+    assert doc["status"] == "ok" and doc["outputs"]["holds"]["value"] is True
+
+
 def test_step_too_large_witness_in_json():
     # ten steps of one Hubble time: halving the step moves the endpoint
     argv = ["cosmo", "evolve", "--rho0", "6.0083103026895395e-27",

@@ -352,6 +352,67 @@ def test_metric_axioms_infinite_distances_saturate():
     assert check_metric_axioms(labels, t).all_pass
 
 
+def _triangle(d12, d13, d23):
+    """A symmetric table on labels 1, 2, 3 with a zero diagonal."""
+    table = {(x, x): 0 for x in (1, 2, 3)}
+    for (x, y), v in {(1, 2): d12, (1, 3): d13, (2, 3): d23}.items():
+        table[x, y] = table[y, x] = v
+    return table
+
+
+def test_metric_axioms_sum_huge_ints_and_floats_exactly():
+    # 10**400 + 1.0 has no float value, and 10**400 + inf none either
+    assert check_metric_axioms([1, 2, 3], _triangle(10**400, 10**400, 1.0)).all_pass
+    m4 = check_metric_axioms([1, 2, 3], _triangle(10**400, 1, math.inf)).checks["M4"]
+    assert not m4.passed and m4.witness == (2, 1, 3)
+    # 0.5 + (0.5 - 2**-54) rounds to 1.0 in floats, but lies below it
+    m4 = check_metric_axioms([1, 2, 3], _triangle(0.5, 1.0, 0.5 - 2**-54)).checks["M4"]
+    assert not m4.passed and m4.witness == (1, 2, 3)
+
+
+def _metric_oracle(labels, table):
+    """The witness of each axiom, None when it holds, read off the
+    definitions with every finite value a Fraction and math.inf apart as
+    None, in the scan orders ``check_metric_axioms`` documents."""
+    d = {key: None if v == math.inf else Fraction(v) for key, v in table.items()}
+    pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]]
+
+    def violated(a, b, c):  # a > b + c, an infinite sum above everything
+        return b is not None and c is not None and (a is None or a > b + c)
+
+    return {
+        "M1": next(((x, y) for x in labels for y in labels
+                    if d[x, y] is not None and d[x, y] < 0), None),
+        "M2": next(((x, y) for x, y in pairs if d[x, y] != d[y, x]), None),
+        "M3": next(((x, x) for x in labels if d[x, x] != 0), None)
+        or next(((x, y) for x, y in pairs if d[x, y] == 0), None),
+        "M4": next(((x, y, z) for x in labels for y in labels for z in labels
+                    if violated(d[x, z], d[x, y], d[y, z])), None),
+    }
+
+
+def test_metric_axioms_match_an_exact_oracle_on_mixed_tables():
+    huge = 10**400
+    pool = [0, 1, 3, -1, huge, huge + 1, 2 * huge, 2**1024, 0.5, 1.0, 2.5, 1e308,
+            0.1, -0.5, Fraction(1, 3), Fraction(huge, 3), Fraction(7, 2), math.inf]
+    rng = random.Random(20261020)
+    m4 = {True: 0, False: 0}
+    for _ in range(600):
+        labels = rng.sample(["a", "b", "c", "d", 0, 1], rng.randint(2, 4))
+        table = {(x, x): rng.choice((0, 0, 0, 0.0, Fraction(0), 1)) for x in labels}
+        for i, x in enumerate(labels):
+            for y in labels[i + 1:]:
+                table[x, y] = table[y, x] = rng.choice(pool)
+                if rng.random() < 0.05:
+                    table[y, x] = rng.choice(pool)
+        report = check_metric_axioms(labels, table)
+        expected = _metric_oracle(labels, table)
+        assert {name: c.witness for name, c in report.checks.items()} == expected, table
+        assert all(c.passed is (expected[name] is None) for name, c in report.checks.items())
+        m4[report.checks["M4"].passed] += 1
+    assert min(m4.values()) >= 20, m4
+
+
 def test_metric_axioms_malformed_tables():
     with pytest.raises(MalformedTableError):
         check_metric_axioms([0, 1], {(0, 0): 0, (1, 1): 0, (0, 1): 1})  # missing (1,0)

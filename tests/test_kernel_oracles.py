@@ -94,17 +94,50 @@ def _shuffled_plane(rng, q):
     return IncidenceStructure(points=tuple(points), lines=tuple(lines))
 
 
+def _large_structure(rng):
+    """60 to 200 points under tuple labels, in random order: one rich line
+    through all but a few stragglers, each straggler joined to every other
+    point by a rich line, or now and then by a two-point line or none, and
+    a few two-point lines inside the rich one.  The first failing pair, if any,
+    lies past the first machine word of point positions in most draws."""
+    n = rng.randint(60, 200)
+    points = [("p", i) for i in range(n)]
+    rng.shuffle(points)
+    stragglers = rng.sample(points, rng.randint(1, 4))
+    core = [x for x in points if x not in stragglers]
+    lines = [frozenset(core)]
+    defects = rng.choice((0, 0.02, 0.05, 0.1))
+    for s in stragglers:
+        for y in points:
+            if y == s:
+                continue
+            roll = rng.random()
+            if roll >= defects:
+                third = next(c for c in rng.sample(core, 2) if c != y)
+                lines.append(frozenset((s, y, third)))
+            elif roll < defects / 2:
+                lines.append(frozenset((s, y)))
+    lines += [frozenset(rng.sample(core, 2)) for _ in range(rng.randint(0, 5))]
+    rng.shuffle(lines)
+    return IncidenceStructure(points=tuple(points), lines=tuple(lines))
+
+
 def test_hesse_matches_reference_on_random_structures():
     rng = random.Random(20261018)
-    outcomes = {}
+    outcomes, deep = {}, 0
+    planes = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (11, 1), (2, 4))
     for trial in range(1500):
-        if trial % 10:
+        if trial % 10 > 1:
             structure = _random_structure(rng)
+        elif trial % 10:
+            structure = _large_structure(rng)
         else:
-            structure = _shuffled_plane(rng, rng.choice(((2, 1), (3, 1), (2, 2), (5, 1))))
+            structure = _shuffled_plane(rng, rng.choice(planes))
         result = check_hesse_property(structure)
         assert result == check_hesse_property_naive(structure), structure
         outcomes[result.detail] = outcomes.get(result.detail, 0) + 1
+        if result.witness:  # a failing partner past the first machine word
+            deep += structure.points.index(result.witness[1]) >= 64
     # holding, and failing with each of the two details
     assert set(outcomes) == {
         "",
@@ -112,6 +145,7 @@ def test_hesse_matches_reference_on_random_structures():
         "every common line has only two points",
     }
     assert min(outcomes.values()) >= 20, outcomes
+    assert deep >= 20, deep
 
 
 # -- ordinary lines ---------------------------------------------------------------

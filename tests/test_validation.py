@@ -8,6 +8,8 @@ import argparse
 import contextlib
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,8 +52,10 @@ from finiverse.fields import (
 from finiverse.geometry import (
     AffineSpace,
     IncidenceStructure,
+    RationalPoint,
     check_metric_axioms,
     enumerate_lines,
+    find_ordinary_line,
     pointset_cardinality,
     subspace_diameter,
 )
@@ -146,7 +150,8 @@ def test_field_element_constructor_reads_numpy_coefficients(case):
 
 
 #: a label that cannot be hashed, as a label or a point id, or a collection
-#: of labels that is not iterable: (call, error type, named value, reason)
+#: of labels, points, coordinates or coefficients that is not iterable:
+#: (call, error type, named value, reason)
 UNHASHABLE = {
     "check_metric_axioms label": (lambda: check_metric_axioms([[1], 2], {}), MalformedTableError,
                                   "[1]", "not hashable"),
@@ -162,6 +167,14 @@ UNHASHABLE = {
                                                MalformedStructureError, "5", "not iterable"),
     "IncidenceStructure non-iterable line": (lambda: IncidenceStructure(points=(1, 2), lines=[5]),
                                              MalformedStructureError, "5", "not iterable"),
+    "AffineSpace.point non-sequence": (lambda: AffineSpace(F3, 2).point(5), InvalidInputError,
+                                       "5", "not a sequence"),
+    "FiniteHilbertSpace.vector non-sequence": (lambda: FiniteHilbertSpace(F3, 2).vector(None),
+                                               InvalidInputError, "None", "not a sequence"),
+    "find_ordinary_line non-iterable points": (lambda: find_ordinary_line(5), InvalidInputError,
+                                               "5", "not iterable"),
+    "FieldSpec non-iterable modulus": (lambda: FieldSpec(5, 1, None), InvalidInputError, "None",
+                                       "not iterable"),
 }
 
 
@@ -172,6 +185,33 @@ def test_unhashable_label_is_refused_typed(site):
         call()
     assert exc.value.code == error.code
     assert value in str(exc.value) and reason in str(exc.value)
+
+
+#: a coordinate that Fraction refuses, each with the error Fraction raises
+INEXACT_COORDINATES = {
+    "text": (("x", 1), "'x'"),  # ValueError
+    "zero denominator": (("1/0", 1), "'1/0'"),  # ZeroDivisionError
+    "Decimal NaN": ((Decimal("NaN"), 0), "Decimal('NaN')"),  # ValueError
+    "Decimal infinity": ((Decimal("Infinity"), 0), "Decimal('Infinity')"),  # OverflowError
+    "None": ((None, 0), "None"),  # TypeError
+    "None as y": ((0, None), "None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INEXACT_COORDINATES))
+def test_rational_point_refuses_inexact_coordinates_typed(case):
+    coords, shown = INEXACT_COORDINATES[case]
+    with pytest.raises(InvalidInputError) as exc:
+        RationalPoint(*coords)
+    assert exc.value.code == "InvalidInput"
+    assert f"= {shown} is not an exact rational" in str(exc.value)
+
+
+def test_rational_point_keeps_accepting_exact_values():
+    half = Fraction(1, 2)
+    for x in (half, "1/2", " 1/2 ", "0.5", "5e-1", Decimal("0.5")):
+        assert RationalPoint(x, 0) == RationalPoint(half, 0)
+    assert RationalPoint(np.int64(3), True) == RationalPoint(3, 1)
 
 
 def test_nonpositive_scale_factor_keeps_its_type():
