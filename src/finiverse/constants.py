@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import _real
 
@@ -30,8 +30,8 @@ class Constants:
     l_strong: float = 1.0e-15  # m
 
     def __post_init__(self):
-        for name in ("hbar", "c", "G", "l_planck", "l_strong"):
-            _real(getattr(self, name), f"constant {name}", 0, above=True)
+        for f in fields(self):
+            _real(getattr(self, f.name), f"constant {f.name}", 0, above=True)
 
 
 #: default constant set

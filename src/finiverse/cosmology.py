@@ -39,7 +39,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -400,9 +400,6 @@ def evolve_scale_factor(initial: FluidState, eos: Callable[[float], float],
 # configuration file
 # ---------------------------------------------------------------------------
 
-_CONSTANT_KEYS = ("hbar", "c", "G", "l_planck", "l_strong")
-_PARAM_KEYS = ("rho_vac", "L_U0", "H0", "kappa")
-
 
 def load_config(path) -> tuple[Constants, CosmologyParams]:
     """Read a flat key=value config file overriding ``CODATA2018`` and
@@ -417,8 +414,7 @@ def load_config(path) -> tuple[Constants, CosmologyParams]:
         raise InvalidInputError(
             f"config path must be a str or os.PathLike, got {type(path).__name__}"
         )
-    consts = {k: getattr(CODATA2018, k) for k in _CONSTANT_KEYS}
-    pars = {k: getattr(OBSERVED, k) for k in _PARAM_KEYS}
+    consts, pars = asdict(CODATA2018), asdict(OBSERVED)
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:

@@ -21,9 +21,10 @@ int arithmetic mod p and ``inverse`` is ``pow(a, -1, p)``; for k >= 2 ``*``
 and ``**`` run on the spec's packed kernel ``_Packed``, one int product
 per ``*``, and ``inverse`` runs the extended Euclidean algorithm on the
 coefficients.  A kernel belongs to one modulus: it holds the slot
-layout and the reduction rows of that modulus, and Rabin's
-irreducibility test builds one for each candidate it tries.  ``a ** n``
-takes n mod q-1, which the order of every nonzero element divides.
+layout and the reduction rows of that modulus.  A spec builds its
+kernel when it is built, and Rabin's irreducibility test builds one for
+each candidate it tries.  ``a ** n`` takes n mod q-1, which the order
+of every nonzero element divides.
 
 Every operator, ``enumerate_elements`` included, builds a new element
 from its index, whatever the process computed before.  Two bulk
@@ -409,16 +410,13 @@ class FieldSpec:
     coefficients mod p, constant term first; for k == 1 it is (0, 1),
     i.e. the polynomial x.  Two specs are equal when they have the same
     p, k and modulus, whichever factory built them.  A spec built
-    directly is validated in full, irreducibility included.
+    directly is validated in full, irreducibility included.  Every spec
+    is built whole, with the state ``_derive`` sets.
     """
 
     p: int
     k: int
     modulus_poly: tuple[int, ...]
-
-    #: the packed kernel of the modulus, set by ``_packed``, and the norm
-    #: memo of ``hilbert.is_isotropic`` (neither is a dataclass field)
-    _kernel = _norm_memo = None
 
     def __post_init__(self):
         _prime(self.p)
@@ -437,26 +435,15 @@ class FieldSpec:
             raise NotAFieldError(
                 f"modulus {m} is reducible over GF({self.p}); quotient is not a field"
             )
+        _derive(self)
 
     def __reduce__(self):
-        # copies and pickles carry the definition, not the kernel or memo
+        # copies and pickles carry the definition and derive their own state
         return (FieldSpec, (self.p, self.k, self.modulus_poly))
 
     @property
     def order(self) -> int:
         return self.p**self.k
-
-    def _packed(self) -> _Packed:
-        """The packed kernel of the modulus, built on the first product or
-        power of an extension (or the first ``_products`` call) and kept
-        for the spec's lifetime.  It is set with ``object.__setattr__``:
-        reading the instance ``__dict__`` (as ``functools.cached_property``
-        does) would slow every later attribute read on the spec."""
-        kernel = self._kernel
-        if kernel is None:
-            kernel = _Packed(self.p, self.modulus_poly)
-            object.__setattr__(self, "_kernel", kernel)
-        return kernel
 
     def element(self, value) -> "FieldElement":
         """Coerce an int (reduced mod p for k == 1, otherwise a base-p
@@ -527,6 +514,16 @@ def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
     object.__setattr__(spec, "p", p)
     object.__setattr__(spec, "k", k)
     object.__setattr__(spec, "modulus_poly", modulus)
+    return _derive(spec)
+
+
+def _derive(spec: FieldSpec) -> FieldSpec:
+    """Set the state a spec derives from its definition: ``_kernel``, the
+    packed kernel of its modulus, and ``_norm_memo``, the empty norm memo
+    of ``hilbert.is_isotropic``.  Neither is a dataclass field, so
+    equality, hashing, copies and pickles see only p, k and the modulus."""
+    object.__setattr__(spec, "_kernel", _Packed(spec.p, spec.modulus_poly))
+    object.__setattr__(spec, "_norm_memo", {})
     return spec
 
 
@@ -611,7 +608,7 @@ class FieldElement:
         a, b = self._index, other._index
         if spec.k == 1:
             return _new(spec, a * b % spec.p)
-        kernel = spec._packed()
+        kernel = spec._kernel
         return _new(spec, kernel.index(kernel.fold(kernel.pack(a) * kernel.pack(b))))
 
     def inverse(self) -> "FieldElement":
@@ -646,7 +643,7 @@ class FieldElement:
         n %= spec.order - 1
         if spec.k == 1:
             return _new(spec, pow(a, n, spec.p))
-        kernel = spec._packed()
+        kernel = spec._kernel
         return _new(spec, kernel.index(kernel.power(kernel.pack(a), n)))
 
     # -- presentation -------------------------------------------------------
@@ -853,7 +850,7 @@ def _products(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     import numpy as np
 
     p, k = spec.p, spec.k
-    kernel = spec._packed()
+    kernel = spec._kernel
     powers = np.array([[r >> s & kernel.mask for s in kernel.shifts]
                        for r in [kernel.pack(p**m) for m in range(k)] + list(kernel.rows)],
                       dtype=np.int64)

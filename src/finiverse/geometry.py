@@ -320,8 +320,9 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
     first failing partner of the point at position i is the lowest set
     bit of ``~rich[x]`` above i; the pair shares a two-point line when
     that bit is set in ``poor[x]``, and no line at all otherwise.  That
-    is O(sum of |L|) ORs of n-bit masks over the lines L, and 2n masks of
-    memory, with no table of all pairs.
+    is O(sum of |L|) ORs of n-bit masks over the lines L, with no table of
+    all pairs.  Until a point meets its second line of a kind, its mask
+    is the first line's mask object, so one wide line holds one mask.
     """
     pts = structure.points
     n = len(pts)
@@ -333,7 +334,7 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
             mask |= 1 << position[p]
         masks = rich if len(ln) >= 3 else poor
         for p in ln:
-            masks[p] |= mask
+            masks[p] = masks[p] | mask if masks[p] else mask
     for i, x in enumerate(pts):
         missing = ~rich[x] >> (i + 1)
         j = i + (missing & -missing).bit_length()  # n or more when none is missing
@@ -449,8 +450,9 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     MalformedTableError whatever the axioms find.  Each check then scans
     in its own order and its witness is the first failing tuple.
     ``math.inf`` is a legal saturating distance, above every finite one.
-    Every finite value, a float included, is compared and summed exactly
-    as the rational it is; no tolerance is applied anywhere.
+    Integers (numpy ones too) are read as ``int`` and other non-rational
+    reals as ``float``; every finite value is compared and summed exactly
+    as the rational it is, with no tolerance anywhere.
     """
     labels = _label_set(labels, MalformedTableError, list)
     if len(_label_set(labels, MalformedTableError)) != len(labels):
@@ -463,10 +465,13 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
             raise MalformedTableError(f"missing entry for pair ({_labels((x, y))})") from None
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise MalformedTableError(f"non-numeric distance {v!r} for ({_labels((x, y))})")
-        if isinstance(v, float) and math.isnan(v):
+        if isinstance(v, numbers.Rational):
+            return int(v) if isinstance(v, numbers.Integral) else v  # numpy ints too
+        v = float(v)  # numpy floats too
+        if math.isnan(v):
             raise MalformedTableError(f"NaN distance for ({_labels((x, y))})")
         # a finite float as the rational it is, so that sums stay exact
-        return Fraction(v) if isinstance(v, float) and not math.isinf(v) else v
+        return v if math.isinf(v) else Fraction(v)
 
     dist = [[d(x, y) for y in labels] for x in labels]
     ix = range(len(labels))

@@ -9,8 +9,8 @@ sends x + i*y to x - i*y); it is defined once, on element indices, by
 The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
 the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
 exist and are reported rather than forbidden.  ``is_isotropic`` reads
-each coordinate's norm conj(c) * c from a memo kept on the field spec,
-filled one element at a time as coordinates are met, so a vector's
+each coordinate's norm conj(c) * c from a memo the field spec is built
+with, filled one element at a time as coordinates are met, so a vector's
 norm-square is one builtin ``sum``.
 """
 
@@ -100,18 +100,15 @@ def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes.
 
     The norm-square sum(conj(c) * c) is the builtin ``sum`` of one memo
-    read per coordinate.  The memo, a dict kept on the spec (copies and
-    pickles do not carry it), maps each element index met so far to its
-    norm with its k base-p digits spread into 128-bit slots
+    read per coordinate.  The memo, a dict the spec is built with (a
+    copy or pickle starts its own, empty), maps each element index met
+    so far to its norm with its k base-p digits spread into 128-bit slots
     (``fields._spread``), and the sum is zero when every slot is 0 mod p.
     Below 2^46 coordinates no slot overflows, whatever the prime p."""
     if not isinstance(v, FieldVector):
         raise InvalidInputError("is_isotropic expects a vector")
     spec = v[0].spec
     norms = spec._norm_memo
-    if norms is None:
-        norms = {}
-        object.__setattr__(spec, "_norm_memo", norms)
     try:
         total = sum([norms[c._index] for c in v])
     except KeyError:

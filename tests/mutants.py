@@ -5,7 +5,9 @@ Each mutant is a one-token edit of a named source snippet under
 directory, the edit is applied there, and the kernel test files run
 against the copy; at least one test must fail.  The unmutated copy runs
 first and must pass, and must be the package the tests import, so that a
-broken suite or a stray install cannot kill every mutant.
+broken suite or a stray install cannot kill every mutant.  A mutant's
+run is stopped after ``max(60 s, 5 x the baseline's time)`` and counted
+as "killed (timeout)", as mutation tools count a mutant that hangs.
 
 A snippet that does not occur exactly once stops the script before any
 run.  The exit status is 1 when the baseline fails, a snippet is
@@ -23,7 +25,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-TESTS = ["tests/test_kernel_oracles.py", "tests/test_geometry.py", "tests/test_space_kernels.py"]
+TESTS = ["tests/test_kernel_oracles.py", "tests/test_geometry.py", "tests/test_space_kernels.py",
+         "tests/test_fields.py", "tests/test_fields_oracles.py"]
 
 #: (name, module under src/finiverse, snippet, its mutant)
 MUTANTS = [
@@ -37,7 +40,24 @@ MUTANTS = [
      "[:, None] * (q * first)", "[:, None] * (q + first)"),
     ("spread sums: slot tested by // p, not % p", "fields.py",
      "if (total & _SLOT_MASK) % p:", "if (total & _SLOT_MASK) // p:"),
+    ("packed: reduction rows not folded through x^k mod f", "fields.py",
+     "(row >> self.high) * base)", "(row >> self.high))"),
+    ("packed power: multiplies by the result, not by a", "fields.py",
+     "result = reduce(fold(result * a))", "result = reduce(fold(result * result))"),
+    ("packed fold: high slots not taken mod p", "fields.py",
+     "c += (top & mask) % p * row", "c += (top & mask) * row"),
+    ("Rabin: every candidate passes the Frobenius test", "fields.py",
+     "return h == x", "return True"),
+    ("power: exponent taken mod q, not q - 1", "fields.py",
+     "n %= spec.order - 1", "n %= spec.order"),
+    ("bulk products: digits taken mod p + 1", "fields.py",
+     "da @ stacked % p", "da @ stacked % (p + 1)"),
+    ("isotropy: norm c * c without conjugate", "hilbert.py",
+     "_spread((conjugate(c) * c)._index", "_spread((c * c)._index"),
 ]
+
+#: the least time a mutant's tests may run before they count as a kill
+MIN_TIMEOUT_S = 60.0
 
 
 def _source(module: str) -> str:
@@ -54,9 +74,10 @@ def _check_snippets() -> list[str]:
     return errors
 
 
-def _run(edit=None) -> tuple[int, str]:
+def _run(edit=None, timeout=None) -> tuple[int | None, str]:
     """Copy src/, apply ``edit`` (module, snippet, mutant) if given, run the
-    kernel tests on the copy: (pytest exit status, the imported package)."""
+    kernel tests on the copy: (pytest exit status, the imported package).
+    The status is None when the tests run past ``timeout`` seconds."""
     with tempfile.TemporaryDirectory(prefix="finiverse-mutant-") as tmp:
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -71,8 +92,12 @@ def _run(edit=None) -> tuple[int, str]:
         imported = where.stdout.strip()
         if not imported.startswith(str(src)):
             return -1, imported or where.stderr.strip()
-        tests = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                                *TESTS], cwd=ROOT, env=env, capture_output=True, text=True)
+        try:
+            tests = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                                    "no:cacheprovider", *TESTS], cwd=ROOT, env=env,
+                                   capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None, imported
         return tests.returncode, imported
 
 
@@ -81,20 +106,24 @@ def main() -> int:
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
+    start = time.perf_counter()
     status, imported = _run()
     if status != 0:
         print(f"baseline: the unmutated copy fails (status {status}, {imported})", file=sys.stderr)
         return 1
+    baseline = time.perf_counter() - start
+    timeout = max(MIN_TIMEOUT_S, 5 * baseline)
+    print(f"baseline passed ({baseline:.1f} s); timeout per mutant {timeout:.0f} s")
     survivors = []
     for name, module, snippet, mutant in MUTANTS:
         start = time.perf_counter()
-        status, imported = _run((module, snippet, mutant))
-        if status < 0:
+        status, imported = _run((module, snippet, mutant), timeout)
+        if status is not None and status < 0:
             print(f"{name}: the tests imported {imported}, not the copy", file=sys.stderr)
             return 1
-        verdict = "killed" if status else "SURVIVED"
-        print(f"{verdict:8} {name} ({time.perf_counter() - start:.1f} s)")
-        if not status:
+        verdict = "killed (timeout)" if status is None else "killed" if status else "SURVIVED"
+        print(f"{verdict:16} {name} ({time.perf_counter() - start:.1f} s)")
+        if status == 0:
             survivors.append(name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0

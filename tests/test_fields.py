@@ -556,6 +556,15 @@ def test_factory_proves_irreducibility_once(monkeypatch):
     assert calls == [spec.modulus_poly]
 
 
+def test_every_construction_site_builds_the_spec_whole():
+    direct = FieldSpec(101, 4, make_extension_field(101, 4).modulus_poly)
+    for spec in (make_prime_field(7), make_gaussian_extension(7), make_extension_field(101, 4),
+                 direct, copy.copy(direct), pickle.loads(pickle.dumps(direct))):
+        assert type(spec._kernel) is fields_mod._Packed and spec._norm_memo == {}
+        assert spec._kernel.rows == fields_mod._Packed(spec.p, spec.modulus_poly).rows
+    assert not hasattr(FieldSpec, "_packed") and not hasattr(FieldSpec, "_kernel")
+
+
 def test_copies_and_pickles_after_operation_tables():
     spec = make_extension_field(5, 2)
     a = operation_tables(spec)[0][7]
@@ -568,9 +577,10 @@ def test_copies_and_pickles_after_operation_tables():
 def test_copies_and_pickles_of_a_large_extension():
     spec = make_extension_field(101, 4)
     a = spec.element(12345)
-    square = a * a  # builds the packed kernel
-    assert spec._kernel is not None
+    square = a * a
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2 = clone(spec)
-        assert spec2 == spec and spec2._kernel is None  # the kernel is not copied
+        # the copy derives a kernel of its own rather than copying this one
+        assert spec2 == spec and spec2._kernel is not spec._kernel
+        assert spec2._kernel.rows == spec._kernel.rows
         assert spec2.element(12345) * spec2.element(12345) == clone(square)

@@ -1,9 +1,13 @@
 """Affine-geometry checks: degeneracy, lines, incidence, exact plane tools."""
 
 import math
+import numbers
+import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from geometry_reference import euclidean_distance_table, find_degenerate_pair_naive
 
@@ -256,6 +260,20 @@ def test_hesse_property_cases():
     assert not res.holds and res.witness == (0, 3)
 
 
+def test_hesse_on_one_wide_line_holds_one_mask():
+    # 8,000 masks of 8,000 bits would be about 8 MiB; one shared mask is 1 KiB
+    n = 8000
+    structure = IncidenceStructure(points=tuple(range(n)), lines=[tuple(range(n))])
+    tracemalloc.start()
+    try:
+        result = check_hesse_property(structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.holds
+    assert peak < 3 * 2**20, peak
+
+
 # -- exact rational plane -----------------------------------------------------
 
 
@@ -368,13 +386,33 @@ def test_metric_axioms_sum_huge_ints_and_floats_exactly():
     # 0.5 + (0.5 - 2**-54) rounds to 1.0 in floats, but lies below it
     m4 = check_metric_axioms([1, 2, 3], _triangle(0.5, 1.0, 0.5 - 2**-54)).checks["M4"]
     assert not m4.passed and m4.witness == (1, 2, 3)
+    # numpy scalars are read as the ints and floats they hold
+    for small in (np.float16(1.0), np.float32(1.0), np.float64(1.0), np.int64(1)):
+        assert check_metric_axioms([1, 2, 3], _triangle(10**400, 10**400, small)).all_pass
+        m4 = check_metric_axioms([1, 2, 3], _triangle(10**400, small, 10**400 + 2)).checks["M4"]
+        assert not m4.passed and m4.witness == (2, 1, 3)
+    # float32(0.1) and float32(0.2) lie above their float64 namesakes
+    assert check_metric_axioms([1, 2, 3], _triangle(np.float32(0.1), 0.2, 0.1)).all_pass
+    m4 = check_metric_axioms([1, 2, 3], _triangle(0.1, np.float32(0.2), 0.1)).checks["M4"]
+    assert not m4.passed and m4.witness == (1, 2, 3)
+
+
+def _exact(v):
+    """A finite distance as a Fraction, math.inf (of any float type) as None:
+    an integer through ``operator.index``, anything else through its
+    ``as_integer_ratio``, so that no value is read through ``float``."""
+    if v == math.inf:
+        return None
+    if isinstance(v, numbers.Integral):
+        return Fraction(operator.index(v))
+    return Fraction(*v.as_integer_ratio())
 
 
 def _metric_oracle(labels, table):
     """The witness of each axiom, None when it holds, read off the
     definitions with every finite value a Fraction and math.inf apart as
     None, in the scan orders ``check_metric_axioms`` documents."""
-    d = {key: None if v == math.inf else Fraction(v) for key, v in table.items()}
+    d = {key: _exact(v) for key, v in table.items()}
     pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]]
 
     def violated(a, b, c):  # a > b + c, an infinite sum above everything
@@ -394,12 +432,16 @@ def _metric_oracle(labels, table):
 def test_metric_axioms_match_an_exact_oracle_on_mixed_tables():
     huge = 10**400
     pool = [0, 1, 3, -1, huge, huge + 1, 2 * huge, 2**1024, 0.5, 1.0, 2.5, 1e308,
-            0.1, -0.5, Fraction(1, 3), Fraction(huge, 3), Fraction(7, 2), math.inf]
+            0.1, -0.5, Fraction(1, 3), Fraction(huge, 3), Fraction(7, 2), math.inf,
+            np.float16(0.1), np.float16(1.5), np.float32(0.1), np.float32(1.0),
+            np.float32(-0.5), np.float64(0.1), np.float64(2.5), np.int64(1), np.int64(-2),
+            np.int64(2**62), np.float16(np.inf), np.float32(np.inf), np.float64(np.inf)]
     rng = random.Random(20261020)
     m4 = {True: 0, False: 0}
     for _ in range(600):
         labels = rng.sample(["a", "b", "c", "d", 0, 1], rng.randint(2, 4))
-        table = {(x, x): rng.choice((0, 0, 0, 0.0, Fraction(0), 1)) for x in labels}
+        table = {(x, x): rng.choice((0, 0, 0, 0.0, Fraction(0), np.int64(0), np.float32(0), 1))
+                 for x in labels}
         for i, x in enumerate(labels):
             for y in labels[i + 1:]:
                 table[x, y] = table[y, x] = rng.choice(pool)
@@ -418,9 +460,10 @@ def test_metric_axioms_malformed_tables():
         check_metric_axioms([0, 1], {(0, 0): 0, (1, 1): 0, (0, 1): 1})  # missing (1,0)
     with pytest.raises(MalformedTableError):
         check_metric_axioms([0, 1], {(i, j): "x" for i in (0, 1) for j in (0, 1)})
-    bad = {(i, j): math.nan for i in (0, 1) for j in (0, 1)}
-    with pytest.raises(MalformedTableError):
-        check_metric_axioms([0, 1], bad)
+    for nan in (math.nan, np.float16("nan"), np.float32("nan"), np.float64("nan")):
+        bad = {(i, j): 0 if i == j else nan for i in (0, 1) for j in (0, 1)}
+        with pytest.raises(MalformedTableError, match=r"^NaN distance for \(0, 1\)$"):
+            check_metric_axioms([0, 1], bad)
     with pytest.raises(MalformedTableError):
         check_metric_axioms([0, 0], {})
 

@@ -173,7 +173,8 @@ def test_norm_memo_holds_only_the_indices_met():
     assert spec._norm_memo is memo and 3 in memo
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2 = clone(spec)
-        assert spec2 == spec and spec2._norm_memo is None  # the memo is not copied
+        # the copy starts a new, empty memo rather than copying this one
+        assert spec2 == spec and spec2._norm_memo == {} and spec2._norm_memo is not memo
         v = FieldVector((spec2.one, spec2.element(flags.index(True) * 2)))
         assert is_isotropic(v) and sorted(spec2._norm_memo) == sorted({1, v[1]._index})
 
