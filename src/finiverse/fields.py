@@ -22,9 +22,10 @@ and ``**`` run on the spec's packed kernel ``_Packed``, one int product
 per ``*``, and ``inverse`` runs the extended Euclidean algorithm on the
 coefficients.  A kernel belongs to one modulus: it holds the slot
 layout and the reduction rows of that modulus.  A spec builds its
-kernel when it is built, and Rabin's irreducibility test builds one for
-each candidate it tries.  ``a ** n`` takes n mod q-1, which the order
-of every nonzero element divides.
+kernel, and a second one with wide slots for exact index sums, when it
+is built; Rabin's irreducibility test builds one for each candidate it
+tries.  ``a ** n`` takes n mod q-1, which the order of every nonzero
+element divides.
 
 Every operator, ``enumerate_elements`` included, builds a new element
 from its index, whatever the process computed before.  Two bulk
@@ -148,25 +149,29 @@ def _prime(p) -> None:
 
 class _Packed:
     """The packed kernel of one monic modulus f of degree k over GF(p):
-    polynomials of degree < k packed into one int, B bits per coefficient
+    polynomials of degree < k packed into one int, W bits per coefficient
     (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
     Algebra*, section 8.4).
 
-    Coefficient i sits in bits [i*B, (i+1)*B), so the product of two
-    polynomials is one int product.  B is the bit length of
-    (2k-1)(p-1)^2: a low slot of a product of reduced operands holds at
-    most k(p-1)^2, and folding the k-1 high slots back in, each taken mod
-    p, through the rows x^(k+j) mod f adds at most (k-1)(p-1)^2 more.  A
-    packed int is *reduced* when every slot lies in 0..p-1.  ``rows``
-    holds those k-1 reduction rows, packed, computed once with the layout.
+    Coefficient i sits in bits [i*W, (i+1)*W), so the product of two
+    polynomials is one int product.  W is ``width`` or, if larger, the
+    bit length B of (2k-1)(p-1)^2: a low slot of a product of reduced
+    operands holds at most k(p-1)^2, and folding the k-1 high slots back
+    in, each taken mod p, through the rows x^(k+j) mod f adds at most
+    (k-1)(p-1)^2 more.  A packed int is *reduced* when every slot lies in
+    0..p-1.  ``rows`` holds those k-1 reduction rows, packed, computed
+    once with the layout.  Reduced packed ints add without carry while no
+    slot reaches 2^W: every digit is below p < psi_13 < 2^82 (``_is_prime``
+    decides no larger p), so at W >= 128 a sum of fewer than 2^46 of them
+    is exact, and ``is_zero`` reads it.
     """
 
     __slots__ = ("p", "width", "mask", "shifts", "high", "low", "rows")
 
-    def __init__(self, p: int, f: Sequence[int]):
+    def __init__(self, p: int, f: Sequence[int], width: int = 0):
         k = len(f) - 1
         self.p = p
-        width = self.width = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        width = self.width = max(width, ((2 * k - 1) * (p - 1) ** 2).bit_length())
         self.mask = (1 << width) - 1
         self.shifts = tuple(range(0, k * width, width))
         self.high = k * width  # the shift of the first high slot
@@ -206,6 +211,15 @@ class _Packed:
         for s in self.shifts:
             out |= (c >> s & mask) % p << s
         return out
+
+    def is_zero(self, c: int) -> bool:
+        """True when the sum c of reduced packed ints packs zero, every slot
+        0 mod p; the walk stops at the first slot that is not."""
+        while c:  # the attributes are read in the loop: most sums stop at slot 0
+            if (c & self.mask) % self.p:
+                return False
+            c >>= self.width
+        return True
 
     def index(self, c: int) -> int:
         """The element index of a folded product or a reduced packed int,
@@ -365,39 +379,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-#: the bits of one digit slot of a spread index: every digit is below
-#: p < psi_13 < 2^82 (``_is_prime`` decides no larger p), so a sum of
-#: fewer than 2^46 digits stays below 2^128
-_SLOT_BITS = 128
-_SLOT_MASK = 2**_SLOT_BITS - 1
-
-
-def _spread(n: int, p: int, k: int) -> int:
-    """The element index n with its k base-p digits spread into 128-bit
-    slots, digit i in bits [128i, 128i + 128).
-
-    Adding spread indices adds their digits slot by slot, with no carry
-    from one slot into the next while each slot stays below 2^128: a sum
-    of fewer than 2^46 of them is exact.  ``_is_zero_sum`` tells whether
-    such a sum is the index of zero.
-    """
-    out = 0
-    for s in range(0, k * _SLOT_BITS, _SLOT_BITS):
-        out |= n % p << s
-        n //= p
-    return out
-
-
-def _is_zero_sum(total: int, p: int) -> bool:
-    """True when a sum of spread indices (see ``_spread``) adds up to the
-    element zero: every one of its slots is 0 mod p."""
-    while total:
-        if (total & _SLOT_MASK) % p:
-            return False
-        total >>= _SLOT_BITS
-    return True
-
-
 # ---------------------------------------------------------------------------
 # field specifications and elements
 # ---------------------------------------------------------------------------
@@ -519,10 +500,13 @@ def _proven_spec(p: int, k: int, modulus: tuple[int, ...]) -> FieldSpec:
 
 def _derive(spec: FieldSpec) -> FieldSpec:
     """Set the state a spec derives from its definition: ``_kernel``, the
-    packed kernel of its modulus, and ``_norm_memo``, the empty norm memo
-    of ``hilbert.is_isotropic``.  Neither is a dataclass field, so
-    equality, hashing, copies and pickles see only p, k and the modulus."""
+    packed kernel of its modulus; ``_sums``, the same at 128-bit slots or
+    wider, for the index sums of ``hilbert`` and ``geometry``; and
+    ``_norm_memo``, the empty memo of ``hilbert.is_isotropic``.  None is a
+    dataclass field, so equality, hashing, copies and pickles see only the
+    definition: p, k and the modulus."""
     object.__setattr__(spec, "_kernel", _Packed(spec.p, spec.modulus_poly))
+    object.__setattr__(spec, "_sums", _Packed(spec.p, spec.modulus_poly, 128))
     object.__setattr__(spec, "_norm_memo", {})
     return spec
 

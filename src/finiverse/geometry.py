@@ -15,6 +15,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -39,9 +40,7 @@ from .fields import (
     FieldVector,
     _Space,
     _digitwise,
-    _is_zero_sum,
     _products,
-    _spread,
     _vectors,
     element_index,
 )
@@ -125,23 +124,23 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     The form is diagonal, so the squared distance of y from the origin
     is the sum, over y's coordinates, of the squared distance of the
     axis point (y_c, 0, ..., 0) from the origin.  Those q values are
-    taken from ``squared_distance`` once, as spread element indices
-    (``fields._spread``), and each y is scanned as the builtin ``sum`` of
-    them over its coordinate indices.  The pair returned is two members
-    of ``space.points()``.
+    taken from ``squared_distance`` once, packed by ``spec._sums``, whose
+    wide slots add without carry, and each y is scanned as the builtin
+    ``sum`` of them over its coordinate indices.  The pair returned is
+    two members of ``space.points()``.
     """
     points = space.points()
     spec = space.spec
     q, dim = spec.order, space.dim
     origin = points[0]
     axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
-    p, k = spec.p, spec.k
-    term = [_spread(squared_distance(origin, points[i * axis])._index, p, k)
+    pack, is_zero = spec._sums.pack, spec._sums.is_zero
+    term = [pack(squared_distance(origin, points[i * axis])._index)
             for i in range(q)].__getitem__
     coords = product(range(q), repeat=dim)
     next(coords)  # the origin itself
     for n, y in enumerate(coords, 1):
-        if _is_zero_sum(sum(map(term, y)), p):
+        if is_zero(sum(map(term, y))):
             return (origin, points[n])
     return None
 
@@ -314,7 +313,7 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 
     Pairs are taken in ``points`` order, and the witness is the first
     failing pair.  Each point x keeps two n-bit int masks over the point
-    positions (the big-int-as-vector idiom of ``fields._spread``):
+    positions (the big-int-as-vector idiom of ``fields._Packed``):
     ``rich[x]``, the OR of the masks of the lines of three or more points
     through x, and ``poor[x]``, the same for the two-point lines.  The
     first failing partner of the point at position i is the lowest set
@@ -350,9 +349,21 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 
 
+def _decimal_bits(v) -> int:
+    """For a str or Decimal, the bits of 10^n, n its mantissa digits plus |exponent|,
+    which bound those of its ``Fraction``; 0 for a malformed exponent."""
+    mantissa, _, exponent = str(v).lower().partition("e")
+    try:
+        n = len(mantissa) + abs(int(exponent or 0))
+    except ValueError:
+        return 0
+    return n * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
+
+
 @dataclass(frozen=True)
 class RationalPoint:
-    """Plane point with exact rational coordinates (floats rejected)."""
+    """Plane point with exact rational coordinates (floats rejected); a
+    str or Decimal beyond CAPACITY_BITS is refused before it is built."""
 
     x: Fraction
     y: Fraction
@@ -362,6 +373,8 @@ class RationalPoint:
             v = getattr(self, name)
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
+            if isinstance(v, (str, Decimal)):
+                _within_capacity(_decimal_bits(v), "coordinate {name} of {n} bits", name=name)
             try:
                 v = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -450,9 +463,10 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
     MalformedTableError whatever the axioms find.  Each check then scans
     in its own order and its witness is the first failing tuple.
     ``math.inf`` is a legal saturating distance, above every finite one.
-    Integers (numpy ones too) are read as ``int`` and other non-rational
-    reals as ``float``; every finite value is compared and summed exactly
-    as the rational it is, with no tolerance anywhere.
+    Integers (numpy ones too) are read as ``int``, other reals by their
+    ``as_integer_ratio`` (a numpy ``longdouble`` too) or, lacking it, as
+    ``float``; every finite value is compared and summed exactly as the
+    rational it is, with no tolerance anywhere.
     """
     labels = _label_set(labels, MalformedTableError, list)
     if len(_label_set(labels, MalformedTableError)) != len(labels):
@@ -467,11 +481,11 @@ def check_metric_axioms(labels: Sequence[Hashable], table: Mapping) -> AxiomRepo
             raise MalformedTableError(f"non-numeric distance {v!r} for ({_labels((x, y))})")
         if isinstance(v, numbers.Rational):
             return int(v) if isinstance(v, numbers.Integral) else v  # numpy ints too
-        v = float(v)  # numpy floats too
-        if math.isnan(v):
+        v = v if hasattr(v, "as_integer_ratio") else float(v)  # as sympy's Float
+        if v != v:
             raise MalformedTableError(f"NaN distance for ({_labels((x, y))})")
-        # a finite float as the rational it is, so that sums stay exact
-        return v if math.isinf(v) else Fraction(v)
+        # a finite real as the rational it is, so that sums stay exact
+        return Fraction(*v.as_integer_ratio()) if -math.inf < v < math.inf else float(v)
 
     dist = [[d(x, y) for y in labels] for x in labels]
     ix = range(len(labels))

@@ -10,8 +10,9 @@ The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
 the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
 exist and are reported rather than forbidden.  ``is_isotropic`` reads
 each coordinate's norm conj(c) * c from a memo the field spec is built
-with, filled one element at a time as coordinates are met, so a vector's
-norm-square is one builtin ``sum``.
+with, filled one element at a time as coordinates are met and packed in
+the wide slots of the spec's kernel ``_sums``, so a vector's norm-square
+is one builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .fields import (
     FieldVector,
     _Space,
     _digitwise,
-    _is_zero_sum,
     _new,
     _prime,
-    _spread,
     _vectors,
 )
 
@@ -102,9 +101,9 @@ def is_isotropic(v: FieldVector) -> bool:
     The norm-square sum(conj(c) * c) is the builtin ``sum`` of one memo
     read per coordinate.  The memo, a dict the spec is built with (a
     copy or pickle starts its own, empty), maps each element index met
-    so far to its norm with its k base-p digits spread into 128-bit slots
-    (``fields._spread``), and the sum is zero when every slot is 0 mod p.
-    Below 2^46 coordinates no slot overflows, whatever the prime p."""
+    so far to its norm packed by ``spec._sums``, the spec's kernel with
+    slots of at least 128 bits, and the sum is zero when every slot is 0
+    mod p.  Below 2^46 coordinates no slot overflows, whatever the prime p."""
     if not isinstance(v, FieldVector):
         raise InvalidInputError("is_isotropic expects a vector")
     spec = v[0].spec
@@ -112,11 +111,12 @@ def is_isotropic(v: FieldVector) -> bool:
     try:
         total = sum([norms[c._index] for c in v])
     except KeyError:
+        pack = spec._sums.pack
         for c in v:
             if c._index not in norms:
-                norms[c._index] = _spread((conjugate(c) * c)._index, spec.p, spec.k)
+                norms[c._index] = pack((conjugate(c) * c)._index)
         total = sum([norms[c._index] for c in v])
-    return _is_zero_sum(total, spec.p) and any(c._index for c in v)
+    return spec._sums.is_zero(total) and any(c._index for c in v)
 
 
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:

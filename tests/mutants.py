@@ -38,8 +38,8 @@ MUTANTS = [
      "if poor[x] >> j & 1", "if rich[x] >> j & 1"),
     ("lines: base stride q * first", "geometry.py",
      "[:, None] * (q * first)", "[:, None] * (q + first)"),
-    ("spread sums: slot tested by // p, not % p", "fields.py",
-     "if (total & _SLOT_MASK) % p:", "if (total & _SLOT_MASK) // p:"),
+    ("packed sums: slot tested by // p, not % p", "fields.py",
+     "if (c & self.mask) % self.p:", "if (c & self.mask) // self.p:"),
     ("packed: reduction rows not folded through x^k mod f", "fields.py",
      "(row >> self.high) * base)", "(row >> self.high))"),
     ("packed power: multiplies by the result, not by a", "fields.py",
@@ -53,7 +53,13 @@ MUTANTS = [
     ("bulk products: digits taken mod p + 1", "fields.py",
      "da @ stacked % p", "da @ stacked % (p + 1)"),
     ("isotropy: norm c * c without conjugate", "hilbert.py",
-     "_spread((conjugate(c) * c)._index", "_spread((c * c)._index"),
+     "pack((conjugate(c) * c)._index)", "pack((c * c)._index)"),
+    ("digitwise: place value p + 1, not p", "fields.py",
+     "place *= p", "place *= p + 1"),
+    ("extended gcd: result not made monic", "fields.py",
+     "scale = pow(r0[-1], -1, p)", "scale = 1"),
+    ("degenerate scan: the origin scanned as its own partner", "geometry.py",
+     "next(coords)  # the origin itself", "pass  # the origin itself"),
 ]
 
 #: the least time a mutant's tests may run before they count as a kill

@@ -562,7 +562,27 @@ def test_every_construction_site_builds_the_spec_whole():
                  direct, copy.copy(direct), pickle.loads(pickle.dumps(direct))):
         assert type(spec._kernel) is fields_mod._Packed and spec._norm_memo == {}
         assert spec._kernel.rows == fields_mod._Packed(spec.p, spec.modulus_poly).rows
-    assert not hasattr(FieldSpec, "_packed") and not hasattr(FieldSpec, "_kernel")
+        # the sums layout: the same modulus, every slot 128 bits wide
+        assert type(spec._sums) is fields_mod._Packed and spec._sums.width == 128
+        assert spec._sums.shifts == tuple(range(0, 128 * spec.k, 128))
+        assert [spec._sums.index(spec._sums.pack(n)) for n in (0, 1, spec.order - 1)] == \
+            [0, 1, spec.order - 1]
+    assert not any(hasattr(FieldSpec, name) for name in ("_packed", "_kernel", "_sums"))
+
+
+@pytest.mark.parametrize("p,f", [(7, (3, 1, 0, 1)), (2**80 + 235, (5, 0, 2, 1))])
+def test_a_kernel_asked_for_wide_slots_still_multiplies_exactly(p, f):
+    # slots are never narrower than the least product width B, so a kernel
+    # built at 128 bits multiplies like the least one, also where B > 128
+    least, wide = fields_mod._Packed(p, f), fields_mod._Packed(p, f, 128)
+    assert wide.width == max(128, least.width) and (least.width > 128) is (p > 2**64)
+    rng = random.Random(p)
+    for _ in range(20):
+        a, b = (tuple(rng.randrange(p) for _ in range(3)) for _ in range(2))
+        product = ref.index(ref.mul(a, b, f, p), p)
+        for kernel in (least, wide):
+            packed = kernel.fold(kernel.pack(ref.index(a, p)) * kernel.pack(ref.index(b, p)))
+            assert kernel.index(packed) == product
 
 
 def test_copies_and_pickles_after_operation_tables():
@@ -580,7 +600,9 @@ def test_copies_and_pickles_of_a_large_extension():
     square = a * a
     for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         spec2 = clone(spec)
-        # the copy derives a kernel of its own rather than copying this one
+        # the copy derives its kernels rather than copying these
         assert spec2 == spec and spec2._kernel is not spec._kernel
         assert spec2._kernel.rows == spec._kernel.rows
+        assert spec2._sums is not spec._sums and spec2._sums.width == spec._sums.width == 128
+        assert spec2._sums.rows == spec._sums.rows
         assert spec2.element(12345) * spec2.element(12345) == clone(square)

@@ -395,6 +395,11 @@ def test_metric_axioms_sum_huge_ints_and_floats_exactly():
     assert check_metric_axioms([1, 2, 3], _triangle(np.float32(0.1), 0.2, 0.1)).all_pass
     m4 = check_metric_axioms([1, 2, 3], _triangle(0.1, np.float32(0.2), 0.1)).checks["M4"]
     assert not m4.passed and m4.witness == (1, 2, 3)
+    # a real with no as_integer_ratio, such as sympy's Float, is read as float
+    Float = pytest.importorskip("sympy").Float
+    assert check_metric_axioms([1, 2, 3], _triangle(Float(1), Float("1.5"), Float("0.5"))).all_pass
+    m4 = check_metric_axioms([1, 2, 3], _triangle(Float(1), Float("2.6"), 1.5)).checks["M4"]
+    assert not m4.passed and m4.witness == (1, 2, 3)
 
 
 def _exact(v):
@@ -453,6 +458,16 @@ def test_metric_axioms_match_an_exact_oracle_on_mixed_tables():
         assert all(c.passed is (expected[name] is None) for name, c in report.checks.items())
         m4[report.checks["M4"].passed] += 1
     assert min(m4.values()) >= 20, m4
+    # long doubles: d(a, c) = 1 + 2^-60 exceeds d(a, b) + d(b, c) = 1 + 2^-70,
+    # though float() reads both sides as 1.0
+    one, two = np.longdouble(1), np.longdouble(2)
+    table = _triangle(one, one + two**-60, two**-70)
+    table = {tuple("abc"[i - 1] for i in key): v for key, v in table.items()}
+    report = check_metric_axioms(list("abc"), table)
+    expected = _metric_oracle(list("abc"), table)
+    assert {name: c.witness for name, c in report.checks.items()} == expected
+    if np.finfo(np.longdouble).nmant >= 60:  # wider than a float's 52 bits
+        assert expected["M4"] == ("a", "b", "c")
 
 
 def test_metric_axioms_malformed_tables():

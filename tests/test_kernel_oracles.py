@@ -207,7 +207,7 @@ def test_isotropic_counts_match_reference_on_benchmark_spaces():
         assert fast == [v for v in vectors if is_isotropic_naive(v)], f"GF({p}^{k})^{dim}"
 
 
-def test_isotropic_on_fresh_fields_matches_reference():
+def test_isotropic_on_fresh_fields_matches_reference(deadline):
     # a fresh spec that is never enumerated, as field_sweep uses it
     spec = make_extension_field(7, 2)
     vectors = [FieldVector((spec.element(a), spec.element(b))) for a in range(49) for b in range(49)]

@@ -7,7 +7,7 @@ that share none of their shortcuts:
 * ``is_isotropic`` (one norm memo per spec, one ``sum`` per vector)
   against ``is_isotropic_naive``, before and after the field is
   enumerated;
-* ``find_degenerate_pair`` (the same spread ``sum``) against
+* ``find_degenerate_pair`` (the same packed ``sum``) against
   ``find_degenerate_pair_naive``.
 
 The characteristic-2 ``_digitwise`` (the bitwise XOR) is checked against
@@ -144,8 +144,8 @@ def test_long_vectors_stay_exact_in_the_slots():
 
 
 def test_wide_primes_stay_exact_in_the_slots():
-    # a digit of p above 2^64 would not fit a 64-bit slot; the slots hold
-    # 128 bits.  In GF(p)[i]/(i^2 + 1) the norm of a + b*i is a^2 + b^2,
+    # a digit of p above 2^64 would not fit a 64-bit slot; the slots hold at
+    # least 128 bits.  In GF(p)[i]/(i^2 + 1) the norm of a + b*i is a^2 + b^2,
     # so (1, c) is isotropic for the c of norm -1 and (c, c) is not.
     p = 2**80 + 235  # the least prime above 2^80 that is 3 mod 4
     spec = make_extension_field(p, 2)

@@ -28,6 +28,7 @@ from finiverse.cosmology import (
     universe_diameter_at,
 )
 from finiverse.errors import (
+    CAPACITY_BITS,
     CapacityOverflowError,
     DimMismatchError,
     InvalidInputError,
@@ -212,6 +213,19 @@ def test_rational_point_keeps_accepting_exact_values():
     for x in (half, "1/2", " 1/2 ", "0.5", "5e-1", Decimal("0.5")):
         assert RationalPoint(x, 0) == RationalPoint(half, 0)
     assert RationalPoint(np.int64(3), True) == RationalPoint(3, 1)
+
+
+def test_rational_point_refuses_a_decimal_exponent_beyond_capacity(deadline):
+    # 10**10**7 has 33,219,281 bits; it is refused before Fraction builds it
+    for x in ("1e10000000", "-1e-10000000", Decimal("1e10000000")):
+        with pytest.raises(CapacityOverflowError) as exc:
+            RationalPoint(0, x)
+        assert exc.value.code == "Overflow" and str(exc.value).startswith("coordinate y of ")
+        assert exc.value.witness["cap"] == CAPACITY_BITS
+        assert 33_219_281 <= exc.value.witness["requested"] <= 33_219_281 + 10
+    assert RationalPoint("1e5000", 0).x == 10**5000
+    with pytest.raises(InvalidInputError, match="is not an exact rational"):
+        RationalPoint("1e1e7", 0)  # a malformed exponent
 
 
 def test_nonpositive_scale_factor_keeps_its_type():
