@@ -28,7 +28,6 @@ from .cosmology import OBSERVED, LinearityWarning
 from .errors import (
     FiniverseError,
     InvalidInputError,
-    SizeLimitError,
     UsageError,
     _at_most,
     _finite,
@@ -201,19 +200,15 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
         parts = chunk.split(",")
         if len(parts) != 2:
             raise InvalidInputError(f"point {chunk!r} is not x,y")
+        # refused before 10**exponent is computed; with no str() limit, by RationalPoint
+        for part in parts:
+            digits = geometry._decimal_digits(part)
+            _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
+                     "about {n} digits, more than the {cap} str() converts", chunk=chunk)
         try:
-            # refused before 10**exponent is computed; no cap without a str() limit
-            for part in parts:
-                mantissa, _, exponent = part.lower().partition("e")
-                digits = len(mantissa) + abs(int(exponent or 0))
-                _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
-                         "about {n} digits, more than the {cap} str() converts", chunk=chunk)
-            x, y = Fraction(parts[0]), Fraction(parts[1])
-        except SizeLimitError:
-            raise
-        except (ValueError, ZeroDivisionError):
+            points.append(geometry.RationalPoint(*parts))
+        except InvalidInputError:
             raise InvalidInputError(f"point {chunk!r} is not two exact rationals") from None
-        points.append(geometry.RationalPoint(x, y))
     return points
 
 

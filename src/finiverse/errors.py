@@ -163,8 +163,9 @@ class UsageError(FiniverseError, ValueError):
 # ``_printable`` (an int too long for ``str`` by its bit length): a number,
 # ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity; ``_finite``
 # for a float formula's result); a size, ``_at_most``; a result's bit size,
-# ``_within_capacity``; a prime, ``fields._prime``; a dimension and coordinate
-# count, ``fields._Space``; a Bernoulli index, ``regularization.bernoulli``.
+# ``_within_capacity``; a rational coordinate's digits, ``geometry._decimal_digits``;
+# a prime, ``fields._prime``; a dimension and coordinate count, ``fields._Space``;
+# a Bernoulli index, ``regularization.bernoulli``.
 
 #: bit-size guard for exact integer results
 CAPACITY_BITS = 4_000_000

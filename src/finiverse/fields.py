@@ -348,8 +348,11 @@ def _digitwise(a, b, sign: int, p: int, k: int):
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree k, ordering lower-degree
     coefficient vectors as base-p numerals (constant term least
-    significant)."""
-    for idx in range(p**k):
+    significant).  No binomial x^k + c, the first p candidates, is irreducible
+    unless every prime factor of k divides p - 1, and p = 1 mod 4 when 4 | k
+    (Lidl & Niederreiter, Thm 3.75); then the scan starts past them."""
+    binomials = all((p - 1) % r == 0 for r in _prime_factors(k)) and (k % 4 or p % 4 == 1)
+    for idx in range(0 if binomials else p, p**k):
         candidate = _digits(idx, p, k) + [1]
         if _is_irreducible(candidate, p):
             return tuple(candidate)

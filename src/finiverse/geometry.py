@@ -349,21 +349,21 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_bits(v) -> int:
-    """For a str or Decimal, the bits of 10^n, n its mantissa digits plus |exponent|,
-    which bound those of its ``Fraction``; 0 for a malformed exponent."""
+def _decimal_digits(v) -> int:
+    """For a str or Decimal, its mantissa characters plus |exponent|, a bound on the
+    decimal digits of its ``Fraction``, read by the CLI too; 0 for a malformed exponent."""
     mantissa, _, exponent = str(v).lower().partition("e")
     try:
-        n = len(mantissa) + abs(int(exponent or 0))
+        return len(mantissa) + abs(int(exponent or 0))
     except ValueError:
         return 0
-    return n * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
 
 
 @dataclass(frozen=True)
 class RationalPoint:
     """Plane point with exact rational coordinates (floats rejected); a
-    str or Decimal beyond CAPACITY_BITS is refused before it is built."""
+    coordinate of type ``Fraction`` is kept as given, and a str or Decimal
+    beyond CAPACITY_BITS is refused before ``Fraction`` builds it."""
 
     x: Fraction
     y: Fraction
@@ -371,10 +371,13 @@ class RationalPoint:
     def __post_init__(self):
         for name in ("x", "y"):
             v = getattr(self, name)
+            if type(v) is Fraction:
+                continue
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
             if isinstance(v, (str, Decimal)):
-                _within_capacity(_decimal_bits(v), "coordinate {name} of {n} bits", name=name)
+                bits = _decimal_digits(v) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
+                _within_capacity(bits, "coordinate {name} of {n} bits", name=name)
             try:
                 v = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -404,10 +407,6 @@ class OrdinaryLineResult:
     line: Optional[tuple[Fraction, Fraction, Fraction]] = None
 
 
-def _cross(o: RationalPoint, a: RationalPoint, b: RationalPoint) -> Fraction:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     """Find a line through exactly two of the given points.
 
@@ -415,21 +414,22 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     points are bucketed by their exact direction from i (a rational
     slope, or vertical); the line through i and j carries no third point
     iff j is alone in its bucket.  The first such pair (i, j), j > i, is
-    returned: O(n^2) in the worst case.  For a non-collinear set an
-    ordinary line always exists, so the scan cannot come back empty.
+    returned: O(n^2) in the worst case.  The points are distinct, so they are
+    collinear iff the n - 1 others share a bucket of point 0.  For a non-collinear
+    set an ordinary line always exists, so the scan cannot come back empty.
     """
     pts = _label_set(points, InvalidInputError, list)
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 points, got {len(pts)}")
     if len(set(pts)) != len(pts):
         raise InvalidInputError("points must be pairwise distinct")
-    if all(_cross(pts[0], pts[1], r).numerator == 0 for r in pts[2:]):
-        return OrdinaryLineResult(status=COLLINEAR)
     n = len(pts)
     for i, o in enumerate(pts):
         slopes = [(r.y - o.y) / (r.x - o.x) if r.x != o.x else None for r in pts]
         bucket = Counter(slopes)
         bucket[None] -= 1  # point i itself, filed as vertical
+        if i == 0 and bucket[slopes[1]] == n - 1:
+            return OrdinaryLineResult(status=COLLINEAR)
         for j in range(i + 1, n):
             if bucket[slopes[j]] == 1:
                 a = pts[j].y - pts[i].y

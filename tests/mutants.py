@@ -60,6 +60,17 @@ MUTANTS = [
      "scale = pow(r0[-1], -1, p)", "scale = 1"),
     ("degenerate scan: the origin scanned as its own partner", "geometry.py",
      "next(coords)  # the origin itself", "pass  # the origin itself"),
+    ("ordinary line: collinear when n - 2 others share point 0's direction", "geometry.py",
+     "bucket[slopes[1]] == n - 1", "bucket[slopes[1]] == n - 2"),
+    ("vectors: one coordinate short", "fields.py",
+     "product(enumerate_elements(spec), repeat=dim)",
+     "product(enumerate_elements(spec), repeat=dim - 1)"),
+    ("conjugate: constant digit dropped", "hilbert.py",
+     "constant = n % spec.p", "constant = 0"),
+    ("modulus search: binomials always skipped", "fields.py",
+     "range(0 if binomials else p, p**k)", "range(p, p**k)"),
+    ("modulus search: binomials never skipped", "fields.py",
+     "range(0 if binomials else p, p**k)", "range(0, p**k)"),
 ]
 
 #: the least time a mutant's tests may run before they count as a kill

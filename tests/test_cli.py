@@ -166,6 +166,43 @@ def test_ordinary_line_paths():
     )
     assert report.status == "ok"
     assert len(report.outputs["pair"][0]) == 2
+    _, doc = run_json(["geometry", "ordinary-line", "--points", "0,0;1,0;;0,1;"])
+    assert doc["outputs"]["pair"]["value"] == [0, 1]  # empty chunks skipped
+    _, doc = run_json(["geometry", "ordinary-line", "--points", " 1/2 , 3;0,0;1,1"])
+    assert doc["outputs"]["through"]["value"] == "(1/2, 3) and (0, 0)"
+
+
+@pytest.mark.parametrize("points, error, message, witness", [
+    ("1e5000,0", "SizeLimit", "point '1e5000,0' has a coordinate of about 5001 digits, "
+     "more than the 4300 str() converts", {"requested": 5001, "cap": 4300}),
+    ("1e1x,0", "InvalidInput", "point '1e1x,0' is not two exact rationals", None),
+    ("1/0,0", "InvalidInput", "point '1/0,0' is not two exact rationals", None),
+], ids=["exponent", "malformed exponent", "zero denominator"])
+def test_points_refusals_keep_code_message_and_witness(points, error, message, witness,
+                                                       monkeypatch):
+    monkeypatch.setattr("finiverse.cli._str_limit", lambda: 4300)  # Python's default
+    _, doc = run_json(["geometry", "ordinary-line", "--points", f"{points};0,1;1,1"])
+    assert (doc["error"], doc["message"], doc.get("witness")) == (error, message, witness)
+
+
+def test_points_past_capacity_end_without_a_str_limit(monkeypatch, deadline):
+    # as on a Python before 3.10.7: no digit cap, so the library's bit estimate refuses
+    monkeypatch.setattr("finiverse.cli._str_limit", lambda: 0)
+    _, doc = run_json(["geometry", "ordinary-line", "--points", "1e10000000,0;0,1;1,1"])
+    assert doc["error"] == "Overflow"
+    assert doc["witness"] == {"requested": 33219285, "cap": 4000000}
+
+
+def test_hesse_fails_on_the_plane_of_two_points():
+    _, doc = run_json(["geometry", "hesse", "--q", "2"])
+    outputs = {name: out["value"] for name, out in doc["outputs"].items()}
+    assert outputs == {"holds": False, "witness_pair": [0, 1],
+                       "detail": "every common line has only two points"}
+
+
+def test_regularized_vacuum_energy():
+    report = dispatch(["regularize", "vacuum", "--l", "1e-15", "--n", "10"])
+    assert "energy = 9.46171915963592e-09 [J]\n" in render_text(report)
 
 
 def test_hilbert_norm_isotropic():
@@ -189,6 +226,8 @@ def test_linearity_warning_reported_not_fatal():
     assert report.warnings and "linear" in report.warnings[0]
     _, doc = run_json(["cosmo", "diameter-at", "--dt", "1e17"])
     assert doc["warnings"]
+    assert ("warning: universe_diameter_at evaluated at H0*dt = 0.219, outside the linear "
+            "validity guard |H0*dt| <= 0.1\n") in render_text(report)
     quiet = dispatch(["cosmo", "diameter-at", "--dt", "1e15"])
     assert not quiet.warnings
 

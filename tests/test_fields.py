@@ -102,6 +102,12 @@ def test_extension_modulus_is_smallest_irreducible():
             assert has_root(earlier, p), f"{earlier} precedes the chosen modulus"
 
 
+def test_modulus_search_past_the_binomials_ends(deadline):
+    # 2**80 + 235 = 2 mod 3, so every x^3 + c has a root; the search skips
+    # those 2**80 binomials, and x^3 + x (index p) has the root 0
+    assert make_extension_field(2**80 + 235, 3).modulus_poly == (1, 1, 0, 1)
+
+
 def test_extension_degree_one_is_prime_field():
     assert make_extension_field(7, 1) == E7
 

@@ -204,6 +204,19 @@ def test_extension_modulus_is_the_reference_smallest_irreducible(p, k):
     assert make_extension_field(p, k).modulus_poly == ref.smallest_irreducible(p, k)
 
 
+def test_extension_modulus_is_sympys_first_irreducible():
+    # every p < 100 and k = 2..6; 63 of the 125 pairs have no irreducible
+    # binomial x^k + c, so their search starts past the first p candidates
+    skipped = 0
+    for p in filter(isprime, range(100)):
+        for k in range(2, 7):
+            first = next(i for i in range(p**k)
+                         if gf_irreducible_p(_sympy_poly(ref.digits(i, p, k) + (1,)), p, ZZ))
+            assert make_extension_field(p, k).modulus_poly == ref.digits(first, p, k) + (1,)
+            skipped += first >= p
+    assert skipped == 63
+
+
 def test_is_prime_matches_sympy():
     windows = (range(20000), range(10**12 - 1000, 10**12 + 2000),
                range(10**18 - 1000, 10**18 + 2000))

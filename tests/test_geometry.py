@@ -35,6 +35,7 @@ from finiverse.geometry import (
     ORDINARY,
     AffineSpace,
     IncidenceStructure,
+    Line,
     RationalPoint,
     check_hesse_property,
     check_metric_axioms,
@@ -212,6 +213,10 @@ def test_line_equality_is_pointset_equality():
     matching = [l for l in lines if set(l.points) == target]
     assert len(matching) == 1
     assert len(set(lines)) == len(lines)
+    first, second = lines[:2]
+    assert first == Line(first.points[::-1]) and first != second
+    assert len(first) == 3 and str(first) == "line through (0, 0) and (0, 1)"
+    assert str(sp) == "AG(2,3)"
 
 
 def test_line_enumeration_cap():
@@ -285,6 +290,15 @@ def test_rational_point_rejects_floats():
     with pytest.raises(InvalidInputError):
         RationalPoint(0.5, Fraction(1))
     assert P("1/2", 3).x == Fraction(1, 2)
+
+
+def test_rational_point_keeps_a_fraction_and_converts_a_subclass():
+    class Half(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    point = RationalPoint(half, Half(1, 2))
+    assert point.x is half and type(point.y) is Fraction and point.y == half
 
 
 def test_ordinary_line_grid():
