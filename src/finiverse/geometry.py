@@ -31,6 +31,7 @@ from .errors import (
     _integer,
     _printable,
     _real,
+    _str_limit,
     _within_capacity,
 )
 from .fields import (
@@ -118,16 +119,21 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     Translating a pair (x, y) by -x preserves the squared distance, so a
     degenerate pair exists iff one with first member at the origin does;
     the origin is also the first point the naive double scan would try.
-    Scanning only (origin, y) therefore returns exactly the naive scan's
-    first hit in O(N) evaluations instead of O(N^2).
+    The squared distance from the origin is the form Q(y) = sum y_c^2,
+    and Q(ly) = l^2 Q(y), so every nonzero multiple of a hit is a hit.
+    Among the multiples of y, the one first in id order has the element
+    one (index 1) as its first nonzero coordinate.  So only those
+    vectors are scanned, in id order: the ids [q^f, 2q^f) for f = 0, 1,
+    ..., dim - 1 free coordinates after the leading one.  That is
+    (q^dim - 1)/(q - 1) sums, and the first hit is exactly the naive
+    scan's.
 
-    The form is diagonal, so the squared distance of y from the origin
-    is the sum, over y's coordinates, of the squared distance of the
-    axis point (y_c, 0, ..., 0) from the origin.  Those q values are
-    taken from ``squared_distance`` once, packed by ``spec._sums``, whose
-    wide slots add without carry, and each y is scanned as the builtin
-    ``sum`` of them over its coordinate indices.  The pair returned is
-    two members of ``space.points()``.
+    The form is diagonal, so Q(y) is the sum, over y's coordinates, of
+    the squared distance of the axis point (y_c, 0, ..., 0) from the
+    origin.  Those q values are taken from ``squared_distance`` once,
+    packed by ``spec._sums``, whose wide slots add without carry, and
+    each y is scanned as the builtin ``sum`` of them over its coordinate
+    indices.  The pair returned is two members of ``space.points()``.
     """
     points = space.points()
     spec = space.spec
@@ -136,12 +142,12 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
     pack, is_zero = spec._sums.pack, spec._sums.is_zero
     term = [pack(squared_distance(origin, points[i * axis])._index)
-            for i in range(q)].__getitem__
-    coords = product(range(q), repeat=dim)
-    next(coords)  # the origin itself
-    for n, y in enumerate(coords, 1):
-        if is_zero(sum(map(term, y))):
-            return (origin, points[n])
+            for i in range(q if dim > 1 else 2)].__getitem__  # dim 1 reads only the one
+    lead = term(1)  # the leading one
+    for f in range(dim):
+        for n, y in enumerate(product(range(q), repeat=f), q**f):
+            if is_zero(sum(map(term, y), lead)):
+                return (origin, points[n])
     return None
 
 
@@ -349,21 +355,24 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_digits(v) -> int:
-    """For a str or Decimal, its mantissa characters plus |exponent|, a bound on the
-    decimal digits of its ``Fraction``, read by the CLI too; 0 for a malformed exponent."""
+def _decimal_digits(v) -> tuple[int, int]:
+    """For a str or Decimal, its mantissa characters and |exponent|, whose sum bounds
+    the decimal digits of its ``Fraction``, read by the CLI too; (0, 0) for a
+    malformed exponent."""
     mantissa, _, exponent = str(v).lower().partition("e")
     try:
-        return len(mantissa) + abs(int(exponent or 0))
+        return len(mantissa), abs(int(exponent or 0))
     except ValueError:
-        return 0
+        return 0, 0
 
 
 @dataclass(frozen=True)
 class RationalPoint:
     """Plane point with exact rational coordinates (floats rejected); a
     coordinate of type ``Fraction`` is kept as given, and a str or Decimal
-    beyond CAPACITY_BITS is refused before ``Fraction`` builds it."""
+    beyond CAPACITY_BITS is refused before ``Fraction`` builds it.  A str
+    that ``Fraction`` cannot read and whose mantissa is longer than the
+    str() digit limit is a SizeLimitError, not malformed text."""
 
     x: Fraction
     y: Fraction
@@ -376,11 +385,16 @@ class RationalPoint:
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
             if isinstance(v, (str, Decimal)):
-                bits = _decimal_digits(v) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
+                mantissa, exponent = _decimal_digits(v)
+                bits = (mantissa + exponent) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
                 _within_capacity(bits, "coordinate {name} of {n} bits", name=name)
             try:
                 v = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                if isinstance(v, str):  # int() refuses more digits than the str() limit
+                    _at_most(mantissa, _str_limit() or mantissa, "coordinate {name} has a "
+                             "mantissa of {n} characters, more than the {cap} str() converts",
+                             name=name)
                 raise InvalidInputError(
                     f"coordinate {name} = {_printable(v)!r} is not an exact rational") from None
             object.__setattr__(self, name, v)
@@ -407,12 +421,31 @@ class OrdinaryLineResult:
     line: Optional[tuple[Fraction, Fraction, Fraction]] = None
 
 
+def _directions(o: tuple, points: list) -> list:
+    """The direction from ``o`` to each of ``points``, all given as (X, Y, D)
+    with x = X/D and y = Y/D: the primitive integer pair (dx, dy) with
+    dx > 0, or dx = 0 and dy > 0, and None for ``o`` itself.  Two points lie
+    on one line through ``o`` iff their directions are equal."""
+    xo, yo, do = o
+    out = []
+    for x, y, d in points:
+        dx, dy = x * do - xo * d, y * do - yo * d
+        g = math.gcd(dx, dy)
+        if dx < 0 or not dx and dy < 0:
+            g = -g
+        out.append((dx // g, dy // g) if g else None)
+    return out
+
+
 def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     """Find a line through exactly two of the given points.
 
-    Exact arithmetic throughout.  From each point i in turn, the other
-    points are bucketed by their exact direction from i (a rational
-    slope, or vertical); the line through i and j carries no third point
+    Exact arithmetic throughout.  Each point is written once in integers
+    as (X, Y, D), D the lcm of its two denominators, so every product
+    below is of one point's size; equal points give equal triples, which
+    the distinctness check compares.  From each point i in turn, the other
+    points are bucketed by their primitive integer direction from i,
+    normalised in sign; the line through i and j carries no third point
     iff j is alone in its bucket.  The first such pair (i, j), j > i, is
     returned: O(n^2) in the worst case.  The points are distinct, so they are
     collinear iff the n - 1 others share a bucket of point 0.  For a non-collinear
@@ -421,17 +454,21 @@ def find_ordinary_line(points: Sequence[RationalPoint]) -> OrdinaryLineResult:
     pts = _label_set(points, InvalidInputError, list)
     if len(pts) < 3:
         raise TooFewPointsError(f"need at least 3 points, got {len(pts)}")
-    if len(set(pts)) != len(pts):
+    whole = []  # (X, Y, D) in lowest terms, so equal points give equal triples
+    for r in pts:
+        u, v = r.x.denominator, r.y.denominator
+        g = math.gcd(u, v)
+        whole.append((r.x.numerator * (v // g), r.y.numerator * (u // g), u // g * v))
+    n = len(whole)
+    if len(set(whole)) != n:
         raise InvalidInputError("points must be pairwise distinct")
-    n = len(pts)
-    for i, o in enumerate(pts):
-        slopes = [(r.y - o.y) / (r.x - o.x) if r.x != o.x else None for r in pts]
-        bucket = Counter(slopes)
-        bucket[None] -= 1  # point i itself, filed as vertical
-        if i == 0 and bucket[slopes[1]] == n - 1:
+    for i, o in enumerate(whole):
+        directions = _directions(o, whole)
+        bucket = Counter(directions)
+        if i == 0 and bucket[directions[1]] == n - 1:
             return OrdinaryLineResult(status=COLLINEAR)
         for j in range(i + 1, n):
-            if bucket[slopes[j]] == 1:
+            if bucket[directions[j]] == 1:
                 a = pts[j].y - pts[i].y
                 b = pts[i].x - pts[j].x
                 c = -(a * pts[i].x + b * pts[i].y)

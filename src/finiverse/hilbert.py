@@ -103,7 +103,10 @@ def is_isotropic(v: FieldVector) -> bool:
     copy or pickle starts its own, empty), maps each element index met
     so far to its norm packed by ``spec._sums``, the spec's kernel with
     slots of at least 128 bits, and the sum is zero when every slot is 0
-    mod p.  Below 2^46 coordinates no slot overflows, whatever the prime p."""
+    mod p.  Below 2^46 coordinates no slot overflows, whatever the prime p.
+    conj is a bijection with conj(0) = 0 and a field has no zero divisors,
+    so only the zero element packs a norm of 0; the packed norms are
+    nonnegative ints, so the sum is the int 0 only for the zero vector."""
     if not isinstance(v, FieldVector):
         raise InvalidInputError("is_isotropic expects a vector")
     spec = v[0].spec
@@ -116,7 +119,7 @@ def is_isotropic(v: FieldVector) -> bool:
             if c._index not in norms:
                 norms[c._index] = pack((conjugate(c) * c)._index)
         total = sum([norms[c._index] for c in v])
-    return spec._sums.is_zero(total) and any(c._index for c in v)
+    return total != 0 and spec._sums.is_zero(total)
 
 
 def enumerate_vectors(space: FiniteHilbertSpace) -> list[FieldVector]:

@@ -6,11 +6,13 @@ direct element-level versions those kernels replaced, kept as the oracles
 the library must agree with exactly (small inputs only):
 
 * ``find_degenerate_pair_naive`` scans all ordered point pairs, where the
-  library scans only pairs that start at the origin;
+  library scans only pairs that start at the origin and end at a vector
+  whose first nonzero coordinate is one;
 * ``enumerate_lines_naive`` adds ``base + t*direction`` as field vectors;
 * ``check_hesse_property_naive`` intersects the line sets of every pair;
-* ``find_ordinary_line_naive`` tests all n points against every pair,
-  O(n^3);
+* ``find_ordinary_line_naive`` tests all n points against every pair with
+  ``Fraction`` cross products, O(n^3), where the library buckets integer
+  directions;
 * ``is_isotropic_naive`` sums ``conjugate(c) * c`` with element ``+``.
 
 ``euclidean_distance_table`` gives ``check_metric_axioms`` a table that is

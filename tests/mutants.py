@@ -26,7 +26,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 TESTS = ["tests/test_kernel_oracles.py", "tests/test_geometry.py", "tests/test_space_kernels.py",
-         "tests/test_fields.py", "tests/test_fields_oracles.py"]
+         "tests/test_fields.py", "tests/test_fields_oracles.py", "tests/test_geometry_oracles.py"]
 
 #: (name, module under src/finiverse, snippet, its mutant)
 MUTANTS = [
@@ -58,10 +58,14 @@ MUTANTS = [
      "place *= p", "place *= p + 1"),
     ("extended gcd: result not made monic", "fields.py",
      "scale = pow(r0[-1], -1, p)", "scale = 1"),
-    ("degenerate scan: the origin scanned as its own partner", "geometry.py",
-     "next(coords)  # the origin itself", "pass  # the origin itself"),
+    ("degenerate scan: the leading one read as zero", "geometry.py",
+     "lead = term(1)  # the leading one", "lead = term(0)  # the leading one"),
     ("ordinary line: collinear when n - 2 others share point 0's direction", "geometry.py",
-     "bucket[slopes[1]] == n - 1", "bucket[slopes[1]] == n - 2"),
+     "bucket[directions[1]] == n - 1", "bucket[directions[1]] == n - 2"),
+    ("ordinary line: direction sign not normalised", "geometry.py",
+     "g = -g", "g = +g"),
+    ("ordinary line: direction not divided by its gcd", "geometry.py",
+     "g = math.gcd(dx, dy)", "g = 1 if dx or dy else 0"),
     ("vectors: one coordinate short", "fields.py",
      "product(enumerate_elements(spec), repeat=dim)",
      "product(enumerate_elements(spec), repeat=dim - 1)"),

@@ -1,7 +1,8 @@
 """Hypothesis properties of affine geometry over random small fields: the
 line count of AG(d, q) and translation invariance of the squared distance;
-and the isotropy test against its element-level reference on
-vectors of up to 40 coordinates.
+the isotropy test against its element-level reference on
+vectors of up to 40 coordinates; and the ordinary-line scan against its
+O(n^3) reference on rational sets rich in shared lines.
 
 These need the test extras (``pip install -e .[test]``); without Hypothesis
 the module is skipped, not the rest of the suite.
@@ -11,12 +12,20 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from fractions import Fraction  # noqa: E402
 
-from geometry_reference import is_isotropic_naive  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from geometry_reference import find_ordinary_line_naive, is_isotropic_naive  # noqa: E402
 
 from finiverse.fields import FieldVector, enumerate_elements, make_extension_field  # noqa: E402
-from finiverse.geometry import AffineSpace, enumerate_lines, squared_distance  # noqa: E402
+from finiverse.geometry import (  # noqa: E402
+    AffineSpace,
+    RationalPoint,
+    enumerate_lines,
+    find_ordinary_line,
+    squared_distance,
+)
 from finiverse.hilbert import is_isotropic  # noqa: E402
 
 PRIMES = [n for n in range(2, 257) if all(n % r for r in range(2, n))]
@@ -64,3 +73,32 @@ def test_isotropy_matches_reference_on_long_vectors(pk, data):
     coords = [n for n, length in runs for _ in range(length)][:40]
     v = FieldVector(tuple(elements[n] for n in coords))
     assert is_isotropic(v) == is_isotropic_naive(v)
+
+
+#: small denominators, so that points share lines, and up to 300 digits
+DENOMINATORS = st.one_of(st.integers(1, 6), st.integers(1, 10**300))
+
+#: vertical, horizontal, and (3, 6), whose entries share the factor 3
+DIRECTIONS = [(0, 1), (1, 0), (1, 1), (1, -1), (2, -3), (3, 6)]
+
+
+@st.composite
+def rational_sets(draw):
+    """A pivot with points on both sides of it along up to three directions,
+    each step a common rational multiple, and up to three loose points."""
+    small = st.builds(Fraction, st.integers(-9, 9), DENOMINATORS)
+    pivot = (Fraction(draw(st.integers(-10**300, 10**300)), draw(DENOMINATORS)), draw(small))
+    step = Fraction(draw(st.integers(1, 6)), draw(DENOMINATORS))
+    coords = {pivot, *draw(st.lists(st.tuples(small, small), max_size=3))}
+    for dx, dy in draw(st.lists(st.sampled_from(DIRECTIONS), min_size=1, max_size=3, unique=True)):
+        for t in draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=3, unique=True)):
+            coords.add((pivot[0] + t * step * dx, pivot[1] + t * step * dy))
+    assume(len(coords) >= 3)
+    return [RationalPoint(x, y) for x, y in draw(st.permutations(sorted(coords)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=rational_sets())
+def test_ordinary_line_matches_reference_on_rich_sets(points):
+    assert find_ordinary_line(points) == find_ordinary_line_naive(points)
+

@@ -7,8 +7,10 @@ that share none of their shortcuts:
 * ``is_isotropic`` (one norm memo per spec, one ``sum`` per vector)
   against ``is_isotropic_naive``, before and after the field is
   enumerated;
-* ``find_degenerate_pair`` (the same packed ``sum``) against
-  ``find_degenerate_pair_naive``.
+* ``find_degenerate_pair`` (the same packed ``sum``, over the vectors
+  whose first nonzero coordinate is one) against
+  ``find_degenerate_pair_naive``, and whether a pair exists against a
+  closed form that no scan enters.
 
 The characteristic-2 ``_digitwise`` (the bitwise XOR) is checked against
 the digit-by-digit reference in ``test_fields_oracles``.
@@ -16,6 +18,7 @@ the digit-by-digit reference in ``test_fields_oracles``.
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -195,3 +198,33 @@ def test_isotropy_on_a_large_directly_built_field(deadline):
 def test_degenerate_pair_matches_reference(p, k, dim):
     space = AffineSpace(make_extension_field(p, k), dim)
     assert find_degenerate_pair(space) == find_degenerate_pair_naive(space)
+
+PRIMES = [n for n in range(2, 4097) if all(n % r for r in range(2, math.isqrt(n) + 1))]
+
+#: every AG(dim, p^k) with at most 4096 points (k <= 6, the factory's limit)
+DEGENERATE_SPACES = [(p, k, dim) for p in PRIMES for k in range(1, 7) for dim in range(1, 13)
+                     if p ** (k * dim) <= 4096]
+
+#: the naive scan tries every pair of a space without a degenerate pair, so
+#: it runs on those only up to this many points
+NAIVE_WITHOUT_PAIR = 128
+
+
+def test_degenerate_pair_table_matches_reference_and_closed_form():
+    # a pair is a nonzero y with y_1^2 + ... + y_dim^2 = 0.  dim 1 has none.
+    # dim 2 has one iff -1 is a square: p = 2, or q = 1 mod 4.  For dim >= 3
+    # every element is a sum of two squares (Lidl & Niederreiter, Finite
+    # Fields, Thm 6.26), so -1 = a^2 + b^2 and y = (1, a, b, 0, ...).
+    assert len(DEGENERATE_SPACES) == 654
+    compared = 0
+    for p, k, dim in DEGENERATE_SPACES:
+        q = p**k
+        exists = dim >= 3 or dim == 2 and (p == 2 or q % 4 == 1)
+        space = AffineSpace(make_extension_field(p, k), dim)
+        pair = find_degenerate_pair(space)
+        assert (pair is not None) == exists, (p, k, dim)
+        if exists or q**dim <= NAIVE_WITHOUT_PAIR:
+            assert pair == find_degenerate_pair_naive(space), (p, k, dim)
+            compared += 1
+    assert compared == 93
+

@@ -228,6 +228,26 @@ def test_rational_point_refuses_a_decimal_exponent_beyond_capacity(deadline):
         RationalPoint("1e1e7", 0)  # a malformed exponent
 
 
+def test_rational_point_refuses_a_mantissa_past_the_str_limit():
+    # Fraction reads the mantissa through int(), which refuses it; 10**5000 it builds
+    with int_str_limit():
+        for x, n in (("1" * 5000, 5000), ("1/" + "7" * 4999, 5001),
+                     ("-" + "1" * 4999 + "e2", 5000)):
+            with pytest.raises(SizeLimitError) as exc:
+                RationalPoint(0, x)
+            assert exc.value.code == "SizeLimit"
+            assert exc.value.witness == {"requested": n, "cap": 4300}
+            assert str(exc.value) == (f"coordinate y has a mantissa of {n} characters, "
+                                      "more than the 4300 str() converts")
+        assert RationalPoint("1e5000", "1" * 4300).x == 10**5000
+        assert RationalPoint(Decimal("1" * 5000), 0).x == int("1" * 4000) * 10**1000 + int(
+            "1" * 1000)
+        with pytest.raises(InvalidInputError, match="is not an exact rational"):
+            RationalPoint("x", 0)
+    with int_str_limit(0):  # no limit: Fraction reads every digit
+        assert RationalPoint("1" * 5000, 0).x == int("1" * 5000)
+
+
 def test_nonpositive_scale_factor_keeps_its_type():
     with pytest.raises(NonPositiveScaleFactorError) as exc:
         FluidState(a=0.0, a_dot=1.0, rho=1.0)
