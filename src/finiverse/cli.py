@@ -202,7 +202,7 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
             raise InvalidInputError(f"point {chunk!r} is not x,y")
         # refused before 10**exponent is computed; with no str() limit, by RationalPoint
         for part in parts:
-            digits = sum(geometry._decimal_digits(part))
+            digits = geometry._decimal_digits(part)
             _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
                      "about {n} digits, more than the {cap} str() converts", chunk=chunk)
         try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -142,7 +143,7 @@ def find_degenerate_pair(space: AffineSpace) -> Optional[tuple[FieldVector, Fiel
     axis = q ** (dim - 1)  # (e_i, 0, ..., 0) is points[i * axis]
     pack, is_zero = spec._sums.pack, spec._sums.is_zero
     term = [pack(squared_distance(origin, points[i * axis])._index)
-            for i in range(q if dim > 1 else 2)].__getitem__  # dim 1 reads only the one
+            for i in range(q)].__getitem__
     lead = term(1)  # the leading one
     for f in range(dim):
         for n, y in enumerate(product(range(q), repeat=f), q**f):
@@ -355,24 +356,39 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_digits(v) -> tuple[int, int]:
-    """For a str or Decimal, its mantissa characters and |exponent|, whose sum bounds
-    the decimal digits of its ``Fraction``, read by the CLI too; (0, 0) for a
-    malformed exponent."""
+def _decimal_digits(v) -> int:
+    """For a str or Decimal, its mantissa characters plus |exponent|, a bound on the
+    decimal digits of its ``Fraction``, read by the CLI too; 0 for a malformed exponent."""
     mantissa, _, exponent = str(v).lower().partition("e")
     try:
-        return len(mantissa), abs(int(exponent or 0))
+        return len(mantissa) + abs(int(exponent or 0))
     except ValueError:
-        return 0, 0
+        return 0
+
+
+#: an integer as int() reads it: digits, single underscores between them
+_INTEGER = re.compile(r"\d+(?:_\d+)*")
+
+
+def _longest_integer(text: str) -> int:
+    """Digits of the longest integer in ``text`` if ``Fraction`` reads the text
+    with each integer written as 1, so that only an integer's length can make
+    it fail; else 0."""
+    try:
+        Fraction(_INTEGER.sub("1", text))
+    except ValueError:
+        return 0
+    return max(len(s) - s.count("_") for s in _INTEGER.findall(text))
 
 
 @dataclass(frozen=True)
 class RationalPoint:
     """Plane point with exact rational coordinates (floats rejected); a
     coordinate of type ``Fraction`` is kept as given, and a str or Decimal
-    beyond CAPACITY_BITS is refused before ``Fraction`` builds it.  A str
-    that ``Fraction`` cannot read and whose mantissa is longer than the
-    str() digit limit is a SizeLimitError, not malformed text."""
+    beyond CAPACITY_BITS is refused before ``Fraction`` builds it.  A
+    well-formed str that ``Fraction`` cannot read because int() refuses
+    one of its integers, longer than the str() digit limit, is a
+    SizeLimitError, not malformed text."""
 
     x: Fraction
     y: Fraction
@@ -385,15 +401,15 @@ class RationalPoint:
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
             if isinstance(v, (str, Decimal)):
-                mantissa, exponent = _decimal_digits(v)
-                bits = (mantissa + exponent) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
+                bits = _decimal_digits(v) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
                 _within_capacity(bits, "coordinate {name} of {n} bits", name=name)
             try:
                 v = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                if isinstance(v, str):  # int() refuses more digits than the str() limit
-                    _at_most(mantissa, _str_limit() or mantissa, "coordinate {name} has a "
-                             "mantissa of {n} characters, more than the {cap} str() converts",
+                if isinstance(v, str):
+                    digits = _longest_integer(v)
+                    _at_most(digits, _str_limit() or digits, "coordinate {name} has an "
+                             "integer of {n} digits, more than the {cap} str() converts",
                              name=name)
                 raise InvalidInputError(
                     f"coordinate {name} = {_printable(v)!r} is not an exact rational") from None

@@ -16,7 +16,8 @@ the library must agree with exactly (small inputs only):
 * ``is_isotropic_naive`` sums ``conjugate(c) * c`` with element ``+``.
 
 ``euclidean_distance_table`` gives ``check_metric_axioms`` a table that is
-a metric by construction.
+a metric by construction, and ``PRIMES`` lists the characteristics for
+tables of spaces.
 """
 
 import math
@@ -37,6 +38,10 @@ from finiverse.geometry import (
 )
 from finiverse.errors import InvalidInputError, SizeLimitError, TooFewPointsError
 from finiverse.hilbert import norm_squared
+
+
+#: the primes below 4097
+PRIMES = [n for n in range(2, 4097) if all(n % r for r in range(2, math.isqrt(n) + 1))]
 
 
 def _index_key(point: FieldVector) -> tuple[int, ...]:

@@ -16,7 +16,11 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from geometry_reference import find_ordinary_line_naive, is_isotropic_naive  # noqa: E402
+from geometry_reference import (  # noqa: E402
+    PRIMES,
+    find_ordinary_line_naive,
+    is_isotropic_naive,
+)
 
 from finiverse.fields import FieldVector, enumerate_elements, make_extension_field  # noqa: E402
 from finiverse.geometry import (  # noqa: E402
@@ -27,8 +31,6 @@ from finiverse.geometry import (  # noqa: E402
     squared_distance,
 )
 from finiverse.hilbert import is_isotropic  # noqa: E402
-
-PRIMES = [n for n in range(2, 257) if all(n % r for r in range(2, n))]
 
 #: (p, k, d) for every AG(d, p^k) with at most 256 points (k <= 6, the
 #: factory's limit)

@@ -229,21 +229,28 @@ def test_rational_point_refuses_a_decimal_exponent_beyond_capacity(deadline):
 
 
 def test_rational_point_refuses_a_mantissa_past_the_str_limit():
-    # Fraction reads the mantissa through int(), which refuses it; 10**5000 it builds
+    # Fraction reads each integer of the text through int(), which refuses
+    # more digits than the limit; 10**5000 it builds
     with int_str_limit():
-        for x, n in (("1" * 5000, 5000), ("1/" + "7" * 4999, 5001),
-                     ("-" + "1" * 4999 + "e2", 5000)):
+        for x, n in (("1" * 5000, 5000), ("1/" + "7" * 4999, 4999),
+                     ("-" + "1" * 4999 + "e2", 4999), ("1_" * 4400 + "1", 4401),
+                     ("1." + "0" * 4301, 4301)):
             with pytest.raises(SizeLimitError) as exc:
                 RationalPoint(0, x)
             assert exc.value.code == "SizeLimit"
             assert exc.value.witness == {"requested": n, "cap": 4300}
-            assert str(exc.value) == (f"coordinate y has a mantissa of {n} characters, "
+            assert str(exc.value) == (f"coordinate y has an integer of {n} digits, "
                                       "more than the 4300 str() converts")
         assert RationalPoint("1e5000", "1" * 4300).x == 10**5000
+        assert RationalPoint("1" * 3000 + "." + "1" * 3000, 0).x.denominator == 10**3000
         assert RationalPoint(Decimal("1" * 5000), 0).x == int("1" * 4000) * 10**1000 + int(
             "1" * 1000)
-        with pytest.raises(InvalidInputError, match="is not an exact rational"):
-            RationalPoint("x", 0)
+    for limit in (4300, 0):  # malformed text is malformed whatever the limit
+        with int_str_limit(limit):
+            for x in ("x", "x" * 5000, "1" * 5000 + "x", "1" * 3000 + "." + "1" * 3000 + "x",
+                      "1" * 5000 + "ex", "1__1" * 2000):
+                with pytest.raises(InvalidInputError, match="is not an exact rational"):
+                    RationalPoint(x, 0)
     with int_str_limit(0):  # no limit: Fraction reads every digit
         assert RationalPoint("1" * 5000, 0).x == int("1" * 5000)
 
