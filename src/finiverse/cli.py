@@ -176,9 +176,8 @@ def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:
     try:
         value = [int(c) for c in text.split(":")] if ":" in text else int(text)
     except ValueError:
-        raise InvalidInputError(
-            f"element {text!r} is not an integer or colon-separated integer coefficients"
-        ) from None
+        raise InvalidInputError(f"element {_printable(text)!r} is not an integer or "
+                                "colon-separated integer coefficients") from None
     return spec.element(value)
 
 
@@ -199,16 +198,17 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise InvalidInputError(f"point {chunk!r} is not x,y")
+            raise InvalidInputError(f"point {_printable(chunk)!r} is not x,y")
         # refused before 10**exponent is computed; with no str() limit, by RationalPoint
         for part in parts:
-            digits = geometry._decimal_digits(part)
+            _, digits = geometry._read_rational(part) or (0, 0)  # malformed: RationalPoint refuses
             _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
                      "about {n} digits, more than the {cap} str() converts", chunk=chunk)
         try:
             points.append(geometry.RationalPoint(*parts))
         except InvalidInputError:
-            raise InvalidInputError(f"point {chunk!r} is not two exact rationals") from None
+            raise InvalidInputError(
+                f"point {_printable(chunk)!r} is not two exact rationals") from None
     return points
 
 

@@ -425,19 +425,19 @@ def load_config(path) -> tuple[Constants, CosmologyParams]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise InvalidInputError(
+                    f"{path}:{lineno}: expected key=value, got {_printable(line)!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             try:
                 num = int(value) if key == "kappa" else float(value)
             except ValueError:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: bad numeric value {value!r} for {key}"
-                ) from None
+                raise InvalidInputError(f"{path}:{lineno}: bad numeric value "
+                                        f"{_printable(value)!r} for {_printable(key)}") from None
             if key in consts:
                 consts[key] = num
             elif key in pars:
                 pars[key] = num
             else:
-                raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
+                raise InvalidInputError(f"{path}:{lineno}: unknown key {_printable(key)!r}")
     return Constants(**consts), CosmologyParams(**pars)

@@ -160,10 +160,11 @@ class UsageError(FiniverseError, ValueError):
 
 # -- argument validation ------------------------------------------------------
 # Each argument rule has one check, which names a refused value through
-# ``_printable`` (an int too long for ``str`` by its bit length): a number,
-# ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity; ``_finite``
-# for a float formula's result); a size, ``_at_most``; a result's bit size,
-# ``_within_capacity``; a rational coordinate's digits, ``geometry._decimal_digits``;
+# ``_printable`` (a long int by its bit length, a long str by a prefix): a
+# number, ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity;
+# ``_finite`` for a float formula's result); a size, ``_at_most``; a result's
+# bit size, ``_within_capacity``; a rational coordinate's text,
+# ``geometry._read_rational`` (malformed is InvalidInput whatever its exponent);
 # a prime, ``fields._prime``; a dimension and coordinate count, ``fields._Space``;
 # a Bernoulli index, ``regularization.bernoulli``.
 
@@ -235,10 +236,13 @@ def _str_digits(value) -> int:
 
 
 def _printable(value):
-    """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``;
+    """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``, or
+    for a str of n > 64 characters its first 64 and ``"...<n characters>"``;
     a tuple or list label the same, item by item at any depth."""
     if type(value) in (tuple, list):
         return type(value)(map(_printable, value))
+    if isinstance(value, str) and len(value) > 64:
+        return f"{value[:64]}...<{len(value)} characters>"
     return f"<{value.bit_length()}-bit integer>" if _str_digits(value) else value
 
 

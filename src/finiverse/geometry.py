@@ -356,39 +356,36 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_digits(v) -> int:
-    """For a str or Decimal, its mantissa characters plus |exponent|, a bound on the
-    decimal digits of its ``Fraction``, read by the CLI too; 0 for a malformed exponent."""
-    mantissa, _, exponent = str(v).lower().partition("e")
+#: the text ``Fraction`` reads: a sign, integers with single underscores, then
+#: a denominator or a decimal part and an exponent, whitespace around it all
+_RATIONAL = re.compile(r"""\s* [-+]? (?=\.?\d) (?P<num> (?:\d+(?:_\d+)*)? )
+    (?: / (?P<den> \d+(?:_\d+)* )
+      | (?: \. (?P<dec> (?:\d+(?:_\d+)*)? ) )? (?: [eE] (?P<exp> [-+]?\d+(?:_\d+)* ) )?
+    ) \s*""", re.VERBOSE)
+
+
+def _read_rational(text: str) -> tuple[int, int] | None:
+    """For text ``Fraction`` reads, the digits of its longest integer (no
+    underscores) and its mantissa characters plus |exponent|, a bound on its
+    decimal digits (0 for an exponent past the str() limit); else None."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return None
+    num, den, dec, exp = m.group("num", "den", "dec", "exp")
+    longest = max(len(s) - s.count("_") for s in (num, den, dec, exp and exp.lstrip("+-")) if s)
     try:
-        return len(mantissa) + abs(int(exponent or 0))
+        return longest, (m.start("exp") - 1 if exp else len(text)) + abs(int(exp or 0))
     except ValueError:
-        return 0
-
-
-#: an integer as int() reads it: digits, single underscores between them
-_INTEGER = re.compile(r"\d+(?:_\d+)*")
-
-
-def _longest_integer(text: str) -> int:
-    """Digits of the longest integer in ``text`` if ``Fraction`` reads the text
-    with each integer written as 1, so that only an integer's length can make
-    it fail; else 0."""
-    try:
-        Fraction(_INTEGER.sub("1", text))
-    except ValueError:
-        return 0
-    return max(len(s) - s.count("_") for s in _INTEGER.findall(text))
+        return longest, 0
 
 
 @dataclass(frozen=True)
 class RationalPoint:
     """Plane point with exact rational coordinates (floats rejected); a
-    coordinate of type ``Fraction`` is kept as given, and a str or Decimal
-    beyond CAPACITY_BITS is refused before ``Fraction`` builds it.  A
-    well-formed str that ``Fraction`` cannot read because int() refuses
-    one of its integers, longer than the str() digit limit, is a
-    SizeLimitError, not malformed text."""
+    coordinate of type ``Fraction`` is kept as given.  The text of a str or
+    Decimal is read by ``_read_rational``: malformed is InvalidInputError,
+    beyond CAPACITY_BITS is refused before ``Fraction`` builds it, and a str
+    integer longer than the str() digit limit is a SizeLimitError."""
 
     x: Fraction
     y: Fraction
@@ -400,17 +397,20 @@ class RationalPoint:
                 continue
             if isinstance(v, float):
                 raise InvalidInputError("exact rational coordinates required, not float")
-            if isinstance(v, (str, Decimal)):
-                bits = _decimal_digits(v) * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
+            sizes = _read_rational(str(v)) if isinstance(v, (str, Decimal)) else ()
+            if sizes:
+                longest, digits = sizes
+                bits = digits * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
                 _within_capacity(bits, "coordinate {name} of {n} bits", name=name)
-            try:
-                v = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 if isinstance(v, str):
-                    digits = _longest_integer(v)
-                    _at_most(digits, _str_limit() or digits, "coordinate {name} has an "
+                    _at_most(longest, _str_limit() or longest, "coordinate {name} has an "
                              "integer of {n} digits, more than the {cap} str() converts",
                              name=name)
+            try:
+                if sizes is None:
+                    raise ValueError("malformed text")
+                v = Fraction(v)  # still refuses a zero denominator, and underscores before 3.11
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise InvalidInputError(
                     f"coordinate {name} = {_printable(v)!r} is not an exact rational") from None
             object.__setattr__(self, name, v)

@@ -75,6 +75,8 @@ MUTANTS = [
      "range(0 if binomials else p, p**k)", "range(p, p**k)"),
     ("modulus search: binomials never skipped", "fields.py",
      "range(0 if binomials else p, p**k)", "range(0, p**k)"),
+    ("rational text: a double underscore read in the numerator", "geometry.py",
+     r"(?P<num> (?:\d+(?:_\d+)*)? )", r"(?P<num> (?:\d+(?:_+\d+)*)? )"),
 ]
 
 #: the least time a mutant's tests may run before they count as a kill

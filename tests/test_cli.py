@@ -177,7 +177,8 @@ def test_ordinary_line_paths():
      "more than the 4300 str() converts", {"requested": 5001, "cap": 4300}),
     ("1e1x,0", "InvalidInput", "point '1e1x,0' is not two exact rationals", None),
     ("1/0,0", "InvalidInput", "point '1/0,0' is not two exact rationals", None),
-], ids=["exponent", "malformed exponent", "zero denominator"])
+    ("x1e5000,0", "InvalidInput", "point 'x1e5000,0' is not two exact rationals", None),
+], ids=["exponent", "malformed exponent", "zero denominator", "malformed with an exponent"])
 def test_points_refusals_keep_code_message_and_witness(points, error, message, witness,
                                                        monkeypatch):
     monkeypatch.setattr("finiverse.cli._str_limit", lambda: 4300)  # Python's default

@@ -1,12 +1,15 @@
 """Hypothesis properties of affine geometry over random small fields: the
 line count of AG(d, q) and translation invariance of the squared distance;
 the isotropy test against its element-level reference on
-vectors of up to 40 coordinates; and the ordinary-line scan against its
-O(n^3) reference on rational sets rich in shared lines.
+vectors of up to 40 coordinates; the ordinary-line scan against its
+O(n^3) reference on rational sets rich in shared lines; and the reader of a
+rational coordinate's text against ``Fraction`` itself.
 
 These need the test extras (``pip install -e .[test]``); without Hypothesis
 the module is skipped, not the rest of the suite.
 """
+
+import sys
 
 import pytest
 
@@ -22,10 +25,12 @@ from geometry_reference import (  # noqa: E402
     is_isotropic_naive,
 )
 
+from finiverse.errors import InvalidInputError  # noqa: E402
 from finiverse.fields import FieldVector, enumerate_elements, make_extension_field  # noqa: E402
 from finiverse.geometry import (  # noqa: E402
     AffineSpace,
     RationalPoint,
+    _read_rational,
     enumerate_lines,
     find_ordinary_line,
     squared_distance,
@@ -104,3 +109,37 @@ def rational_sets(draw):
 def test_ordinary_line_matches_reference_on_rich_sets(points):
     assert find_ordinary_line(points) == find_ordinary_line_naive(points)
 
+
+#: near-misses of the grammar ``Fraction`` reads
+NEAR_MISSES = ["1__1", "1/2e3", "1._5", "1.d", "nan", "inf"]
+
+#: text of those near-misses, digits (the Arabic-Indic one too), and the
+#: characters a rational's text is made of
+RATIONAL_TEXT = st.lists(st.sampled_from([*"0123456789_./eE+- ", "\u0661", *NEAR_MISSES]),
+                         max_size=8).map("".join)
+
+#: whether this interpreter's ``Fraction`` reads underscores (from 3.11 on)
+UNDERSCORES = sys.version_info >= (3, 11)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=st.one_of(st.sampled_from(NEAR_MISSES), RATIONAL_TEXT))
+def test_rational_text_is_read_as_fraction_reads_it(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # only the grammar can refuse
+    try:
+        try:
+            value, read = Fraction(text), True
+        except ZeroDivisionError:
+            value, read = None, True
+        except ValueError:
+            value, read = None, False
+        if UNDERSCORES or "_" not in text:
+            assert (_read_rational(text) is not None) == read
+        if value is None:
+            with pytest.raises(InvalidInputError):
+                RationalPoint(text, 0)
+        else:
+            assert RationalPoint(text, 0).x == value
+    finally:
+        sys.set_int_max_str_digits(limit)

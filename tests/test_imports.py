@@ -342,9 +342,9 @@ def private_imports(tree) -> list[str]:
 
 
 def test_private_import_is_found():
-    tree = ast.parse("from finiverse.geometry import _decimal_digits, squared_distance\n"
+    tree = ast.parse("from finiverse.geometry import _read_rational, squared_distance\n"
                      "from finiverse import _x\nfrom os import _exit\nfrom . import _y\n")
-    assert private_imports(tree) == ["finiverse.geometry._decimal_digits", "finiverse._x"]
+    assert private_imports(tree) == ["finiverse.geometry._read_rational", "finiverse._x"]
 
 
 @pytest.mark.parametrize("path", REFERENCES, ids=lambda p: p.name)

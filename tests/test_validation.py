@@ -24,6 +24,7 @@ from finiverse.cosmology import (
     evolve_scale_factor,
     friedmann_hubble_rate,
     growth_exponent_per_gigayear,
+    load_config,
     point_count_growth_factor,
     universe_diameter_at,
 )
@@ -215,6 +216,15 @@ def test_rational_point_keeps_accepting_exact_values():
     assert RationalPoint(np.int64(3), True) == RationalPoint(3, 1)
 
 
+def test_rational_point_reads_underscores_where_fraction_does():
+    # Fraction reads "1_000" from Python 3.11 on and refuses it before
+    if sys.version_info >= (3, 11):
+        assert RationalPoint("1_000", 0).x == 1000
+    else:
+        with pytest.raises(InvalidInputError, match="= '1_000' is not an exact rational"):
+            RationalPoint("1_000", 0)
+
+
 def test_rational_point_refuses_a_decimal_exponent_beyond_capacity(deadline):
     # 10**10**7 has 33,219,281 bits; it is refused before Fraction builds it
     for x in ("1e10000000", "-1e-10000000", Decimal("1e10000000")):
@@ -248,11 +258,43 @@ def test_rational_point_refuses_a_mantissa_past_the_str_limit():
     for limit in (4300, 0):  # malformed text is malformed whatever the limit
         with int_str_limit(limit):
             for x in ("x", "x" * 5000, "1" * 5000 + "x", "1" * 3000 + "." + "1" * 3000 + "x",
-                      "1" * 5000 + "ex", "1__1" * 2000):
+                      "1" * 5000 + "ex", "1__1" * 2000, "x1e10000000"):
                 with pytest.raises(InvalidInputError, match="is not an exact rational"):
                     RationalPoint(x, 0)
     with int_str_limit(0):  # no limit: Fraction reads every digit
         assert RationalPoint("1" * 5000, 0).x == int("1" * 5000)
+
+
+#: a malformed text far longer than any message should quote
+LONG_TEXT = "1" * 9998 + "ex"
+
+
+def refuse_long_text(tmp_path, case):
+    """The message and error code with which ``case`` refuses LONG_TEXT."""
+    if case == "RationalPoint":
+        with pytest.raises(InvalidInputError) as exc:
+            RationalPoint(LONG_TEXT, 0)
+        return str(exc.value), exc.value.code
+    if case.startswith("config"):
+        path = tmp_path / "long.cfg"
+        path.write_text({"config line": LONG_TEXT, "config value": f"G = {LONG_TEXT}",
+                         "config key": f"{LONG_TEXT} = 1"}[case] + "\n")
+        with pytest.raises(InvalidInputError) as exc:
+            load_config(path)
+        return str(exc.value).removeprefix(str(path)), exc.value.code
+    argv = {"--points": ["geometry", "ordinary-line", "--points", f"{LONG_TEXT},0;0,1;1,1"],
+            "--vector": ["hilbert", "norm", "--p", "3", "--vector", LONG_TEXT],
+            "--element": ["field", "inverse", "--p", "7", "--element", LONG_TEXT]}[case]
+    report = cli.dispatch(argv)
+    return report.message, report.error
+
+
+@pytest.mark.parametrize("case", ["RationalPoint", "--points", "--vector", "--element",
+                                  "config line", "config value", "config key"])
+def test_a_long_malformed_text_is_quoted_by_a_bounded_prefix(tmp_path, case):
+    message, code = refuse_long_text(tmp_path, case)
+    assert code == "InvalidInput"
+    assert len(message) < 160 and " characters>'" in message
 
 
 def test_nonpositive_scale_factor_keeps_its_type():
