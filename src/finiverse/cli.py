@@ -32,7 +32,9 @@ from .errors import (
     _at_most,
     _finite,
     _integer,
+    _integer_digits,
     _printable,
+    _read_rational,
     _str_digits,
     _str_limit,
 )
@@ -176,6 +178,11 @@ def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:
     try:
         value = [int(c) for c in text.split(":")] if ":" in text else int(text)
     except ValueError:
+        digits = [_integer_digits(part) for part in text.split(":")]
+        if None not in digits:  # well-formed, so int() refused its length
+            n = max(digits)
+            _at_most(n, _str_limit() or n, "element {text!r} has an integer of {n} digits, "
+                     "more than the {cap} str() converts", text=text)
         raise InvalidInputError(f"element {_printable(text)!r} is not an integer or "
                                 "colon-separated integer coefficients") from None
     return spec.element(value)
@@ -201,7 +208,7 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
             raise InvalidInputError(f"point {_printable(chunk)!r} is not x,y")
         # refused before 10**exponent is computed; with no str() limit, by RationalPoint
         for part in parts:
-            _, digits = geometry._read_rational(part) or (0, 0)  # malformed: RationalPoint refuses
+            _, digits = _read_rational(part) or (0, 0)  # malformed: RationalPoint refuses
             _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
                      "about {n} digits, more than the {cap} str() converts", chunk=chunk)
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from numbers import Real
 
@@ -164,8 +165,9 @@ class UsageError(FiniverseError, ValueError):
 # number, ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity;
 # ``_finite`` for a float formula's result); a size, ``_at_most``; a result's
 # bit size, ``_within_capacity``; a rational coordinate's text,
-# ``geometry._read_rational`` (malformed is InvalidInput whatever its exponent);
-# a prime, ``fields._prime``; a dimension and coordinate count, ``fields._Space``;
+# ``_read_rational`` (malformed is InvalidInput whatever its exponent), and an
+# integer's text, ``_integer_digits``, both on the one pattern ``_RATIONAL``; a
+# prime, ``fields._prime``; a dimension and coordinate count, ``fields._Space``;
 # a Bernoulli index, ``regularization.bernoulli``.
 
 #: bit-size guard for exact integer results
@@ -233,6 +235,38 @@ def _str_digits(value) -> int:
     digits = int(math.log10(abs(value)))  # the count, or one below it
     digits += abs(value) >= 10**digits
     return digits if digits > cap else 0
+
+
+#: the text ``Fraction`` reads: a sign, integers with single underscores, then
+#: a denominator or a decimal part and an exponent, whitespace around it all
+_RATIONAL = re.compile(r"""\s* [-+]? (?=\.?\d) (?P<num> (?:\d+(?:_\d+)*)? )
+    (?: / (?P<den> \d+(?:_\d+)* )
+      | (?: \. (?P<dec> (?:\d+(?:_\d+)*)? ) )? (?: [eE] (?P<exp> [-+]?\d+(?:_\d+)* ) )?
+    ) \s*""", re.VERBOSE)
+
+
+def _read_rational(text: str) -> tuple[int, int] | None:
+    """For text ``Fraction`` reads, the digits of its longest integer (no
+    underscores) and its mantissa characters plus |exponent|, a bound on its
+    decimal digits (0 for an exponent past the str() limit); else None."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        return None
+    num, den, dec, exp = m.group("num", "den", "dec", "exp")
+    longest = max(len(s) - s.count("_") for s in (num, den, dec, exp and exp.lstrip("+-")) if s)
+    try:
+        return longest, (m.start("exp") - 1 if exp else len(text)) + abs(int(exp or 0))
+    except ValueError:
+        return longest, 0
+
+
+def _integer_digits(text: str) -> int | None:
+    """For text ``_RATIONAL`` reads as an integer, the digits int() counts in
+    it (underscores not counted); else None."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None or m.group("den", "dec", "exp") != (None, None, None):
+        return None
+    return len(m["num"]) - m["num"].count("_")
 
 
 def _printable(value):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -31,6 +30,7 @@ from .errors import (
     _finite,
     _integer,
     _printable,
+    _read_rational,
     _real,
     _str_limit,
     _within_capacity,
@@ -162,9 +162,6 @@ class Line:
 
     points: tuple[FieldVector, ...]
 
-    #: sorted point ids of ``points``, set by enumerate_lines (not a dataclass field)
-    _ids = None
-
     def __eq__(self, other):
         if not isinstance(other, Line):
             return NotImplemented
@@ -205,10 +202,16 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     class are one ``fields._products`` of every t against the coordinate
     indices of all its directions, read back as ids, and a line's members
     are its base plus each offset, digit-wise, sorted into enumeration
-    order: one numpy array per class.  Each line holds those points of
-    ``space.points()``, its base first and base + d second, and keeps
-    their sorted ids.
+    order: one numpy array per class, built by ``_line_ids``, which
+    ``incidence_structure`` reads too.  Each line holds the points at
+    those ids, its base first and base + d second.
     """
+    ids, points = _line_ids(space), space.points()  # the line caps first
+    return [Line(itemgetter(*line)(points)) for line in ids]
+
+
+def _line_ids(space: AffineSpace) -> list[list[int]]:
+    """The sorted point ids of every line, in ``enumerate_lines`` order."""
     count = space.point_count
     _at_most(count, LINE_CAP, "{n} points exceed the line-enumeration cap {cap}")
     spec, dim = space.spec, space.dim
@@ -216,13 +219,12 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
     incidences = count * (count - 1) // (q - 1)
     _at_most(incidences, INCIDENCE_CAP, "{lines} lines of {q} points hold {n} incidences, "
              "more than the line-enumeration cap {cap}", lines=incidences // q, q=q)
-    points = space.points()
     import numpy as np
 
     p, digits = spec.p, spec.k * dim
     places = q ** np.arange(dim - 1, -1, -1)  # the id of each unit vector
     scalars = np.arange(q)
-    lines: list[Line] = []
+    lines: list[list[int]] = []
     for pivot in reversed(range(dim)):
         first = q ** (dim - 1 - pivot)
         # the ids whose coordinate `pivot` is index 0, ascending
@@ -231,10 +233,7 @@ def enumerate_lines(space: AffineSpace) -> list[Line]:
         coords = (np.arange(first, 2 * first)[:, None] // places % q).ravel()
         offsets = (_products(spec, scalars, coords).reshape(q, first, dim) @ places).T
         members = _digitwise(bases[None, :, None], offsets[:, None, :], 1, p, digits)
-        for ids in map(tuple, np.sort(members, axis=2).reshape(-1, q).tolist()):
-            line = Line(itemgetter(*ids)(points))
-            object.__setattr__(line, "_ids", ids)
-            lines.append(line)
+        lines += np.sort(members, axis=2).reshape(-1, q).tolist()
     return lines
 
 
@@ -295,9 +294,9 @@ class IncidenceStructure:
 
 def incidence_structure(space: AffineSpace) -> IncidenceStructure:
     """Abstract incidence data of a space: integer point ids in
-    enumeration order, each line a frozenset of ids.  The ids are those
-    ``enumerate_lines`` keeps on each line, so no point is mapped back."""
-    lines = tuple(frozenset(ln._ids) for ln in enumerate_lines(space))
+    enumeration order, each line a frozenset of ids.  The lines come from
+    the id builder of ``enumerate_lines``, in its order; no point is built."""
+    lines = tuple(map(frozenset, _line_ids(space)))
     return IncidenceStructure(points=tuple(range(space.point_count)), lines=lines)
 
 
@@ -354,29 +353,6 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 # ---------------------------------------------------------------------------
 # exact rational plane
 # ---------------------------------------------------------------------------
-
-
-#: the text ``Fraction`` reads: a sign, integers with single underscores, then
-#: a denominator or a decimal part and an exponent, whitespace around it all
-_RATIONAL = re.compile(r"""\s* [-+]? (?=\.?\d) (?P<num> (?:\d+(?:_\d+)*)? )
-    (?: / (?P<den> \d+(?:_\d+)* )
-      | (?: \. (?P<dec> (?:\d+(?:_\d+)*)? ) )? (?: [eE] (?P<exp> [-+]?\d+(?:_\d+)* ) )?
-    ) \s*""", re.VERBOSE)
-
-
-def _read_rational(text: str) -> tuple[int, int] | None:
-    """For text ``Fraction`` reads, the digits of its longest integer (no
-    underscores) and its mantissa characters plus |exponent|, a bound on its
-    decimal digits (0 for an exponent past the str() limit); else None."""
-    m = _RATIONAL.fullmatch(text)
-    if m is None:
-        return None
-    num, den, dec, exp = m.group("num", "den", "dec", "exp")
-    longest = max(len(s) - s.count("_") for s in (num, den, dec, exp and exp.lstrip("+-")) if s)
-    try:
-        return longest, (m.start("exp") - 1 if exp else len(text)) + abs(int(exp or 0))
-    except ValueError:
-        return longest, 0
 
 
 @dataclass(frozen=True)

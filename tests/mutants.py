@@ -75,7 +75,7 @@ MUTANTS = [
      "range(0 if binomials else p, p**k)", "range(p, p**k)"),
     ("modulus search: binomials never skipped", "fields.py",
      "range(0 if binomials else p, p**k)", "range(0, p**k)"),
-    ("rational text: a double underscore read in the numerator", "geometry.py",
+    ("rational text: a double underscore read in the numerator", "errors.py",
      r"(?P<num> (?:\d+(?:_\d+)*)? )", r"(?P<num> (?:\d+(?:_+\d+)*)? )"),
 ]
 

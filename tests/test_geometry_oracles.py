@@ -25,12 +25,11 @@ from geometry_reference import (  # noqa: E402
     is_isotropic_naive,
 )
 
-from finiverse.errors import InvalidInputError  # noqa: E402
+from finiverse.errors import InvalidInputError, _read_rational  # noqa: E402
 from finiverse.fields import FieldVector, enumerate_elements, make_extension_field  # noqa: E402
 from finiverse.geometry import (  # noqa: E402
     AffineSpace,
     RationalPoint,
-    _read_rational,
     enumerate_lines,
     find_ordinary_line,
     squared_distance,

@@ -61,10 +61,12 @@ def test_lines_and_hesse_match_reference_on_benchmark_spaces():
     assert (2, 4, 2) in spaces  # AG(2, 16), the largest
     for p, k, dim in spaces:
         space = AffineSpace(make_extension_field(p, k), dim)
-        assert _line_data(enumerate_lines(space)) == _line_data(enumerate_lines_naive(space)), (
-            f"AG({dim},{p}^{k})"
-        )
+        naive = enumerate_lines_naive(space)
+        assert _line_data(enumerate_lines(space)) == _line_data(naive), f"AG({dim},{p}^{k})"
         structure = incidence_structure(space)
+        # incidence is built apart from enumerate_lines, so it is checked on its own
+        position = {point: n for n, point in enumerate(space.points())}
+        assert set(structure.lines) == {frozenset(map(position.get, ln.points)) for ln in naive}
         assert check_hesse_property(structure) == check_hesse_property_naive(structure)
 
 

@@ -71,11 +71,13 @@ def test_transversal_lines_match_reference(name):
     lines = enumerate_lines(space)
     assert _line_data(lines) == _line_data(enumerate_lines_naive(space))
     points = space.points()
-    for ln in lines:
-        assert ln._ids == tuple(sorted(ln._ids))
-        assert tuple(points[n] for n in ln._ids) == ln.points
+    position = {point: n for n, point in enumerate(points)}
+    ids = [[position[point] for point in ln.points] for ln in lines]
+    for ln, line_ids in zip(lines, ids):
+        assert line_ids == sorted(line_ids)
+        assert tuple(points[n] for n in line_ids) == ln.points
     structure = incidence_structure(space)
-    assert structure.lines == tuple(frozenset(ln._ids) for ln in lines)
+    assert structure.lines == tuple(map(frozenset, ids))
 
 
 @pytest.mark.parametrize("p,k,dim,count", [(3, 2, 2, 90), (2, 2, 3, 336), (7, 1, 2, 56)],

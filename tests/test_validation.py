@@ -7,7 +7,9 @@ too long for ``str`` is still typed, naming it by its bit length."""
 import argparse
 import contextlib
 import math
+import os
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
@@ -39,10 +41,12 @@ from finiverse.errors import (
     NotPrimeError,
     RangeLimitError,
     SizeLimitError,
+    SpecMismatchError,
 )
 from finiverse.fields import (
     FieldElement,
     FieldSpec,
+    FieldVector,
     _is_prime,
     enumerate_elements,
     make_extension_field,
@@ -189,6 +193,30 @@ def test_unhashable_label_is_refused_typed(site):
     assert value in str(exc.value) and reason in str(exc.value)
 
 
+#: a field-layer call out of its domain: (call, error type, message)
+FIELD_REFUSALS = {
+    "FieldSpec non-monic modulus": (lambda: FieldSpec(3, 2, (1, 0, 2)), InvalidInputError,
+                                    "modulus must be monic of degree k"),
+    "FieldSpec.element of another field": (lambda: F9.element(F3.one), SpecMismatchError,
+                                           "element belongs to a different field"),
+    "FieldSpec.gen of a prime field": (lambda: F3.gen, InvalidInputError,
+                                       "prime fields have no adjoined generator"),
+    "FieldElement non-int exponent": (lambda: F3.one ** 1.5, InvalidInputError,
+                                      "exponent must be an integer"),
+    "FieldVector plus a non-vector": (lambda: FieldVector([F3.one, F3.zero]) + (1, 0),
+                                      SpecMismatchError, "cannot combine vector with tuple"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIELD_REFUSALS))
+def test_field_refusal_keeps_type_code_and_message(site):
+    call, error, message = FIELD_REFUSALS[site]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and exc.value.code == error.code
+    assert str(exc.value) == message
+
+
 #: a coordinate that Fraction refuses, each with the error Fraction raises
 INEXACT_COORDINATES = {
     "text": (("x", 1), "'x'"),  # ValueError
@@ -278,6 +306,7 @@ def refuse_long_text(tmp_path, case):
     if case.startswith("config"):
         path = tmp_path / "long.cfg"
         path.write_text({"config line": LONG_TEXT, "config value": f"G = {LONG_TEXT}",
+                         "config kappa": f"kappa = {LONG_TEXT}",
                          "config key": f"{LONG_TEXT} = 1"}[case] + "\n")
         with pytest.raises(InvalidInputError) as exc:
             load_config(path)
@@ -290,7 +319,8 @@ def refuse_long_text(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["RationalPoint", "--points", "--vector", "--element",
-                                  "config line", "config value", "config key"])
+                                  "config line", "config value", "config kappa",
+                                  "config key"])
 def test_a_long_malformed_text_is_quoted_by_a_bounded_prefix(tmp_path, case):
     message, code = refuse_long_text(tmp_path, case)
     assert code == "InvalidInput"
@@ -321,6 +351,25 @@ def int_str_limit(digits=4300):
 def refuse_unprintable_output():
     with int_str_limit():
         cli._refuse_unprintable({"cardinality": (10**5000, "points")})
+
+
+def parse_long_element():
+    with int_str_limit():
+        cli._parse_element(make_prime_field(7), "1" * 4301)
+
+
+def load_long_kappa():
+    """A kappa of 4,301 digits written with underscores, which int() does not
+    count, read from a relative path so that the message is fixed."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, int_str_limit():
+        os.chdir(tmp)
+        try:
+            with open("kappa.cfg", "w") as fh:
+                fh.write("kappa = " + "1_" * 4300 + "1\n")
+            load_config("kappa.cfg")
+        finally:
+            os.chdir(cwd)
 
 
 SIZE_CAPS = {
@@ -356,6 +405,12 @@ SIZE_CAPS = {
     "cli unprintable output": (refuse_unprintable_output, 5001, 4300,
                                "cardinality has 5001 decimal digits, more than the 4300 "
                                "str() converts"),
+    "cli element integer": (parse_long_element, 4301, 4300,
+                            f"element {'1' * 64 + '...<4301 characters>'!r} has an integer of "
+                            "4301 digits, more than the 4300 str() converts"),
+    "load_config kappa integer": (load_long_kappa, 4301, 4300,
+                                  "kappa.cfg:1: kappa has an integer of 4301 digits, more than "
+                                  "the 4300 str() converts"),
 }
 
 
