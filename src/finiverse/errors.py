@@ -69,7 +69,11 @@ class SpecMismatchError(FiniverseError, ValueError):
 
 
 class DimMismatchError(FiniverseError, ValueError):
-    """Operands have different numbers of coordinates."""
+    """Operands have different numbers of coordinates.
+
+    ``witness`` is ``{"expected": n, "got": m}``: the count the field, the
+    space or the first operand fixes, and the count given.
+    """
 
     code = "DimMismatch"
 
@@ -237,8 +241,10 @@ def _str_digits(value) -> int:
     return digits if digits > cap else 0
 
 
-#: the text ``Fraction`` reads: a sign, integers with single underscores, then
-#: a denominator or a decimal part and an exponent, whitespace around it all
+#: the text CPython 3.11's ``Fraction`` reads, kept on every version so that
+#: what is accepted does not depend on the interpreter (3.12 also reads
+#: whitespace next to "/"): a sign, integers with single underscores, then a
+#: denominator or a decimal part and an exponent, whitespace around it all
 _RATIONAL = re.compile(r"""\s* [-+]? (?=\.?\d) (?P<num> (?:\d+(?:_\d+)*)? )
     (?: / (?P<den> \d+(?:_\d+)* )
       | (?: \. (?P<dec> (?:\d+(?:_\d+)*)? ) )? (?: [eE] (?P<exp> [-+]?\d+(?:_\d+)* ) )?

@@ -487,7 +487,8 @@ def _coefficients(spec: FieldSpec, value) -> list[int]:
         raise InvalidInputError(f"element {_printable(value)!r} is not an int or a "
                                 "sequence of integer coefficients") from None
     if len(coeffs) != spec.k:
-        raise DimMismatchError(f"expected {spec.k} coefficients, got {len(coeffs)}")
+        raise DimMismatchError(f"expected {spec.k} coefficients, got {len(coeffs)}",
+                               {"expected": spec.k, "got": len(coeffs)})
     return coeffs
 
 
@@ -697,7 +698,8 @@ class FieldVector(tuple):
         if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatchError("vectors live over different fields")
         if len(other) != len(self):
-            raise DimMismatchError(f"dimension mismatch: {len(self)} vs {len(other)}")
+            raise DimMismatchError(f"dimension mismatch: {len(self)} vs {len(other)}",
+                                   {"expected": len(self), "got": len(other)})
         return other
 
     def __add__(self, other):
@@ -746,7 +748,8 @@ class _Space:
             raise InvalidInputError(
                 f"coordinates {_printable(values)!r} are not a sequence") from None
         if count != self.dim:
-            raise DimMismatchError(f"expected {_printable(self.dim)} coordinates, got {count}")
+            raise DimMismatchError(f"expected {_printable(self.dim)} coordinates, got {count}",
+                                   {"expected": self.dim, "got": count})
         return FieldVector(map(self.spec.element, values))
 
 

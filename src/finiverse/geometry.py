@@ -359,9 +359,11 @@ def check_hesse_property(structure: IncidenceStructure) -> HesseCheck:
 class RationalPoint:
     """Plane point with exact rational coordinates (floats rejected); a
     coordinate of type ``Fraction`` is kept as given.  The text of a str or
-    Decimal is read by ``_read_rational``: malformed is InvalidInputError,
-    beyond CAPACITY_BITS is refused before ``Fraction`` builds it, and a str
-    integer longer than the str() digit limit is a SizeLimitError."""
+    Decimal is read by ``_read_rational``, on CPython 3.11's ``Fraction``
+    grammar on every version (so "8/ 9", which 3.12's reads, is refused
+    everywhere): malformed is InvalidInputError, beyond CAPACITY_BITS is
+    refused before ``Fraction`` builds it, and a str integer longer than the
+    str() digit limit is a SizeLimitError."""
 
     x: Fraction
     y: Fraction

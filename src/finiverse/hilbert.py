@@ -8,11 +8,10 @@ sends x + i*y to x - i*y); it is defined once, on element indices, by
 ``_conjugate_index``, which ``conjugate`` and so ``is_isotropic`` use.
 The sesquilinear form is sum(conj(u_n) * v_n).  Unlike the complex case
 the form is not definite: nonzero isotropic vectors with <v, v> = 0 can
-exist and are reported rather than forbidden.  ``is_isotropic`` reads
-each coordinate's norm conj(c) * c from a memo the field spec is built
-with, filled one element at a time as coordinates are met and packed in
-the wide slots of the spec's kernel ``_sums``, so a vector's norm-square
-is one builtin ``sum``.
+exist and are reported rather than forbidden.  ``is_isotropic`` is one
+loop adding each coordinate's norm conj(c) * c, read from a memo the
+spec is built with and packed in the wide slots of the spec's kernel
+``_sums``; a norm not in the memo is computed where the loop meets it.
 """
 
 from __future__ import annotations
@@ -98,11 +97,12 @@ def norm_squared(v: FieldVector) -> FieldElement:
 def is_isotropic(v: FieldVector) -> bool:
     """True for a nonzero vector whose norm-square vanishes.
 
-    The norm-square sum(conj(c) * c) is the builtin ``sum`` of one memo
-    read per coordinate.  The memo, a dict the spec is built with (a
-    copy or pickle starts its own, empty), maps each element index met
-    so far to its norm packed by ``spec._sums``, the spec's kernel with
-    slots of at least 128 bits, and the sum is zero when every slot is 0
+    The norm-square sum(conj(c) * c) is one loop adding a memo read per
+    coordinate to an int.  The memo, a dict the spec is built with (a copy
+    or pickle starts its own, empty), maps each element index met so far to
+    its norm packed by ``spec._sums``, the spec's kernel with slots of at
+    least 128 bits; an index it lacks costs one ``conjugate`` and one
+    product, where the loop meets it.  The sum is zero when every slot is 0
     mod p.  Below 2^46 coordinates no slot overflows, whatever the prime p.
     conj is a bijection with conj(0) = 0 and a field has no zero divisors,
     so only the zero element packs a norm of 0; the packed norms are
@@ -111,14 +111,13 @@ def is_isotropic(v: FieldVector) -> bool:
         raise InvalidInputError("is_isotropic expects a vector")
     spec = v[0].spec
     norms = spec._norm_memo
-    try:
-        total = sum([norms[c._index] for c in v])
-    except KeyError:
-        pack = spec._sums.pack
-        for c in v:
-            if c._index not in norms:
-                norms[c._index] = pack((conjugate(c) * c)._index)
-        total = sum([norms[c._index] for c in v])
+    total = 0
+    for c in v:
+        try:
+            total += norms[c._index]
+        except KeyError:
+            norms[c._index] = new = spec._sums.pack((conjugate(c) * c)._index)
+            total += new
     return total != 0 and spec._sums.is_zero(total)
 
 

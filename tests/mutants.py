@@ -54,6 +54,8 @@ MUTANTS = [
      "da @ stacked % p", "da @ stacked % (p + 1)"),
     ("isotropy: norm c * c without conjugate", "hilbert.py",
      "pack((conjugate(c) * c)._index)", "pack((c * c)._index)"),
+    ("isotropy: a newly met norm stored but not added", "hilbert.py",
+     "total += new", "total += 0"),
     ("digitwise: place value p + 1, not p", "fields.py",
      "place *= p", "place *= p + 1"),
     ("extended gcd: result not made monic", "fields.py",

@@ -375,6 +375,14 @@ def test_size_limit_witness_in_json():
     assert doc["witness"] == {"requested": 10**12, "cap": 2**16}
 
 
+def test_dim_mismatch_witness_in_json():
+    report, doc = run_json(["hilbert", "inner", "--p", "3", "--k", "2", "--u", "1,2",
+                            "--v", "1,2,0"])
+    assert report.exit_code == 1
+    assert (doc["error"], doc["message"]) == ("DimMismatch", "dimension mismatch: 2 vs 3")
+    assert doc["witness"] == {"expected": 2, "got": 3}
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="Python before 3.10.7 has no int-to-str limit")
 @pytest.mark.parametrize("argv, digits", [

@@ -9,6 +9,7 @@ These need the test extras (``pip install -e .[test]``); without Hypothesis
 the module is skipped, not the rest of the suite.
 """
 
+import re
 import sys
 
 import pytest
@@ -120,6 +121,10 @@ RATIONAL_TEXT = st.lists(st.sampled_from([*"0123456789_./eE+- ", "\u0661", *NEAR
 #: whether this interpreter's ``Fraction`` reads underscores (from 3.11 on)
 UNDERSCORES = sys.version_info >= (3, 11)
 
+#: whether it reads whitespace next to "/" (from 3.12 on); the reader keeps
+#: 3.11's grammar on every version, so that such text is refused everywhere
+SPACED_SLASH = sys.version_info >= (3, 12)
+
 
 @settings(max_examples=1000, deadline=None)
 @given(text=st.one_of(st.sampled_from(NEAR_MISSES), RATIONAL_TEXT))
@@ -132,6 +137,8 @@ def test_rational_text_is_read_as_fraction_reads_it(text):
         except ZeroDivisionError:
             value, read = None, True
         except ValueError:
+            value, read = None, False
+        if SPACED_SLASH and re.search(r"\s/|/\s", text):
             value, read = None, False
         if UNDERSCORES or "_" not in text:
             assert (_read_rational(text) is not None) == read

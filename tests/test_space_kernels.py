@@ -4,10 +4,11 @@ that share none of their shortcuts:
 * the transversal line builder against ``enumerate_lines_naive`` on
   spaces the benchmark does not run, and its offsets without a single
   ``FieldElement`` product;
-* ``is_isotropic`` (one norm memo per spec, one ``sum`` per vector)
-  against ``is_isotropic_naive``, before and after the field is
-  enumerated;
-* ``find_degenerate_pair`` (the same packed ``sum``, over the vectors
+* ``is_isotropic`` (one loop of norm-memo reads per vector, a miss
+  filled where it is met) against ``is_isotropic_naive``, on a cold memo,
+  before and after the field is enumerated, and its count of
+  ``conjugate`` calls, one per index the memo meets;
+* ``find_degenerate_pair`` (a packed ``sum``, over the vectors
   whose first nonzero coordinate is one) against
   ``find_degenerate_pair_naive``, and whether a pair exists against a
   closed form that no scan enters.
@@ -28,6 +29,7 @@ from geometry_reference import (
     is_isotropic_naive,
 )
 
+from finiverse import hilbert
 from finiverse.errors import SizeLimitError
 from finiverse.fields import (
     FieldElement,
@@ -43,7 +45,7 @@ from finiverse.geometry import (
     find_degenerate_pair,
     incidence_structure,
 )
-from finiverse.hilbert import is_isotropic
+from finiverse.hilbert import FiniteHilbertSpace, enumerate_vectors, is_isotropic
 
 # -- lines from transversals -------------------------------------------------------
 
@@ -116,12 +118,34 @@ def test_line_incidence_cap_is_checked_before_enumeration():
 def test_isotropy_matches_reference_before_and_after_enumeration(p, k, dim):
     spec = make_extension_field(p, k)
     coords = list(itertools.product(range(spec.order), repeat=dim))
+    # each vector on a cold memo (a copy of the spec starts its own, empty), so
+    # that every norm is read where it is first met; then all on one memo
+    cold = [is_isotropic(FieldVector(map(copy.copy(spec).element, c))) for c in coords]
     before = [is_isotropic(FieldVector(map(spec.element, c))) for c in coords]
     elements = enumerate_elements(spec)
     vectors = [FieldVector(elements[n] for n in c) for c in coords]
     after = [is_isotropic(v) for v in vectors]
-    assert before == after == [is_isotropic_naive(v) for v in vectors]
-    assert not after[0]  # the zero vector is not isotropic
+    assert cold == before == after == [is_isotropic_naive(v) for v in vectors]
+    assert not after[0] and any(after)  # the zero vector is not isotropic; some others are
+
+
+def test_isotropy_conjugates_each_index_once(monkeypatch):
+    # what the traced hilbert.conjugate.calls counts: one call per index the
+    # memo meets, none for an index met before, as the products test counts *
+    calls = []
+    conjugate = hilbert.conjugate
+
+    def counted(a):
+        calls.append(a._index)
+        return conjugate(a)
+
+    monkeypatch.setattr(hilbert, "conjugate", counted)
+    vectors = enumerate_vectors(FiniteHilbertSpace(make_extension_field(3, 2), 2))
+    flags = [is_isotropic(v) for v in vectors]
+    assert sorted(calls) == list(range(9))
+    assert [is_isotropic(v) for v in vectors] == flags and len(calls) == 9
+    a = make_extension_field(3, 2).gen  # a fresh spec: a cold memo
+    assert not is_isotropic(FieldVector((a, a))) and calls[9:] == [a._index]
 
 
 def test_isotropy_flags_do_not_depend_on_the_history_of_the_spec():

@@ -1,8 +1,9 @@
 """Every numeric library boundary rejects bools, non-numbers, NaN and
 infinities with InvalidInputError; every size cap refuses with a
 SizeLimitError, and every bit-size guard with a CapacityOverflowError,
-that names the requested size and the cap; and every refusal of an int
-too long for ``str`` is still typed, naming it by its bit length."""
+that names the requested size and the cap; every DimMismatchError names
+the count expected and the count given; and every refusal of an int too
+long for ``str`` is still typed, naming it by its bit length."""
 
 import argparse
 import contextlib
@@ -421,6 +422,26 @@ def test_size_limit_carries_requested_and_cap(site):
         call()
     assert exc.value.code == "SizeLimit"
     assert exc.value.witness == {"requested": requested, "cap": cap}
+    assert str(exc.value) == message
+
+
+#: each DimMismatchError raise site: (call, expected, got, message)
+DIM_MISMATCHES = {
+    "FieldSpec.element": (lambda: F9.element([1, 2, 0]), 2, 3, "expected 2 coefficients, got 3"),
+    "FieldVector._check": (lambda: FieldVector((F3.one,) * 2) + FieldVector((F3.one,) * 3),
+                           2, 3, "dimension mismatch: 2 vs 3"),
+    "_Space._coordinates": (lambda: AffineSpace(F3, 3).point([0, 1]), 3, 2,
+                            "expected 3 coordinates, got 2"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DIM_MISMATCHES))
+def test_dim_mismatch_carries_expected_and_got(site):
+    call, expected, got, message = DIM_MISMATCHES[site]
+    with pytest.raises(DimMismatchError) as exc:
+        call()
+    assert exc.value.code == "DimMismatch"
+    assert exc.value.witness == {"expected": expected, "got": got}
     assert str(exc.value) == message
 
 
