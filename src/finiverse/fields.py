@@ -45,7 +45,9 @@ Its constructor checks that they share one field; ``+`` adds vectors.
 truth tables (associativity and distributivity by Light's test over
 generating sets) and returns explicit witnesses on failure;
 ``verify_modular_ring_axioms`` runs the same battery on Z/n as a
-diagnostic for composite moduli.
+diagnostic for composite moduli.  The battery proves commutativity
+first: on a commutative table each right-hand check is its left-hand
+check transposed, so it is not made again.
 """
 
 from __future__ import annotations
@@ -886,7 +888,7 @@ class AxiomReport:
         return all(c.passed for c in self.checks.values())
 
 
-def _generators(table: np.ndarray, last: tuple = ()) -> list[int]:
+def _generators(table: np.ndarray, last: tuple = (), symmetric: bool = False) -> list[int]:
     """A generating set of the magma ``table``, chosen greedily.
 
     The candidates are every index in increasing order, except that the
@@ -895,7 +897,9 @@ def _generators(table: np.ndarray, last: tuple = ()) -> list[int]:
     before it.  The closure grows semi-naively: each round multiplies
     only the members added last against all members, both ways, and
     scatters the products into a fresh q-long boolean mask, so the whole
-    pass makes O(q^2) table lookups and sorts nothing.
+    pass makes O(q^2) table lookups and sorts nothing.  On a ``symmetric``
+    (commutative) table the products m o n are the products n o m, so a
+    round takes one side only; the generators are the same.
     """
     import numpy as np
 
@@ -909,11 +913,11 @@ def _generators(table: np.ndarray, last: tuple = ()) -> list[int]:
         inside[g] = True
         new = np.array([g])
         while new.size:
-            members = np.flatnonzero(inside)
             hit = np.zeros(q, dtype=bool)
-            hit[table[np.ix_(new, members)]] = True
-            hit[table[np.ix_(members, new)]] = True
-            new = np.flatnonzero(hit & ~inside)
+            hit[table[new][:, inside]] = True
+            if not symmetric:
+                hit[table[:, new][inside]] = True
+            new = np.flatnonzero(hit > inside)
             inside[new] = True
     return gens
 
@@ -940,6 +944,13 @@ def _check_tables(label, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: i
     table under test, so the proof is still exhaustive, not a sample.
     When a reduced check fails, the full row scan runs and supplies the
     first witness.
+
+    Commutativity is proved first, and its per-table result is kept: on a
+    commutative table each right-hand check is its left-hand check
+    transposed.  So the closure of a commutative table multiplies one way
+    only, associativity compares (x o s) o y with its own transpose
+    instead of gathering x o (s o y), and when * commutes only the left
+    distributive law is checked.  The witness scans are not shortened.
     """
     import numpy as np
 
@@ -950,20 +961,27 @@ def _check_tables(label, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: i
         where = np.argwhere(mask_a != mask_b)
         return tuple(int(w) for w in where[0])
 
-    # commutativity of both operations
+    # commutativity of both operations, kept for the one-sided checks below
+    add_sym, mul_sym = (np.array_equal(t, t.T) for t in (add_t, mul_t))
     witness = None
-    for table in (add_t, mul_t):
-        if not np.array_equal(table, table.T):
+    for table, sym in ((add_t, add_sym), (mul_t, mul_sym)):
+        if not sym:
             i, j = first_bad(table, table.T)
             witness = (label(i), label(j))
             break
     checks["commutativity"] = AxiomCheck(witness is None, witness)
 
-    # associativity: (x o s) o y == x o (s o y) for each generator s
-    add_gens = _generators(add_t, last=(zero,))
+    # associativity: (x o s) o y == x o (s o y) for each generator s; when
+    # o commutes, x o (s o y) = (y o s) o x, the left-hand side transposed
+    def associative_at(table, s, sym):
+        lhs = table[table[:, s]]
+        return np.array_equal(lhs, lhs.T if sym else table[:, table[s]])
+
+    add_gens = _generators(add_t, (zero,), add_sym)
     associative = all(
-        np.array_equal(table[table[:, s], :], table[:, table[s, :]])
-        for table, gens in ((add_t, add_gens), (mul_t, _generators(mul_t, last=(one, zero))))
+        associative_at(table, s, sym)
+        for table, gens, sym in ((add_t, add_gens, add_sym),
+                                 (mul_t, _generators(mul_t, (one, zero), mul_sym), mul_sym))
         for s in gens
     )
     witness = None
@@ -1001,10 +1019,11 @@ def _check_tables(label, add_t: np.ndarray, mul_t: np.ndarray, zero: int, one: i
             witness = (label(int(np.argwhere(~has_inv)[0][0])), "multiplicative")
     checks["inverses"] = AxiomCheck(witness is None, witness)
 
-    # left and right distributivity for each generator c of (M, +)
+    # left and right distributivity for each generator c of (M, +); when *
+    # commutes, the right law (b+c)*a = b*a + c*a is the left law transposed
     distributive = associative and all(
         np.array_equal(mul_t[:, add_t[:, c]], add_t[mul_t, mul_t[:, c][:, None]])
-        and np.array_equal(mul_t[add_t[:, c], :], add_t[mul_t, mul_t[c, :][None, :]])
+        and (mul_sym or np.array_equal(mul_t[add_t[:, c], :], add_t[mul_t, mul_t[c, :][None, :]]))
         for c in add_gens
     )
     witness = None
@@ -1036,7 +1055,9 @@ def verify_field_axioms(spec: FieldSpec) -> AxiomReport:
     sets (see ``_check_tables``): the generators come from closing the
     tables themselves, and the laws that hold for every generator hold
     for everything they generate, so any generating set (the identities
-    tried last) gives a proof for every triple.  Element names are
+    tried last) gives a proof for every triple.  Commutativity is proved
+    first, and a commutative table's right-hand checks are its left-hand
+    checks transposed, so they are not repeated.  Element names are
     rendered only for the witnesses of a failed check.
     """
     elements, add_t, mul_t = operation_tables(spec)

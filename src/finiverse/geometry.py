@@ -361,9 +361,10 @@ class RationalPoint:
     coordinate of type ``Fraction`` is kept as given.  The text of a str or
     Decimal is read by ``_read_rational``, on CPython 3.11's ``Fraction``
     grammar on every version (so "8/ 9", which 3.12's reads, is refused
-    everywhere): malformed is InvalidInputError, beyond CAPACITY_BITS is
-    refused before ``Fraction`` builds it, and a str integer longer than the
-    str() digit limit is a SizeLimitError."""
+    everywhere, and "1_000", which 3.10's refuses, is 1000 everywhere):
+    malformed is InvalidInputError, beyond CAPACITY_BITS is refused before
+    ``Fraction`` builds it, and a str integer longer than the str() digit
+    limit is a SizeLimitError."""
 
     x: Fraction
     y: Fraction
@@ -387,7 +388,9 @@ class RationalPoint:
             try:
                 if sizes is None:
                     raise ValueError("malformed text")
-                v = Fraction(v)  # still refuses a zero denominator, and underscores before 3.11
+                # still refuses a zero denominator; without its underscores,
+                # accepted text reads as on 3.11 before 3.11 too
+                v = Fraction(v.replace("_", "") if isinstance(v, str) else v)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise InvalidInputError(
                     f"coordinate {name} = {_printable(v)!r} is not an exact rational") from None

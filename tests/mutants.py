@@ -77,6 +77,12 @@ MUTANTS = [
      "range(0 if binomials else p, p**k)", "range(p, p**k)"),
     ("modulus search: binomials never skipped", "fields.py",
      "range(0 if binomials else p, p**k)", "range(0, p**k)"),
+    ("axiom closure: one side only on a non-symmetric table", "fields.py",
+     "if not symmetric:", "if False:"),
+    ("associativity: a non-symmetric table compared with its transpose", "fields.py",
+     "lhs.T if sym else", "lhs.T if True else"),
+    ("distributivity: right law skipped when only + commutes", "fields.py",
+     "(mul_sym or np", "(add_sym or np"),
     ("rational text: a double underscore read in the numerator", "errors.py",
      r"(?P<num> (?:\d+(?:_\d+)*)? )", r"(?P<num> (?:\d+(?:_+\d+)*)? )"),
 ]

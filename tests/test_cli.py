@@ -170,6 +170,8 @@ def test_ordinary_line_paths():
     assert doc["outputs"]["pair"]["value"] == [0, 1]  # empty chunks skipped
     _, doc = run_json(["geometry", "ordinary-line", "--points", " 1/2 , 3;0,0;1,1"])
     assert doc["outputs"]["through"]["value"] == "(1/2, 3) and (0, 0)"
+    _, doc = run_json(["geometry", "ordinary-line", "--points", "1_000,0;0,1;1,1"])
+    assert doc["outputs"]["through"]["value"] == "(1000, 0) and (0, 1)"  # also before 3.11
 
 
 @pytest.mark.parametrize("points, error, message, witness", [

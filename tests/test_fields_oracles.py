@@ -319,7 +319,9 @@ def _closure(table, seeds):
 @pytest.mark.parametrize("name", BATTERY_NAMES)
 def test_generators_are_greedy_and_generate(name):
     # the battery's candidate order: every index ascending, then the
-    # identity candidates, zero last for + and one then zero last for *
+    # identity candidates, zero last for + and one then zero last for *;
+    # on a symmetric table the one-sided closure finds the same list
+    symmetric = 0
     for _, add_t, mul_t, zero, one in _variants(name):
         for table, last in ((add_t, (zero,)), (mul_t, (one, zero))):
             gens = fields_mod._generators(np.array(table), last)
@@ -329,6 +331,10 @@ def test_generators_are_greedy_and_generate(name):
             for i, g in enumerate(gens):
                 outside = set(range(q)) - _closure(table, gens[:i])
                 assert g == next(c for c in order if c in outside)
+            if all(table[i][j] == table[j][i] for i in range(q) for j in range(q)):
+                assert fields_mod._generators(np.array(table), last, symmetric=True) == gens
+                symmetric += 1
+    assert symmetric >= 2 * 3  # both tables of the structure and its relabelings
 
 
 #: generators of (M, +) and (M, *) in plain index order and identities last
@@ -377,3 +383,75 @@ def test_a_failing_battery_renders_only_its_witnesses():
                  if w not in ("additive", "multiplicative", "left", "right")]
         assert named and [labels[i] for i in asked] == named
     assert _counted_report(structures[0])[1] == [2]  # Z/6: 2 has no inverse
+
+
+# -- the commutative shortcuts, and the structures they must not take --------
+
+
+def _commutative_table(rng, q):
+    """A random symmetric q x q table: a random upper triangle, or x + y,
+    x * y or max(x, y) mod q with the elements renumbered at random."""
+    kind = rng.choice(["random", "add", "mul", "max"])
+    perm = list(range(q))
+    rng.shuffle(perm)
+    op = {"add": lambda x, y: (x + y) % q, "mul": lambda x, y: x * y % q, "max": max}.get(kind)
+    t = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            v = rng.randrange(q) if op is None else perm[op(perm.index(i), perm.index(j))]
+            t[i][j] = t[j][i] = v
+    return t
+
+
+def test_symmetric_tables_match_reference():
+    # commutative, so every shortcut is taken; a random table is mostly
+    # neither associative nor distributive, a renumbered Z/q or max is
+    # associative, so the one-gather and left-law-only paths meet both
+    # outcomes
+    rng = random.Random("symmetric tables")
+    outcomes = set()
+    for _ in range(400):
+        q = rng.randrange(1, 9)
+        structure = ([str(i) for i in range(q)], _commutative_table(rng, q),
+                     _commutative_table(rng, q), rng.randrange(q), rng.randrange(q))
+        expected = ref.check_tables(*structure)
+        assert _library_report(*structure) == expected
+        outcomes.add((expected["associativity"][0], expected["distributivity"][0]))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def _noncommutative(name):
+    """Associative structures whose * does not commute, on nested lists.
+
+    "Z/n right zero" is Z/n with x * y = y: left distributive, not right;
+    "Z/n left zero" has x * y = x: right distributive, not left;
+    "T2(GF(2))" is the ring of upper triangular 2 x 2 matrices over GF(2),
+    [[a, b], [0, d]] at index 4a + 2b + d: every law but commutativity and
+    inverses holds.
+    """
+    if name == "T2(GF(2))":
+        entries = [(i >> 2, i >> 1 & 1, i & 1) for i in range(8)]
+        index = {e: i for i, e in enumerate(entries)}
+        add_t = [[index[tuple((x + y) % 2 for x, y in zip(e, f))] for f in entries]
+                 for e in entries]
+        mul_t = [[index[(a * a2 % 2, (a * b2 + b * d2) % 2, d * d2 % 2)]
+                  for a2, b2, d2 in entries] for a, b, d in entries]
+        return [f"[[{a},{b}],[0,{d}]]" for a, b, d in entries], add_t, mul_t, 0, index[(1, 0, 1)]
+    n = int(name[2:name.index(" ")])
+    right = name.endswith("right zero")
+    return ([str(i) for i in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)],
+            [[j if right else i for j in range(n)] for i in range(n)], 0, 1)
+
+
+@pytest.mark.parametrize("name", ["Z/5 right zero", "Z/6 left zero", "T2(GF(2))"])
+def test_noncommutative_battery_matches_reference(name):
+    # * is associative and not commutative, so neither shortcut may be
+    # taken for it: each law's two sides differ on some pair
+    structure = _noncommutative(name)
+    expected = ref.check_tables(*structure)
+    assert expected["associativity"] == (True, None)
+    assert not expected["commutativity"][0]
+    assert _library_report(*structure) == expected
+    for table, last in ((structure[1], (0,)), (structure[2], (structure[4], 0))):
+        gens = fields_mod._generators(np.array(table), last)
+        assert _closure(table, gens) == set(range(len(table)))
