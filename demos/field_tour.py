@@ -32,8 +32,8 @@ print("a * a =", a * a)
 print("a^3   =", a * a * a)
 
 # full multiplication table, rendered the classical way
-elements, _, mul = operation_tables(f4)
-labels = [str(e) for e in elements]
+_, mul = operation_tables(f4)
+labels = [str(e) for e in enumerate_elements(f4)]
 width = max(len(s) for s in labels)
 print("\nF4 multiplication table:")
 print(" " * width, " ".join(s.rjust(width) for s in labels))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -32,11 +33,11 @@ from .errors import (
     _at_most,
     _finite,
     _integer,
-    _integer_digits,
+    _long_integers,
     _printable,
     _read_rational,
+    _str_convertible,
     _str_digits,
-    _str_limit,
 )
 
 __all__ = ["RunReport", "dispatch", "render_json", "render_text", "main"]
@@ -154,7 +155,22 @@ def render_text(report: RunReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _number(kind, text: str):
+    """``kind(text)`` for an int or float flag; refused text is quoted as
+    argparse quotes it, through ``_printable``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {_printable(text)!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for kind in (int, float):  # every type=int or type=float flag reads through _number
+            self.register("type", kind, functools.partial(_number, kind))
+
     def error(self, message):  # route argparse failures to exit code 2
         raise UsageError(message)
 
@@ -178,11 +194,7 @@ def _parse_element(spec: fields.FieldSpec, text: str) -> fields.FieldElement:
     try:
         value = [int(c) for c in text.split(":")] if ":" in text else int(text)
     except ValueError:
-        digits = [_integer_digits(part) for part in text.split(":")]
-        if None not in digits:  # well-formed, so int() refused its length
-            n = max(digits)
-            _at_most(n, _str_limit() or n, "element {text!r} has an integer of {n} digits, "
-                     "more than the {cap} str() converts", text=text)
+        _long_integers(text.split(":"), "element {text!r} has an integer of {n} digits", text=text)
         raise InvalidInputError(f"element {_printable(text)!r} is not an integer or "
                                 "colon-separated integer coefficients") from None
     return spec.element(value)
@@ -209,8 +221,8 @@ def _parse_rational_points(text: str) -> list[geometry.RationalPoint]:
         # refused before 10**exponent is computed; with no str() limit, by RationalPoint
         for part in parts:
             _, digits = _read_rational(part) or (0, 0)  # malformed: RationalPoint refuses
-            _at_most(digits, _str_limit() or digits, "point {chunk!r} has a coordinate of "
-                     "about {n} digits, more than the {cap} str() converts", chunk=chunk)
+            _str_convertible(digits, "point {chunk!r} has a coordinate of about {n} digits",
+                             chunk=chunk)
         try:
             points.append(geometry.RationalPoint(*parts))
         except InvalidInputError:
@@ -250,8 +262,8 @@ _TABLE_RENDER_CAP = 64
 def _handle_field_table(args) -> RunReport:
     spec = fields.make_extension_field(args.p, args.k)
     _at_most(spec.order, _TABLE_RENDER_CAP, "table rendering capped at order {cap}, got {n}")
-    elements, add_t, mul_t = fields.operation_tables(spec)
-    labels = [str(e) for e in elements]
+    add_t, mul_t = fields.operation_tables(spec)
+    labels = list(map(str, fields.enumerate_elements(spec)))
 
     def grid(table, symbol):
         rows = [[symbol] + labels]
@@ -694,8 +706,8 @@ def _refuse_unprintable(outputs: dict) -> None:
     """SizeLimitError for an output holding an int with more decimal digits
     than ``str`` converts."""
     for name, (value, _) in outputs.items():
-        _at_most(max(map(_str_digits, _scalars(value)), default=0), _str_limit(),
-                 "{name} has {n} decimal digits, more than the {cap} str() converts", name=name)
+        _str_convertible(max(map(_str_digits, _scalars(value)), default=0),
+                         "{name} has {n} decimal digits", name=name)
 
 
 def dispatch(argv: list[str]) -> RunReport:

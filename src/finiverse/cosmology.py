@@ -52,10 +52,9 @@ from .errors import (
     _at_most,
     _finite,
     _integer,
-    _integer_digits,
+    _long_integers,
     _printable,
     _real,
-    _str_limit,
 )
 
 __all__ = [
@@ -434,11 +433,9 @@ def load_config(path) -> tuple[Constants, CosmologyParams]:
             try:
                 num = int(value) if key == "kappa" else float(value)
             except ValueError:
-                n = _integer_digits(value) if key == "kappa" else None
-                if n is not None:  # well-formed, so int() refused its length
-                    _at_most(n, _str_limit() or n, "{path}:{line}: kappa has an integer of "
-                             "{n} digits, more than the {cap} str() converts",
-                             path=str(path), line=lineno)
+                if key == "kappa":  # SizeLimit when int() refused only its length
+                    _long_integers([value], "{path}:{line}: kappa has an integer of {n} "
+                                   "digits", path=str(path), line=lineno)
                 raise InvalidInputError(f"{path}:{lineno}: bad numeric value "
                                         f"{_printable(value)!r} for {_printable(key)}") from None
             if key in consts:

@@ -169,10 +169,11 @@ class UsageError(FiniverseError, ValueError):
 # number, ``_real`` or ``_integer`` (no bool, non-number, NaN or infinity;
 # ``_finite`` for a float formula's result); a size, ``_at_most``; a result's
 # bit size, ``_within_capacity``; a rational coordinate's text,
-# ``_read_rational`` (malformed is InvalidInput whatever its exponent), and an
-# integer's text, ``_integer_digits``, both on the one pattern ``_RATIONAL``; a
-# prime, ``fields._prime``; a dimension and coordinate count, ``fields._Space``;
-# a Bernoulli index, ``regularization.bernoulli``.
+# ``_read_rational`` (malformed is InvalidInput whatever its exponent), and
+# integers' text, ``_long_integers``, both on the one pattern ``_RATIONAL``; a
+# digit count within the str() limit, ``_str_convertible``; a prime,
+# ``fields._prime``; a dimension and coordinate count, ``fields._Space``; a
+# Bernoulli index, ``regularization.bernoulli``.
 
 #: bit-size guard for exact integer results
 CAPACITY_BITS = 4_000_000
@@ -266,15 +267,6 @@ def _read_rational(text: str) -> tuple[int, int] | None:
         return longest, 0
 
 
-def _integer_digits(text: str) -> int | None:
-    """For text ``_RATIONAL`` reads as an integer, the digits int() counts in
-    it (underscores not counted); else None."""
-    m = _RATIONAL.fullmatch(text)
-    if m is None or m.group("den", "dec", "exp") != (None, None, None):
-        return None
-    return len(m["num"]) - m["num"].count("_")
-
-
 def _printable(value):
     """``value``, or ``"<b-bit integer>"`` for an int too long for ``str``, or
     for a str of n > 64 characters its first 64 and ``"...<n characters>"``;
@@ -294,6 +286,19 @@ def _at_most(n: int, cap: int, message: str, error=SizeLimitError, **details) ->
     if n > cap:
         shown = {key: _printable(v) for key, v in dict(details, n=n, cap=cap).items()}
         raise error(message.format(**shown), witness={"requested": n, "cap": cap})
+
+
+def _str_convertible(n: int, what: str, **details) -> None:
+    """SizeLimitError, through ``_at_most``, for more digits than a limited ``str`` converts."""
+    _at_most(n, _str_limit() or n, what + ", more than the {cap} str() converts", **details)
+
+
+def _long_integers(texts, what: str, **details) -> None:
+    """``_str_convertible`` on the most digits int() counts in one of
+    ``texts`` when each is an integer ``_RATIONAL`` reads; else nothing."""
+    ms = [_RATIONAL.fullmatch(text) for text in texts]
+    if all(m and m.group("den", "dec", "exp") == (None, None, None) for m in ms):
+        _str_convertible(max(len(m["num"]) - m["num"].count("_") for m in ms), what, **details)
 
 
 def _within_capacity(bits: int, what: str, **details) -> None:

@@ -32,7 +32,7 @@ from .errors import (
     _printable,
     _read_rational,
     _real,
-    _str_limit,
+    _str_convertible,
     _within_capacity,
 )
 from .fields import (
@@ -382,9 +382,8 @@ class RationalPoint:
                 bits = digits * 33219281 // 10**7 + 1  # log2(10) < 3.3219281
                 _within_capacity(bits, "coordinate {name} of {n} bits", name=name)
                 if isinstance(v, str):
-                    _at_most(longest, _str_limit() or longest, "coordinate {name} has an "
-                             "integer of {n} digits, more than the {cap} str() converts",
-                             name=name)
+                    _str_convertible(longest, "coordinate {name} has an integer of {n} "
+                                     "digits", name=name)
             try:
                 if sizes is None:
                     raise ValueError("malformed text")

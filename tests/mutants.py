@@ -85,6 +85,8 @@ MUTANTS = [
      "(mul_sym or np", "(add_sym or np"),
     ("rational text: a double underscore read in the numerator", "errors.py",
      r"(?P<num> (?:\d+(?:_\d+)*)? )", r"(?P<num> (?:\d+(?:_+\d+)*)? )"),
+    ("str() guard: no limit read as a cap of zero", "errors.py",
+     "_str_limit() or n", "_str_limit()"),
 ]
 
 #: the least time a mutant's tests may run before they count as a kill

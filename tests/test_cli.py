@@ -110,6 +110,18 @@ def test_usage_errors_exit_two():
     assert dispatch(["field", "axioms"]).message == "one of the arguments --p --ring is required"
 
 
+@pytest.mark.parametrize("argv, flag, kind, long", [
+    (["field", "axioms"], "--p", "int", "1" * 5000),  # past the str() digit limit
+    (["cosmo", "evolve", "--t-end", "1", "--step", "1"], "--rho0", "float", "x" * 5000),
+], ids=["int", "float"])
+def test_number_flags_quote_a_refused_value_briefly(argv, flag, kind, long):
+    short, report = dispatch(argv + [flag, "x"]), dispatch(argv + [flag, long])
+    assert (short.exit_code, short.error, report.exit_code, report.error) == (2, "Usage") * 2
+    refusal = f"argument {flag}: invalid {kind} value: "
+    assert short.message == refusal + "'x'"  # argparse's own wording
+    assert report.message == refusal + f"'{long[:64]}...<5000 characters>'"
+
+
 @pytest.mark.parametrize("argv", [
     ["field", "gaussian", "--p", "3"],
     ["field", "table", "--p", "3"],
@@ -183,14 +195,14 @@ def test_ordinary_line_paths():
 ], ids=["exponent", "malformed exponent", "zero denominator", "malformed with an exponent"])
 def test_points_refusals_keep_code_message_and_witness(points, error, message, witness,
                                                        monkeypatch):
-    monkeypatch.setattr("finiverse.cli._str_limit", lambda: 4300)  # Python's default
+    monkeypatch.setattr("finiverse.errors._str_limit", lambda: 4300)  # Python's default
     _, doc = run_json(["geometry", "ordinary-line", "--points", f"{points};0,1;1,1"])
     assert (doc["error"], doc["message"], doc.get("witness")) == (error, message, witness)
 
 
 def test_points_past_capacity_end_without_a_str_limit(monkeypatch, deadline):
     # as on a Python before 3.10.7: no digit cap, so the library's bit estimate refuses
-    monkeypatch.setattr("finiverse.cli._str_limit", lambda: 0)
+    monkeypatch.setattr("finiverse.errors._str_limit", lambda: 0)
     _, doc = run_json(["geometry", "ordinary-line", "--points", "1e10000000,0;0,1;1,1"])
     assert doc["error"] == "Overflow"
     assert doc["witness"] == {"requested": 33219285, "cap": 4000000}

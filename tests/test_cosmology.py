@@ -1,6 +1,7 @@
 """Pointset cosmology: closed-form observables and the RK4 integrator."""
 
 import math
+import types
 import warnings
 
 import pytest
@@ -322,6 +323,16 @@ def test_trajectory_rejects_unordered_times():
     s1 = FluidState(a=1.0, a_dot=0.0, rho=1.0, p=0.0, t=0.5)
     with pytest.raises(InvalidInputError):
         ScaleFactorTrajectory(samples=(s0, s1), step=0.5)
+
+
+def test_trajectory_rejects_a_nonpositive_scale_factor():
+    # FluidState refuses a <= 0 itself, so only a sample of another type gets here
+    s0 = FluidState(a=1.0, a_dot=0.0, rho=1.0, p=0.0, t=0.0)
+    for samples in ((types.SimpleNamespace(a=0.0, t=0.0),),
+                    (s0, types.SimpleNamespace(a=-1.0, t=1.0))):
+        with pytest.raises(NonPositiveScaleFactorError) as exc:
+            ScaleFactorTrajectory(samples=samples, step=0.5)
+        assert exc.value.code == "NonPositiveScaleFactor"
 
 
 def test_friedmann_hubble_rate():

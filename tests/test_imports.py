@@ -3,8 +3,9 @@ no module imports a name it never uses (``__init__.py`` is exempt: it
 re-exports each library module's ``__all__``), no module-level private
 name goes unread, every public name and every public attribute of an
 exported class is read by something outside the library, each module
-imports only the modules its layer allows, and no reference oracle under
-``tests/`` imports a private name of the package."""
+imports only the modules its layer allows, only ``errors`` reads the str()
+digit limit, and no reference oracle under ``tests/`` imports a private
+name of the package."""
 
 import ast
 import dataclasses
@@ -351,3 +352,27 @@ def test_private_import_is_found():
 def test_reference_imports_no_private_name(path):
     """An oracle that borrows a kernel's helper would share its mistakes."""
     assert private_imports(ast.parse(path.read_text())) == []
+
+
+def names_read(tree) -> set[str]:
+    """Every name a module reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_names_read_are_found():
+    tree = ast.parse("from .errors import _a\nerrors._b(c)\n")
+    assert names_read(tree) == {"_a", "_b", "errors", "c"}
+
+
+def test_only_errors_reads_the_str_limit():
+    """The str() digit limit is one rule, ``errors._str_convertible``."""
+    readers = [module for module, tree in TREES.items() if "_str_limit" in names_read(tree)]
+    assert readers == ["errors"]
